@@ -7,15 +7,16 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "arith/batch.hpp"
 #include "arith/bitsliced.hpp"
 #include "arith/fast_units.hpp"
 #include "arith/inmemory_units.hpp"
 #include "arith/word_models.hpp"
 #include "core/apim.hpp"
+#include "serve/executor.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -73,12 +74,13 @@ void BM_WordSerialAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_WordSerialAdd);
 
-// Host-side scaling of the batched multiply path over the thread pool.
+// Host-side scaling of the served batch executor (serve::execute_batch)
+// over the thread pool: one 10k-multiply dispatch on a 256-lane stream.
 // Arg = thread count. The products/cycles/energy are bit-identical across
-// all Args (tests/parallel_exec_test.cpp asserts this); only wall-clock
-// time changes. On a >= 4-core host Arg(4) should run >= 2x faster than
-// Arg(1) for this 10k-element batch.
-void BM_FastMultiplyBatch10k(benchmark::State& state) {
+// all Args and both host tiers (tests/parallel_exec_test.cpp asserts
+// this); only wall-clock time changes. On a >= 4-core host Arg(4) should
+// run >= 2x faster than Arg(1).
+void run_multiply_batch10k(benchmark::State& state, core::Backend backend) {
   constexpr std::size_t kBatch = 10000;
   util::Xoshiro256 rng(6);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
@@ -86,14 +88,22 @@ void BM_FastMultiplyBatch10k(benchmark::State& state) {
   for (std::size_t i = 0; i < kBatch; ++i)
     ops.emplace_back(rng.next() & util::low_mask(32),
                      rng.next() & util::low_mask(32));
+  const std::span<const std::pair<std::uint64_t, std::uint64_t>> member(ops);
+  core::ApimConfig base;
+  base.backend = backend;
+  const serve::BatchKey key;  // Exact width-32 multiplies.
   util::set_thread_count(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(arith::fast_multiply_batch(
-        ops, 32, arith::ApproxConfig::exact(), em(), /*lanes=*/256));
+    benchmark::DoNotOptimize(serve::execute_batch(std::span(&member, 1), key,
+                                                  /*lanes=*/256, base));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBatch));
   util::set_thread_count(0);  // Restore the default for later benchmarks.
+}
+
+void BM_FastMultiplyBatch10k(benchmark::State& state) {
+  run_multiply_batch10k(state, core::Backend::kFast);
 }
 BENCHMARK(BM_FastMultiplyBatch10k)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
@@ -103,22 +113,7 @@ BENCHMARK(BM_FastMultiplyBatch10k)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // the host-side speedup of bitslicing (the BENCH_*.json trajectory records
 // it as bitsliced_vs_word_host_speedup).
 void BM_BitslicedMultiplyBatch10k(benchmark::State& state) {
-  constexpr std::size_t kBatch = 10000;
-  util::Xoshiro256 rng(6);  // Same stream as the word-level twin.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
-  ops.reserve(kBatch);
-  for (std::size_t i = 0; i < kBatch; ++i)
-    ops.emplace_back(rng.next() & util::low_mask(32),
-                     rng.next() & util::low_mask(32));
-  util::set_thread_count(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(arith::fast_multiply_batch(
-        ops, 32, arith::ApproxConfig::exact(), em(), /*lanes=*/256,
-        arith::BatchBackend::kBitsliced));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBatch));
-  util::set_thread_count(0);
+  run_multiply_batch10k(state, core::Backend::kBitsliced);
 }
 BENCHMARK(BM_BitslicedMultiplyBatch10k)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 

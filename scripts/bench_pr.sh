@@ -8,13 +8,18 @@
 #
 # Usage: scripts/bench_pr.sh [--smoke] [--check] [out.json]
 #
-#   --smoke    CI mode: light bench workloads, output defaults to
-#              $BUILD_DIR/BENCH_smoke.json, and the generated document's
-#              key structure is checked against the committed full
-#              snapshot -- schema drift fails the run so BENCH_*.json
-#              stays machine-comparable across PRs.
+#   out.json   Output file; its name without .json is the snapshot's
+#              bench_id. Defaults to BENCH_<n+1>.json for the latest
+#              committed BENCH_<n>.json (full mode) or
+#              $BUILD_DIR/BENCH_smoke.json (--smoke).
+#   --smoke    CI mode: light bench workloads, and the generated
+#              document's key structure is checked against the committed
+#              full snapshot -- schema drift fails the run so
+#              BENCH_*.json stays machine-comparable across PRs.
 #   --check    Numeric regression gate: compares the generated metrics
-#              against the committed snapshot under per-metric
+#              against the committed snapshot (the highest-numbered
+#              BENCH_<n>.json at the repo root other than out.json) under
+#              per-metric
 #              tolerances (see TOLERANCES below). Scale-free ratios are
 #              held tight, workload-size-sensitive numbers loose enough
 #              for --smoke runs, host wall-clock excluded, and the chaos
@@ -27,7 +32,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
-SNAPSHOT="BENCH_10.json"
 SMOKE=0
 CHECK=0
 OUT=""
@@ -39,9 +43,32 @@ for arg in "$@"; do
     *) OUT="$arg" ;;
   esac
 done
+
+# Highest-numbered root BENCH_<n>.json, skipping the file about to be
+# written; prints nothing when there is none.
+latest_snapshot() {
+  local skip="" best="" best_n=-1 f n
+  [[ -n "$1" ]] && skip="$(realpath -m "$1")"
+  for f in BENCH_*.json; do
+    [[ "$f" =~ ^BENCH_([0-9]+)\.json$ ]] || continue
+    n=$((10#${BASH_REMATCH[1]}))
+    [[ "$(realpath -m "$f")" == "$skip" ]] && continue
+    if ((n > best_n)); then best_n=$n; best="$f"; fi
+  done
+  echo "$best"
+}
+
 if [[ -z "$OUT" ]]; then
-  if [[ $SMOKE -eq 1 ]]; then OUT="$BUILD_DIR/BENCH_smoke.json"; else OUT="$SNAPSHOT"; fi
+  if [[ $SMOKE -eq 1 ]]; then
+    OUT="$BUILD_DIR/BENCH_smoke.json"
+  else
+    latest="$(latest_snapshot "")"
+    latest_n="${latest//[!0-9]/}"
+    OUT="BENCH_$((10#${latest_n:-0} + 1)).json"
+  fi
 fi
+SNAPSHOT="$(latest_snapshot "$OUT")"
+BENCH_ID="$(basename "$OUT" .json)"
 
 for bin in headline_summary ext_serving ext_fairness ext_chaos ext_cluster \
     ext_analytics; do
@@ -78,12 +105,12 @@ echo "== ext_analytics"
 "$BUILD_DIR/bench/ext_analytics" "${smoke_flag[@]}" --json "$tmp/analytics.json" \
   --out "$tmp/ext_analytics.csv" > "$tmp/analytics.log"
 
-python3 - "$tmp" "$OUT" "$SMOKE" "$SNAPSHOT" "$CHECK" <<'PY'
+python3 - "$tmp" "$OUT" "$SMOKE" "$SNAPSHOT" "$CHECK" "$BENCH_ID" <<'PY'
 import json, os, sys
 
-tmp, out_path, smoke, snapshot_path, check = (
+tmp, out_path, smoke, snapshot_path, check, bench_id = (
     sys.argv[1], sys.argv[2], sys.argv[3] == "1", sys.argv[4],
-    sys.argv[5] == "1")
+    sys.argv[5] == "1", sys.argv[6])
 
 def load(name, required):
     with open(f"{tmp}/{name}.json") as f:
@@ -159,7 +186,7 @@ an_q6 = analytics_query("q6-filter-mul-sum")
 an_q1 = analytics_query("q1-group-aggregate")
 an_q3 = analytics_query("q3-join-group-sort")
 doc = {
-    "bench_id": "BENCH_10",
+    "bench_id": bench_id,
     "schema_version": 2,
     "smoke": smoke,
     "backend": {
@@ -243,16 +270,15 @@ def signature(node, prefix=""):
     return paths
 
 def read_committed():
-    try:
-        with open(snapshot_path) as f:
-            return json.load(f)
-    except FileNotFoundError:
+    if not snapshot_path:
         return None
+    with open(snapshot_path) as f:
+        return json.load(f)
 
 if smoke:
     committed = read_committed()
     if committed is None:
-        print(f"bench_pr.sh: no committed {snapshot_path}; skipping drift check")
+        print("bench_pr.sh: no committed BENCH_<n>.json; skipping drift check")
     else:
         ours, theirs = signature(doc), signature(committed)
         if ours != theirs:
@@ -327,7 +353,7 @@ TOLERANCES = {
 if check:
     committed = read_committed()
     if committed is None:
-        sys.exit(f"bench_pr.sh: --check needs a committed {snapshot_path}")
+        sys.exit("bench_pr.sh: --check needs a committed BENCH_<n>.json")
     scale = float(os.environ.get("BENCH_CHECK_TOL_SCALE", "1.0"))
     failures = []
     for path, rule in sorted(TOLERANCES.items()):

@@ -26,14 +26,18 @@ cmake -B "$BUILD_DIR" -S . \
 # cluster event loop, including the thread-count invariance test.
 # analytics_test's AnalyticsDifferential suites sweep host threads {1,2,7}
 # over operator waves, hammering execute_batch's parallel_for.
-TARGETS=(parallel_exec_test batch_test vector_unit_test util_test apps_test
-  serve_test serve_fairness_test serve_health_test cluster_test
-  analytics_test)
+# The direct multi-chunk, multi-thread tests of serve::execute_batch are
+# parallel_exec_test's ParallelDeterminism, DegenerateInputs and Batch
+# suites and bitsliced_equivalence_test's ExecutorBackends and
+# BitslicedDegenerate suites (kFast vs kBitsliced, ragged tails).
+TARGETS=(parallel_exec_test bitsliced_equivalence_test vector_unit_test
+  util_test apps_test serve_test serve_fairness_test serve_health_test
+  cluster_test analytics_test)
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 
 # halt_on_error makes the first race fail the test binary (and so ctest).
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R 'ThreadPool|ParallelDeterminism|DegenerateInputs|Batch|VectorAdd|VectorUnit|Serve|Cluster|Analytics'
+  -R 'ThreadPool|ParallelDeterminism|DegenerateInputs|Batch|ExecutorBackends|BitslicedDegenerate|VectorAdd|VectorUnit|Serve|Cluster|Analytics'
 
 echo "TSan check passed (APIM_THREADS=$APIM_THREADS)."

@@ -1,11 +1,8 @@
 #include "arith/vector_unit.hpp"
 
-#include <array>
 #include <cassert>
 #include <utility>
 
-#include "arith/bitsliced.hpp"
-#include "arith/fast_units.hpp"
 #include "arith/inmemory_fa.hpp"
 #include "arith/latency_model.hpp"
 #include "arith/word_models.hpp"
@@ -34,8 +31,7 @@ constexpr std::size_t kLaneGroup = 64;
 
 VectorAddOutcome fast_vector_add(std::span<const std::uint64_t> a,
                                  std::span<const std::uint64_t> b, unsigned n,
-                                 const device::EnergyModel& em,
-                                 BatchBackend backend) {
+                                 const device::EnergyModel& em) {
   assert(a.size() == b.size());
   VectorAddOutcome out;
   if (a.empty()) return out;
@@ -44,27 +40,6 @@ VectorAddOutcome fast_vector_add(std::span<const std::uint64_t> a,
   std::vector<WordUnitResult> per_lane(a.size());
   util::ThreadPool::global().parallel_for(
       0, a.size(), kWordAddGrain, [&](std::size_t lo, std::size_t hi) {
-        if (backend == BatchBackend::kBitsliced) {
-          // Slice boundaries are multiples of kBitsliceLanes inside the
-          // fixed-grain chunk, so per-lane results never depend on the
-          // thread count.
-          for (std::size_t slo = lo; slo < hi; slo += kBitsliceLanes) {
-            const std::size_t m = std::min(kBitsliceLanes, hi - slo);
-            std::array<std::pair<std::uint64_t, std::uint64_t>,
-                       kBitsliceLanes>
-                pairs;
-            std::array<AddOutcome, kBitsliceLanes> outs;
-            for (std::size_t k = 0; k < m; ++k)
-              pairs[k] = {a[slo + k], b[slo + k]};
-            bitsliced_add_slice(std::span(pairs.data(), m), n, /*relax_m=*/0,
-                                em, std::span(outs.data(), m));
-            for (std::size_t k = 0; k < m; ++k)
-              per_lane[slo + k] =
-                  WordUnitResult{outs[k].sum, outs[k].cycles,
-                                 outs[k].energy_ops_pj, outs[k].carry_out};
-          }
-          return;
-        }
         for (std::size_t k = lo; k < hi; ++k)
           per_lane[k] = word_serial_add(a[k], b[k], n, em);
       });

@@ -14,7 +14,6 @@
 #include <span>
 #include <vector>
 
-#include "arith/batch.hpp"
 #include "device/energy_model.hpp"
 #include "util/units.hpp"
 
@@ -27,13 +26,11 @@ struct VectorAddOutcome {
 };
 
 /// Word-level model: K exact n-bit additions in one row-parallel pass.
-/// Under BatchBackend::kBitsliced the lanes execute in 64-wide bit-plane
-/// slices (arith/bitsliced.hpp) — sums, cycles and energy stay
-/// bit-identical to the word path for every thread count.
+/// Sums, cycles and energy are bit-identical for every host thread count.
+/// (The bitsliced tier runs adds through serve::execute_batch.)
 [[nodiscard]] VectorAddOutcome fast_vector_add(
     std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-    unsigned n, const device::EnergyModel& em,
-    BatchBackend backend = BatchBackend::kWord);
+    unsigned n, const device::EnergyModel& em);
 
 /// Bit-level twin: executes all K ripple adders concurrently (lane
 /// bit-steps batched across each lane group per cycle). Lane groups of a

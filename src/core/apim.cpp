@@ -4,7 +4,7 @@
 #include <array>
 #include <cassert>
 #include <cstdlib>
-
+#include <stdexcept>
 #include <vector>
 
 #include "arith/bitsliced.hpp"
@@ -28,278 +28,282 @@ std::uint64_t ApimDevice::clamp_magnitude(std::uint64_t m) const noexcept {
   return m > cap ? cap : m;
 }
 
-std::uint64_t ApimDevice::mul_magnitude(std::uint64_t a, std::uint64_t b) {
+/// One op's raw unit result before accounting, in one shape whichever
+/// kernel of the table produced it.
+struct UnitOutcome {
+  std::uint64_t value = 0;
+  util::Cycles cycles = 0;
+  double energy_pj = 0.0;
+  unsigned partial_products = 0;  ///< Nonzero only for word-model multiplies.
+};
+
+enum class DeviceOp : unsigned char { kMul, kAdd, kCmp, kPopcnt };
+
+namespace {
+
+using OpPair = std::pair<std::uint64_t, std::uint64_t>;
+
+UnitOutcome unit(const arith::MultiplyOutcome& r) {
+  return {r.product, r.cycles, r.energy_ops_pj, r.partial_count};
+}
+UnitOutcome unit(const arith::AddOutcome& r) {
+  return {r.sum, r.cycles, r.energy_ops_pj, 0};
+}
+/// The raw complement-add sum, not the code: protection checks the sum and
+/// the table row decodes the code afterwards.
+UnitOutcome unit(const arith::CompareOutcome& r) {
+  return {r.sum, r.cycles, r.energy_ops_pj, 0};
+}
+UnitOutcome unit(const arith::InMemoryResult& r) {
+  return {r.value, r.cycles, r.energy_ops_pj, 0};
+}
+
+/// Runs a bitsliced slice kernel into its own outcome type, then converts.
+template <class Outcome, class Slice>
+void slice_into(std::span<UnitOutcome> out, Slice slice) {
+  std::array<Outcome, arith::kBitsliceLanes> lanes;
+  slice(std::span(lanes.data(), out.size()));
+  for (std::size_t k = 0; k < out.size(); ++k) out[k] = unit(lanes[k]);
+}
+
+/// The adder relax setting scales with adder width: standalone word adds
+/// relax the same fraction of their N bits as the multiplier's final stage
+/// relaxes of its 2N (see the class comment).
+unsigned adder_relax(const ApimConfig& c) noexcept {
+  const unsigned m_add = c.approx.relax_bits / 2;
+  return m_add > c.word_bits ? c.word_bits : m_add;
+}
+
+/// One row of the kernel table: everything that differs between op kinds.
+struct OpKernel {
+  std::uint64_t ExecStats::*counter;
+  UnitOutcome (*word)(const ApimConfig&, std::uint64_t a, std::uint64_t b);
+  UnitOutcome (*bit_level)(const ApimConfig&, std::uint64_t a,
+                           std::uint64_t b);
+  /// Up to 64 ops in one bitsliced pass (arith/bitsliced.hpp), used by
+  /// Backend::kBitsliced batches; null when no slice kernel exists.
+  void (*slice)(const ApimConfig&, std::span<const OpPair> ops,
+                std::span<UnitOutcome> out);
+  // -- Protection spec (ApimDevice::protect_result) ------------------------
+  unsigned (*out_bits)(unsigned n);
+  /// The operand pair the residue identity checks the result against.
+  OpPair (*residue_operands)(std::uint64_t a, std::uint64_t b, unsigned n);
+  bool (*exact)(const ApimConfig&);
+  bool is_mul;
+  /// False when no mod-3 identity relates result and operands: every
+  /// active policy then protects the op by triple vote.
+  bool has_residue;
+  /// The result is arith::compare_code of the protected sum.
+  bool compare_decode;
+};
+
+bool always_exact(const ApimConfig&) { return true; }
+OpPair operands_as_given(std::uint64_t a, std::uint64_t b, unsigned) {
+  return {a, b};
+}
+
+/// Indexed by DeviceOp.
+constexpr OpKernel kKernels[] = {
+    {// kMul: full 2N-bit product; approximation follows approx.
+     .counter = &ExecStats::multiplies,
+     .word = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
+       return unit(arith::fast_multiply(a, b, c.word_bits, c.approx,
+                                        c.energy));
+     },
+     .bit_level = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
+       return unit(arith::inmemory_multiply(a, b, c.word_bits, c.approx,
+                                            c.energy));
+     },
+     .slice = [](const ApimConfig& c, std::span<const OpPair> ops,
+                 std::span<UnitOutcome> out) {
+       slice_into<arith::MultiplyOutcome>(out, [&](auto lanes) {
+         arith::bitsliced_multiply_slice(ops, c.word_bits, c.approx,
+                                         c.energy, lanes);
+       });
+     },
+     .out_bits = [](unsigned n) { return 2 * n; },
+     .residue_operands = operands_as_given,
+     .exact = [](const ApimConfig& c) { return c.approx.is_exact(); },
+     .is_mul = true,
+     .has_residue = true,
+     .compare_decode = false},
+    {// kAdd: (N+1)-bit sum, relaxed per adder_relax.
+     .counter = &ExecStats::additions,
+     .word = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
+       return unit(
+           arith::fast_add(a, b, c.word_bits, adder_relax(c), c.energy));
+     },
+     .bit_level = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
+       const unsigned n = c.word_bits;
+       const unsigned relax = arith::profitable_add_relax(n, adder_relax(c));
+       return unit(relax == 0
+                       ? arith::inmemory_serial_add(a, b, n, c.energy)
+                       : arith::inmemory_relaxed_add(a, b, n, relax,
+                                                     c.energy));
+     },
+     .slice = [](const ApimConfig& c, std::span<const OpPair> ops,
+                 std::span<UnitOutcome> out) {
+       slice_into<arith::AddOutcome>(out, [&](auto lanes) {
+         arith::bitsliced_add_slice(ops, c.word_bits, adder_relax(c),
+                                    c.energy, lanes);
+       });
+     },
+     .out_bits = [](unsigned n) { return n + 1; },
+     .residue_operands = operands_as_given,
+     .exact = [](const ApimConfig& c) { return adder_relax(c) == 0; },
+     .is_mul = false,
+     .has_residue = true,
+     .compare_decode = false},
+    {// kCmp: exact complement-add a + ~b, decoded to kCmpLt/Eq/Gt.
+     .counter = &ExecStats::comparisons,
+     .word = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
+       return unit(arith::fast_compare(a, b, c.word_bits, c.energy));
+     },
+     .bit_level = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
+       return unit(arith::inmemory_compare(a, b, c.word_bits, c.energy));
+     },
+     .slice = [](const ApimConfig& c, std::span<const OpPair> ops,
+                 std::span<UnitOutcome> out) {
+       slice_into<arith::CompareOutcome>(out, [&](auto lanes) {
+         arith::bitsliced_compare_slice(ops, c.word_bits, c.energy, lanes);
+       });
+     },
+     .out_bits = [](unsigned n) { return n + 1; },
+     .residue_operands =
+         [](std::uint64_t a, std::uint64_t b, unsigned n) {
+           return OpPair{a & low_mask(n), ~b & low_mask(n)};
+         },
+     .exact = always_exact,
+     .is_mul = false,
+     .has_residue = true,
+     .compare_decode = true},
+    {// kPopcnt: Wallace tree-add of a's low N bits; b is ignored.
+     .counter = &ExecStats::popcounts,
+     .word = [](const ApimConfig& c, std::uint64_t a, std::uint64_t) {
+       return unit(arith::fast_popcount(a, c.word_bits, c.energy));
+     },
+     .bit_level = [](const ApimConfig& c, std::uint64_t a, std::uint64_t) {
+       return unit(arith::inmemory_popcount(a, c.word_bits, c.energy));
+     },
+     .slice = nullptr,
+     .out_bits = arith::popcount_width_cap,
+     .residue_operands =
+         [](std::uint64_t a, std::uint64_t, unsigned n) {
+           return OpPair{a & low_mask(n), 0};
+         },
+     .exact = always_exact,
+     .is_mul = false,
+     .has_residue = false,
+     .compare_decode = false},
+};
+
+constexpr const OpKernel& kernel(DeviceOp op) {
+  return kKernels[static_cast<std::size_t>(op)];
+}
+
+/// One op through the backend's scalar model: the word model, or the
+/// bit-level engine under Backend::kBitLevel.
+UnitOutcome run_one(const OpKernel& k, const ApimConfig& c, std::uint64_t a,
+                      std::uint64_t b) {
+  return c.backend == Backend::kBitLevel ? k.bit_level(c, a, b)
+                                         : k.word(c, a, b);
+}
+
+}  // namespace
+
+template <DeviceOp K>
+std::uint64_t ApimDevice::account(std::uint64_t a, std::uint64_t b,
+                                  const UnitOutcome& r) {
+  constexpr const OpKernel& k = kernel(K);
   // Op index BEFORE the increment: lane assignment and transient-fault
   // draws key off it, and it restarts per device clone, so host-parallel
   // chunking reproduces it for every thread count (apps/parallel.hpp).
   const std::uint64_t op_index = next_op_index();
-  ++stats_.multiplies;
-  std::uint64_t product;
-  util::Cycles op_cycles;
-  double op_energy;
-  if (config_.backend == Backend::kBitLevel) {
-    const arith::InMemoryResult r = arith::inmemory_multiply(
-        a, b, config_.word_bits, config_.approx, config_.energy);
-    product = r.value;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  } else {
-    const arith::MultiplyOutcome r =
-        arith::fast_multiply(a, b, config_.word_bits, config_.approx,
-                             config_.energy);
-    product = r.product;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-    stats_.partial_products += r.partial_count;
-  }
-  stats_.cycles += op_cycles;
-  stats_.energy_ops_pj += op_energy;
-  if (!config_.reliability.passive()) {
-    product = protect_result(product, a, b, 2 * config_.word_bits,
-                             /*is_mul=*/true, config_.approx.is_exact(),
-                             op_index, op_cycles, op_energy);
-  }
-  return product;
-}
-
-namespace {
-/// The adder relax setting scales with adder width: standalone word adds
-/// relax the same fraction of their N bits as the multiplier's final stage
-/// relaxes of its 2N (see the class comment).
-unsigned adder_relax(const arith::ApproxConfig& approx,
-                     unsigned word_bits) noexcept {
-  const unsigned m_add = approx.relax_bits / 2;
-  return m_add > word_bits ? word_bits : m_add;
-}
-}  // namespace
-
-std::uint64_t ApimDevice::add_magnitude(std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t op_index = next_op_index();
-  ++stats_.additions;
-  const unsigned requested = adder_relax(config_.approx, config_.word_bits);
-  std::uint64_t sum;
-  util::Cycles op_cycles;
-  double op_energy;
-  if (config_.backend == Backend::kBitLevel) {
-    const unsigned relax =
-        arith::profitable_add_relax(config_.word_bits, requested);
-    const arith::InMemoryResult r =
-        relax == 0 ? arith::inmemory_serial_add(a, b, config_.word_bits,
-                                                config_.energy)
-                   : arith::inmemory_relaxed_add(a, b, config_.word_bits,
-                                                 relax, config_.energy);
-    sum = r.value;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  } else {
-    const arith::AddOutcome r =
-        arith::fast_add(a, b, config_.word_bits, requested, config_.energy);
-    sum = r.sum;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  }
-  stats_.cycles += op_cycles;
-  stats_.energy_ops_pj += op_energy;
-  if (!config_.reliability.passive()) {
-    sum = protect_result(sum, a, b, config_.word_bits + 1,
-                         /*is_mul=*/false, requested == 0, op_index,
-                         op_cycles, op_energy);
-  }
-  return sum;
-}
-
-std::uint64_t ApimDevice::cmp_magnitude(std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t op_index = next_op_index();
-  ++stats_.comparisons;
+  ++(stats_.*k.counter);
+  stats_.partial_products += r.partial_products;
+  stats_.cycles += r.cycles;
+  stats_.energy_ops_pj += r.energy_pj;
   const unsigned n = config_.word_bits;
-  const std::uint64_t bc = ~b & low_mask(n);  // Residue-check operand.
-  std::uint64_t sum;
-  util::Cycles op_cycles;
-  double op_energy;
-  if (config_.backend == Backend::kBitLevel) {
-    const arith::InMemoryResult r =
-        arith::inmemory_compare(a, b, n, config_.energy);
-    sum = r.value;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  } else {
-    const arith::CompareOutcome r = arith::fast_compare(a, b, n,
-                                                        config_.energy);
-    sum = r.sum;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  }
-  stats_.cycles += op_cycles;
-  stats_.energy_ops_pj += op_energy;
+  std::uint64_t value = r.value;
   if (!config_.reliability.passive()) {
-    sum = protect_result(sum, a & low_mask(n), bc, n + 1,
-                         /*is_mul=*/false, /*exact=*/true, op_index,
-                         op_cycles, op_energy);
+    const auto [ra, rb] = k.residue_operands(a, b, n);
+    value = protect_result(value, ra, rb, k.out_bits(n), k.is_mul,
+                           k.exact(config_), op_index, r.cycles, r.energy_pj,
+                           k.has_residue);
   }
   // word_bits <= 32, so the adder carry always sits in-band at bit n.
-  return arith::compare_code(sum, util::bit(sum, n) != 0, n);
+  return k.compare_decode
+             ? arith::compare_code(value, util::bit(value, n) != 0, n)
+             : value;
 }
 
+template <DeviceOp K>
+std::uint64_t ApimDevice::run_op(std::uint64_t a, std::uint64_t b) {
+  return account<K>(a, b, run_one(kernel(K), config_, a, b));
+}
+
+template <DeviceOp K>
+void ApimDevice::run_batch(std::span<const OpPair> ops,
+                           std::span<std::uint64_t> values,
+                           std::span<util::Cycles> op_cycles) {
+  if (values.size() != ops.size() || op_cycles.size() != ops.size()) {
+    throw std::invalid_argument(
+        "ApimDevice batch: values and op_cycles must match ops in size");
+  }
+  constexpr const OpKernel& k = kernel(K);
+  const bool sliced =
+      k.slice != nullptr && config_.backend == Backend::kBitsliced;
+  std::array<UnitOutcome, arith::kBitsliceLanes> raw;
+  for (std::size_t lo = 0; lo < ops.size(); lo += arith::kBitsliceLanes) {
+    const std::span<const OpPair> chunk =
+        ops.subspan(lo, std::min(arith::kBitsliceLanes, ops.size() - lo));
+    if (sliced) {
+      k.slice(config_, chunk, std::span(raw.data(), chunk.size()));
+    } else {
+      for (std::size_t j = 0; j < chunk.size(); ++j)
+        raw[j] = run_one(k, config_, chunk[j].first, chunk[j].second);
+    }
+    // Replay the scalar accounting per op, in op order.
+    for (std::size_t j = 0; j < chunk.size(); ++j) {
+      const util::Cycles before = stats_.cycles;
+      values[lo + j] = account<K>(chunk[j].first, chunk[j].second, raw[j]);
+      op_cycles[lo + j] = stats_.cycles - before;
+    }
+  }
+}
+
+std::uint64_t ApimDevice::mul_magnitude(std::uint64_t a, std::uint64_t b) {
+  return run_op<DeviceOp::kMul>(a, b);
+}
+std::uint64_t ApimDevice::add_magnitude(std::uint64_t a, std::uint64_t b) {
+  return run_op<DeviceOp::kAdd>(a, b);
+}
+std::uint64_t ApimDevice::cmp_magnitude(std::uint64_t a, std::uint64_t b) {
+  return run_op<DeviceOp::kCmp>(a, b);
+}
 std::uint64_t ApimDevice::popcnt_magnitude(std::uint64_t a) {
-  const std::uint64_t op_index = next_op_index();
-  ++stats_.popcounts;
-  const unsigned n = config_.word_bits;
-  std::uint64_t count;
-  util::Cycles op_cycles;
-  double op_energy;
-  if (config_.backend == Backend::kBitLevel) {
-    const arith::InMemoryResult r =
-        arith::inmemory_popcount(a, n, config_.energy);
-    count = r.value;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  } else {
-    const arith::AddOutcome r = arith::fast_popcount(a, n, config_.energy);
-    count = r.sum;
-    op_cycles = r.cycles;
-    op_energy = r.energy_ops_pj;
-  }
-  stats_.cycles += op_cycles;
-  stats_.energy_ops_pj += op_energy;
-  if (!config_.reliability.passive()) {
-    count = protect_result(count, a & low_mask(n), 0,
-                           arith::popcount_width_cap(n),
-                           /*is_mul=*/false, /*exact=*/true, op_index,
-                           op_cycles, op_energy, /*has_residue=*/false);
-  }
-  return count;
+  return run_op<DeviceOp::kPopcnt>(a, 0);
 }
 
-void ApimDevice::mul_magnitude_batch(
-    std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
-    std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles) {
-  assert(values.size() == ops.size() && op_cycles.size() == ops.size());
-  if (config_.backend != Backend::kBitsliced) {
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const util::Cycles before = stats_.cycles;
-      values[i] = mul_magnitude(ops[i].first, ops[i].second);
-      op_cycles[i] = stats_.cycles - before;
-    }
-    return;
-  }
-  std::array<arith::MultiplyOutcome, arith::kBitsliceLanes> slice;
-  for (std::size_t lo = 0; lo < ops.size(); lo += arith::kBitsliceLanes) {
-    const std::size_t m = std::min(arith::kBitsliceLanes, ops.size() - lo);
-    arith::bitsliced_multiply_slice(ops.subspan(lo, m), config_.word_bits,
-                                    config_.approx, config_.energy,
-                                    std::span(slice.data(), m));
-    // Replay the scalar mul_magnitude accounting per op, in op order.
-    for (std::size_t k = 0; k < m; ++k) {
-      const util::Cycles before = stats_.cycles;
-      const std::uint64_t op_index = next_op_index();
-      ++stats_.multiplies;
-      const arith::MultiplyOutcome& r = slice[k];
-      std::uint64_t product = r.product;
-      stats_.partial_products += r.partial_count;
-      stats_.cycles += r.cycles;
-      stats_.energy_ops_pj += r.energy_ops_pj;
-      if (!config_.reliability.passive()) {
-        product = protect_result(product, ops[lo + k].first,
-                                 ops[lo + k].second, 2 * config_.word_bits,
-                                 /*is_mul=*/true, config_.approx.is_exact(),
-                                 op_index, r.cycles, r.energy_ops_pj);
-      }
-      values[lo + k] = product;
-      op_cycles[lo + k] = stats_.cycles - before;
-    }
-  }
+void ApimDevice::mul_magnitude_batch(std::span<const OpPair> ops,
+                                     std::span<std::uint64_t> values,
+                                     std::span<util::Cycles> op_cycles) {
+  run_batch<DeviceOp::kMul>(ops, values, op_cycles);
 }
-
-void ApimDevice::add_magnitude_batch(
-    std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
-    std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles) {
-  assert(values.size() == ops.size() && op_cycles.size() == ops.size());
-  if (config_.backend != Backend::kBitsliced) {
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const util::Cycles before = stats_.cycles;
-      values[i] = add_magnitude(ops[i].first, ops[i].second);
-      op_cycles[i] = stats_.cycles - before;
-    }
-    return;
-  }
-  const unsigned requested = adder_relax(config_.approx, config_.word_bits);
-  std::array<arith::AddOutcome, arith::kBitsliceLanes> slice;
-  for (std::size_t lo = 0; lo < ops.size(); lo += arith::kBitsliceLanes) {
-    const std::size_t m = std::min(arith::kBitsliceLanes, ops.size() - lo);
-    arith::bitsliced_add_slice(ops.subspan(lo, m), config_.word_bits,
-                               requested, config_.energy,
-                               std::span(slice.data(), m));
-    for (std::size_t k = 0; k < m; ++k) {
-      const util::Cycles before = stats_.cycles;
-      const std::uint64_t op_index = next_op_index();
-      ++stats_.additions;
-      const arith::AddOutcome& r = slice[k];
-      std::uint64_t sum = r.sum;
-      stats_.cycles += r.cycles;
-      stats_.energy_ops_pj += r.energy_ops_pj;
-      if (!config_.reliability.passive()) {
-        sum = protect_result(sum, ops[lo + k].first, ops[lo + k].second,
-                             config_.word_bits + 1, /*is_mul=*/false,
-                             requested == 0, op_index, r.cycles,
-                             r.energy_ops_pj);
-      }
-      values[lo + k] = sum;
-      op_cycles[lo + k] = stats_.cycles - before;
-    }
-  }
+void ApimDevice::add_magnitude_batch(std::span<const OpPair> ops,
+                                     std::span<std::uint64_t> values,
+                                     std::span<util::Cycles> op_cycles) {
+  run_batch<DeviceOp::kAdd>(ops, values, op_cycles);
 }
-
-void ApimDevice::cmp_magnitude_batch(
-    std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
-    std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles) {
-  assert(values.size() == ops.size() && op_cycles.size() == ops.size());
-  if (config_.backend != Backend::kBitsliced) {
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const util::Cycles before = stats_.cycles;
-      values[i] = cmp_magnitude(ops[i].first, ops[i].second);
-      op_cycles[i] = stats_.cycles - before;
-    }
-    return;
-  }
-  const unsigned n = config_.word_bits;
-  std::array<arith::CompareOutcome, arith::kBitsliceLanes> slice;
-  for (std::size_t lo = 0; lo < ops.size(); lo += arith::kBitsliceLanes) {
-    const std::size_t m = std::min(arith::kBitsliceLanes, ops.size() - lo);
-    arith::bitsliced_compare_slice(ops.subspan(lo, m), n, config_.energy,
-                                   std::span(slice.data(), m));
-    // Replay the scalar cmp_magnitude accounting per op, in op order.
-    for (std::size_t k = 0; k < m; ++k) {
-      const util::Cycles before = stats_.cycles;
-      const std::uint64_t op_index = next_op_index();
-      ++stats_.comparisons;
-      const arith::CompareOutcome& r = slice[k];
-      std::uint64_t sum = r.sum;
-      stats_.cycles += r.cycles;
-      stats_.energy_ops_pj += r.energy_ops_pj;
-      if (!config_.reliability.passive()) {
-        sum = protect_result(sum, ops[lo + k].first & low_mask(n),
-                             ~ops[lo + k].second & low_mask(n), n + 1,
-                             /*is_mul=*/false, /*exact=*/true, op_index,
-                             r.cycles, r.energy_ops_pj);
-      }
-      values[lo + k] = arith::compare_code(sum, util::bit(sum, n) != 0, n);
-      op_cycles[lo + k] = stats_.cycles - before;
-    }
-  }
+void ApimDevice::cmp_magnitude_batch(std::span<const OpPair> ops,
+                                     std::span<std::uint64_t> values,
+                                     std::span<util::Cycles> op_cycles) {
+  run_batch<DeviceOp::kCmp>(ops, values, op_cycles);
 }
-
-void ApimDevice::popcnt_magnitude_batch(
-    std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
-    std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles) {
-  assert(values.size() == ops.size() && op_cycles.size() == ops.size());
-  // No bitsliced fast path yet: the popcount tree plan is shared across
-  // lanes but per-lane evaluation already matches the word model exactly,
-  // so every host backend tier runs the scalar loop.
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const util::Cycles before = stats_.cycles;
-    values[i] = popcnt_magnitude(ops[i].first);
-    op_cycles[i] = stats_.cycles - before;
-  }
+void ApimDevice::popcnt_magnitude_batch(std::span<const OpPair> ops,
+                                        std::span<std::uint64_t> values,
+                                        std::span<util::Cycles> op_cycles) {
+  run_batch<DeviceOp::kPopcnt>(ops, values, op_cycles);
 }
 
 std::uint64_t ApimDevice::protect_result(std::uint64_t raw, std::uint64_t a,

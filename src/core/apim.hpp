@@ -36,6 +36,11 @@
 
 namespace apim::core {
 
+/// Keys of the per-op-kind kernel table and the per-op outcome its kernels
+/// report; both are defined in apim.cpp.
+enum class DeviceOp : unsigned char;
+struct UnitOutcome;
+
 class ApimDevice {
  public:
   explicit ApimDevice(ApimConfig config = {});
@@ -80,10 +85,12 @@ class ApimDevice {
   // field replay per op, so values, cycles and energy are bit-identical to
   // the scalar loop for EVERY backend. Under Backend::kBitsliced the raw
   // per-op outcomes come from 64-lane bitsliced slices instead of per-op
-  // word models — same numbers, a fraction of the host cost. `values[i]`
+  // word models — same numbers, a fraction of the host cost (popcount has
+  // no bitsliced kernel and runs the word model per op). `values[i]`
   // receives op i's result; `op_cycles[i]` the device-cycle delta charged
   // for op i (including protection and retries). Both spans must match
-  // `ops` in size.
+  // `ops` in size, or the call throws std::invalid_argument before any op
+  // runs.
   void mul_magnitude_batch(
       std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
       std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles);
@@ -140,8 +147,10 @@ class ApimDevice {
   /// `parallel_region_end` are declared to have shared crossbar passes
   /// across `ways` independent lanes (disjoint row groups, same schedule —
   /// see arith/vector_unit.hpp): the region's LATENCY divides by `ways`
-  /// while its energy stands. The balanced-load idealization is accurate to
-  /// a few percent at realistic batch sizes (tests/batch_test.cpp).
+  /// while its energy stands. This balanced-load idealization is within 5%
+  /// of the round-robin makespan serve::execute_batch schedules at
+  /// realistic batch sizes (the Batch.* cases in
+  /// tests/parallel_exec_test.cpp).
   [[nodiscard]] util::Cycles parallel_region_begin() const noexcept {
     return stats_.cycles;
   }
@@ -223,7 +232,22 @@ class ApimDevice {
                                              std::uint64_t op_index,
                                              util::Cycles exec_cycles,
                                              double exec_energy,
-                                             bool has_residue = true);
+                                             bool has_residue);
+
+  /// The per-op accounting step every entry point shares: op index, op
+  /// counter, stats, protection and result decode, as table row K of
+  /// apim.cpp specifies them.
+  template <DeviceOp K>
+  [[nodiscard]] std::uint64_t account(std::uint64_t a, std::uint64_t b,
+                                      const UnitOutcome& r);
+  /// One scalar op of kind K: one direct word-model (or engine) call.
+  template <DeviceOp K>
+  [[nodiscard]] std::uint64_t run_op(std::uint64_t a, std::uint64_t b);
+  /// The one batch loop behind the four *_magnitude_batch entry points.
+  template <DeviceOp K>
+  void run_batch(std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
+                 std::span<std::uint64_t> values,
+                 std::span<util::Cycles> op_cycles);
 
   /// Shared op-index base: every magnitude op keys its lane assignment and
   /// fault draws off the count of ops issued before it, device-clone-local.

@@ -22,8 +22,11 @@ enum class Backend {
   /// Bitsliced batch tier (arith/bitsliced.hpp): homogeneous batches run
   /// in 64-lane bit-plane slices, values/cycles/energy bit-identical to
   /// kFast (which is itself bit-identical to the engine). Engages on the
-  /// device's *_magnitude_batch entry points; scalar ops fall back to the
-  /// word models, so results never depend on call granularity.
+  /// device's *_magnitude_batch entry points, which serve::execute_batch
+  /// drives, for the op kinds whose kernel-table row has a slice kernel
+  /// (mul, add, cmp; popcount has none and runs the word model per op).
+  /// Scalar ops fall back to the word models, so results never depend on
+  /// call granularity.
   kBitsliced,
 };
 

@@ -27,6 +27,10 @@ struct ExecStats {
 
   void reset() { *this = ExecStats{}; }
 
+  /// Field-wise equality; the energy double compares bit for bit, which is
+  /// what the batch-vs-scalar equivalence tests require.
+  [[nodiscard]] bool operator==(const ExecStats&) const = default;
+
   /// Fold another accumulator into this one. Host-parallel executors give
   /// each worker a private ExecStats and merge them in deterministic chunk
   /// order (util/thread_pool.hpp), never through shared mutable counters.

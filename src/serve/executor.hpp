@@ -9,10 +9,10 @@
 // serially in index order — values, cycles and energy are bit-identical
 // for every host thread count.
 //
-// Latency semantics per op kind:
-//  * kMultiply — ops round-robin over the stream's lanes (the same
-//    discipline as arith::fast_multiply_batch); the batch makespan is the
-//    slowest lane's cycle sum.
+// This is the simulator's one lane-makespan model. Latency semantics per
+// op kind:
+//  * kMultiply — ops round-robin over the stream's lanes in op order; the
+//    batch makespan is the slowest lane's cycle sum.
 //  * kVectorAdd / kCompare / kPopcount — row-parallel inside a tile
 //    (arith/vector_unit.hpp): these are all adder-pass schedules, so every
 //    op shares one pass, the makespan is the slowest SINGLE op and one

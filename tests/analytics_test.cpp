@@ -280,40 +280,4 @@ TEST(DeviceOps, PopcountExactUnderPolicies) {
   }
 }
 
-TEST(DeviceOps, BatchEntryPointsMatchScalar) {
-  apim::util::Xoshiro256 rng(0xfeed);
-  for (const auto backend :
-       {apim::core::Backend::kFast, apim::core::Backend::kBitsliced,
-        apim::core::Backend::kBitLevel}) {
-    apim::core::ApimConfig cfg;
-    cfg.word_bits = 12;
-    cfg.backend = backend;
-    apim::core::ApimDevice batch_dev(cfg);
-    apim::core::ApimDevice scalar_dev(cfg);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
-    const std::size_t count = backend == apim::core::Backend::kBitLevel
-                                  ? 9   // Keep the NOR simulation small.
-                                  : 150;  // Spans multiple 64-lane slices.
-    for (std::size_t i = 0; i < count; ++i)
-      ops.emplace_back(rng.next() & 0xfff, rng.next() & 0xfff);
-    std::vector<std::uint64_t> cmp(ops.size()), pop(ops.size());
-    std::vector<apim::util::Cycles> cmp_cycles(ops.size()),
-        pop_cycles(ops.size());
-    batch_dev.cmp_magnitude_batch(ops, cmp, cmp_cycles);
-    batch_dev.popcnt_magnitude_batch(ops, pop, pop_cycles);
-    // Same op order as the batch calls (all compares, then all popcounts)
-    // so the stats doubles accumulate in the identical sequence.
-    for (std::size_t i = 0; i < ops.size(); ++i)
-      ASSERT_EQ(cmp[i], scalar_dev.cmp_magnitude(ops[i].first, ops[i].second));
-    for (std::size_t i = 0; i < ops.size(); ++i)
-      ASSERT_EQ(pop[i], scalar_dev.popcnt_magnitude(ops[i].first));
-    // Batch replay must keep the scalar accounting (op-index determinism).
-    ASSERT_EQ(batch_dev.stats().comparisons, scalar_dev.stats().comparisons);
-    ASSERT_EQ(batch_dev.stats().popcounts, scalar_dev.stats().popcounts);
-    ASSERT_EQ(batch_dev.stats().cycles, scalar_dev.stats().cycles);
-    ASSERT_EQ(batch_dev.stats().energy_ops_pj,
-              scalar_dev.stats().energy_ops_pj);  // Bit-exact.
-  }
-}
-
 }  // namespace

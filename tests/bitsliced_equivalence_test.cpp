@@ -11,26 +11,30 @@
 //                                        summation-order tolerance)
 //   word models       ==  bitsliced     (everything exact, incl. energy)
 //
-// plus the carry-out boundary contract at widths 63/64, degenerate batch
-// shapes, and thread-count invariance of every batched entry point.
+// plus the carry-out boundary contract at widths 63/64, and the batch
+// paths built on the slices: the served executor (serve::execute_batch)
+// across host tiers, degenerate shapes and thread counts, and every device
+// batch entry point against its scalar loop under every backend and
+// reliability policy.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "arith/batch.hpp"
 #include "arith/bitsliced.hpp"
 #include "arith/fast_units.hpp"
 #include "arith/inmemory_units.hpp"
 #include "arith/latency_model.hpp"
-#include "arith/vector_unit.hpp"
 #include "arith/word_models.hpp"
 #include "core/apim.hpp"
 #include "reliability/fault_state.hpp"
 #include "reliability/policy.hpp"
+#include "serve/executor.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -342,143 +346,118 @@ TEST(CarryOutBoundary, Width64RelaxedAdderCarryIsExact) {
   }
 }
 
-// --------------------------------------------- batched entry points -------
+// ------------------------------------------- served executor batches ------
 
-TEST(BatchBackends, MultiplyBatchMatchesAcrossBackendsAndThreads) {
+using OpPair = std::pair<std::uint64_t, std::uint64_t>;
+
+std::vector<OpPair> random_ops(std::size_t count, unsigned n,
+                               std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<OpPair> ops;
+  for (std::size_t i = 0; i < count; ++i)
+    ops.emplace_back(rng.next() & util::low_mask(n),
+                     rng.next() & util::low_mask(n));
+  return ops;
+}
+
+/// `ops` as one single-member dispatch of shape (op, n, approx) on an
+/// 8-lane stream, through the served executor on host tier `backend`.
+serve::BatchExecution execute(const std::vector<OpPair>& ops,
+                              serve::OpKind op, unsigned n,
+                              ApproxConfig approx, core::Backend backend) {
+  core::ApimConfig base;
+  base.approx.mask_bits = approx.mask_bits;  // The key carries the relax.
+  base.backend = backend;
+  serve::BatchKey key;
+  key.op = op;
+  key.width = n;
+  key.relax_bits = approx.relax_bits;
+  const std::span<const OpPair> member(ops);
+  return serve::execute_batch(std::span(&member, 1), key, /*lanes=*/8, base);
+}
+
+void expect_same_execution(const serve::BatchExecution& got,
+                           const serve::BatchExecution& ref) {
+  EXPECT_EQ(got.values, ref.values);
+  EXPECT_EQ(got.makespan, ref.makespan);
+  EXPECT_EQ(got.total_lane_cycles, ref.total_lane_cycles);
+  EXPECT_EQ(got.lanes_used, ref.lanes_used);
+  EXPECT_EQ(got.energy_pj, ref.energy_pj);  // Bit-exact.
+  EXPECT_EQ(got.stats, ref.stats);
+}
+
+TEST(ExecutorBackends, MultiplyBatchMatchesAcrossBackendsAndThreads) {
   ThreadCountGuard guard;
   const unsigned n = 16;
   const ApproxConfig cfg{2, 6};
-  util::Xoshiro256 rng(321);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
-  for (int i = 0; i < 300; ++i)  // Deliberately not a multiple of 64.
-    ops.emplace_back(rng.next() & util::low_mask(n),
-                     rng.next() & util::low_mask(n));
-
+  // 300 ops: four 64-op executor chunks and a ragged 44-op tail.
+  const auto ops = random_ops(300, n, 321);
   util::set_thread_count(1);
-  const BatchOutcome ref = fast_multiply_batch(ops, n, cfg, em(), 8);
+  const serve::BatchExecution ref =
+      execute(ops, serve::OpKind::kMultiply, n, cfg, core::Backend::kFast);
   for (const std::size_t threads : {1u, 2u, 7u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
     util::set_thread_count(threads);
-    const BatchOutcome sliced =
-        fast_multiply_batch(ops, n, cfg, em(), 8, BatchBackend::kBitsliced);
-    ASSERT_EQ(sliced.products, ref.products) << threads << " threads";
-    ASSERT_EQ(sliced.makespan, ref.makespan);
-    ASSERT_EQ(sliced.total_lane_cycles, ref.total_lane_cycles);
-    ASSERT_EQ(sliced.lanes_used, ref.lanes_used);
-    ASSERT_EQ(sliced.energy_ops_pj, ref.energy_ops_pj);  // Bit-exact.
+    expect_same_execution(execute(ops, serve::OpKind::kMultiply, n, cfg,
+                                  core::Backend::kBitsliced),
+                          ref);
   }
 }
 
-TEST(BatchBackends, VectorAddMatchesAcrossBackendsAndThreads) {
+TEST(ExecutorBackends, VectorAddMatchesAcrossBackendsAndThreads) {
   ThreadCountGuard guard;
   const unsigned n = 32;
-  util::Xoshiro256 rng(654);
-  std::vector<std::uint64_t> a, b;
-  for (int i = 0; i < 517; ++i) {  // Crosses several grain boundaries.
-    a.push_back(rng.next() & util::low_mask(n));
-    b.push_back(rng.next() & util::low_mask(n));
-  }
+  // 517 ops: eight 64-op executor chunks and a ragged 5-op tail.
+  const auto ops = random_ops(517, n, 654);
   util::set_thread_count(1);
-  const VectorAddOutcome ref = fast_vector_add(a, b, n, em());
+  const serve::BatchExecution ref =
+      execute(ops, serve::OpKind::kVectorAdd, n, ApproxConfig::exact(),
+              core::Backend::kFast);
   for (const std::size_t threads : {1u, 2u, 7u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
     util::set_thread_count(threads);
-    const VectorAddOutcome sliced =
-        fast_vector_add(a, b, n, em(), BatchBackend::kBitsliced);
-    ASSERT_EQ(sliced.sums, ref.sums) << threads << " threads";
-    ASSERT_EQ(sliced.cycles, ref.cycles);
-    ASSERT_EQ(sliced.energy_ops_pj, ref.energy_ops_pj);  // Bit-exact.
+    expect_same_execution(execute(ops, serve::OpKind::kVectorAdd, n,
+                                  ApproxConfig::exact(),
+                                  core::Backend::kBitsliced),
+                          ref);
   }
-}
-
-TEST(BatchBackends, TreeAddBatchMatchesPerOpFastTreeAdd) {
-  ThreadCountGuard guard;
-  const unsigned n = 12;
-  const std::size_t stride = 5, count = 150;
-  const unsigned cap = n + 3;
-  util::Xoshiro256 rng(987);
-  std::vector<std::uint64_t> flat;
-  std::vector<unsigned> widths(stride, n);
-  for (std::size_t i = 0; i < count * stride; ++i)
-    flat.push_back(rng.next() & util::low_mask(n));
-
-  util::set_thread_count(1);
-  const BatchOutcome word =
-      fast_tree_add_batch(flat, widths, cap, em(), 4);
-  for (const std::size_t threads : {1u, 2u, 7u}) {
-    util::set_thread_count(threads);
-    const BatchOutcome sliced = fast_tree_add_batch(
-        flat, widths, cap, em(), 4, BatchBackend::kBitsliced);
-    ASSERT_EQ(sliced.products, word.products) << threads << " threads";
-    ASSERT_EQ(sliced.makespan, word.makespan);
-    ASSERT_EQ(sliced.energy_ops_pj, word.energy_ops_pj);  // Bit-exact.
-  }
-  // And the batch (either backend) must equal the scalar unit per op.
-  for (std::size_t i = 0; i < count; ++i) {
-    const AddOutcome ref = fast_tree_add(
-        std::span(flat).subspan(i * stride, stride), widths, cap, em());
-    ASSERT_EQ(word.products[i], ref.sum) << "op " << i;
-  }
-}
-
-TEST(BatchBackends, TwoOperandTreeAddBatchSkipsTheTree) {
-  // stride == 2 has no 3:2 stage: the pair goes straight to the final
-  // serial add; bitsliced must agree with the word path bit for bit.
-  const unsigned n = 16, cap = 17;
-  util::Xoshiro256 rng(555);
-  std::vector<std::uint64_t> flat;
-  std::vector<unsigned> widths(2, n);
-  for (int i = 0; i < 140; ++i) flat.push_back(rng.next() & util::low_mask(n));
-  const BatchOutcome word = fast_tree_add_batch(flat, widths, cap, em(), 4);
-  const BatchOutcome sliced = fast_tree_add_batch(
-      flat, widths, cap, em(), 4, BatchBackend::kBitsliced);
-  ASSERT_EQ(sliced.products, word.products);
-  ASSERT_EQ(sliced.energy_ops_pj, word.energy_ops_pj);
 }
 
 // ----------------------------------------------------- degenerate shapes --
 
 TEST(BitslicedDegenerate, EmptyBatchReturnsZeroedOutcome) {
-  const BatchOutcome mul = fast_multiply_batch(
-      {}, 16, ApproxConfig::exact(), em(), 8, BatchBackend::kBitsliced);
-  EXPECT_TRUE(mul.products.empty());
-  EXPECT_EQ(mul.makespan, 0u);
-  EXPECT_EQ(mul.total_lane_cycles, 0u);
-  EXPECT_EQ(mul.energy_ops_pj, 0.0);
-  EXPECT_EQ(mul.lanes_used, 0u);
-  EXPECT_EQ(mul.ideal_makespan(), 0.0);
-  EXPECT_EQ(mul.imbalance(), 1.0);
-
-  const VectorAddOutcome add =
-      fast_vector_add({}, {}, 16, em(), BatchBackend::kBitsliced);
-  EXPECT_TRUE(add.sums.empty());
-  EXPECT_EQ(add.cycles, 0u);
-  EXPECT_EQ(add.energy_ops_pj, 0.0);
-
-  const BatchOutcome tree = fast_tree_add_batch(
-      {}, std::vector<unsigned>(3, 8), 10, em(), 4, BatchBackend::kBitsliced);
-  EXPECT_TRUE(tree.products.empty());
-  EXPECT_EQ(tree.energy_ops_pj, 0.0);
+  for (const serve::OpKind op :
+       {serve::OpKind::kMultiply, serve::OpKind::kVectorAdd}) {
+    const serve::BatchExecution out =
+        execute({}, op, 16, ApproxConfig::exact(), core::Backend::kBitsliced);
+    ASSERT_EQ(out.values.size(), 1u);
+    EXPECT_TRUE(out.values[0].empty());
+    EXPECT_EQ(out.makespan, 0u);
+    EXPECT_EQ(out.total_lane_cycles, 0u);
+    EXPECT_EQ(out.energy_pj, 0.0);
+    EXPECT_EQ(out.lanes_used, 0u);
+    EXPECT_EQ(out.stats, core::ExecStats{});
+  }
 }
 
 TEST(BitslicedDegenerate, SingleOpAndRaggedTailMatchWordBackend) {
   const unsigned n = 16;
   const ApproxConfig cfg{0, 4};
-  util::Xoshiro256 rng(777);
   // 1 op, then 64 + 1, then a 64*2 + 63 tail: every slice-fill shape.
   for (const std::size_t count : {1u, 65u, 191u}) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
-    for (std::size_t i = 0; i < count; ++i)
-      ops.emplace_back(rng.next() & util::low_mask(n),
-                       rng.next() & util::low_mask(n));
-    const BatchOutcome word = fast_multiply_batch(ops, n, cfg, em(), 8);
-    const BatchOutcome sliced =
-        fast_multiply_batch(ops, n, cfg, em(), 8, BatchBackend::kBitsliced);
-    ASSERT_EQ(sliced.products, word.products) << count << " ops";
-    ASSERT_EQ(sliced.makespan, word.makespan) << count << " ops";
-    ASSERT_EQ(sliced.energy_ops_pj, word.energy_ops_pj) << count << " ops";
+    SCOPED_TRACE(std::to_string(count) + " ops");
+    const auto ops = random_ops(count, n, 777 + count);
+    expect_same_execution(
+        execute(ops, serve::OpKind::kMultiply, n, cfg,
+                core::Backend::kBitsliced),
+        execute(ops, serve::OpKind::kMultiply, n, cfg, core::Backend::kFast));
   }
 }
 
 // ------------------------------------------------- device batch entries ---
+
+constexpr core::Backend kBackends[] = {
+    core::Backend::kFast, core::Backend::kBitsliced, core::Backend::kBitLevel};
 
 core::ApimConfig device_config(core::Backend backend) {
   core::ApimConfig cfg;
@@ -488,31 +467,95 @@ core::ApimConfig device_config(core::Backend backend) {
   return cfg;
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> device_ops(
-    std::size_t count, unsigned n) {
-  util::Xoshiro256 rng(4242);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
-  for (std::size_t i = 0; i < count; ++i)
-    ops.emplace_back(rng.next() & util::low_mask(n),
-                     rng.next() & util::low_mask(n));
-  return ops;
+/// One op kind's batch entry point and its scalar twin.
+struct DeviceKind {
+  const char* name;
+  void (core::ApimDevice::*batch)(std::span<const OpPair>,
+                                  std::span<std::uint64_t>,
+                                  std::span<util::Cycles>);
+  std::uint64_t (*scalar)(core::ApimDevice&, std::uint64_t, std::uint64_t);
+};
+
+const DeviceKind kDeviceKinds[] = {
+    {"mul", &core::ApimDevice::mul_magnitude_batch,
+     [](core::ApimDevice& d, std::uint64_t a, std::uint64_t b) {
+       return d.mul_magnitude(a, b);
+     }},
+    {"add", &core::ApimDevice::add_magnitude_batch,
+     [](core::ApimDevice& d, std::uint64_t a, std::uint64_t b) {
+       return d.add_magnitude(a, b);
+     }},
+    {"cmp", &core::ApimDevice::cmp_magnitude_batch,
+     [](core::ApimDevice& d, std::uint64_t a, std::uint64_t b) {
+       return d.cmp_magnitude(a, b);
+     }},
+    {"popcnt", &core::ApimDevice::popcnt_magnitude_batch,
+     [](core::ApimDevice& d, std::uint64_t a, std::uint64_t) {
+       return d.popcnt_magnitude(a);
+     }},
+};
+
+TEST(DeviceOps, BatchEntryPointsMatchScalar) {
+  // Every batch entry point must replay the scalar loop exactly: values,
+  // per-op cycles and the whole ExecStats (op indices, fault draws,
+  // residue checks, votes and retry ladders included), for every op kind,
+  // backend, reliability policy and approximation level, with a fault
+  // table that bites: stuck multiplier and adder bits plus transients.
+  using reliability::ReliabilityPolicy;
+  reliability::LaneFaultTable faults(4, 3);
+  faults.add_mul_stuck(0, 0, 7, true);
+  faults.add_add_stuck(2, 0, 3, true);
+  faults.set_transient(0.05, 17);
+  for (const DeviceKind& kind : kDeviceKinds) {
+    std::uint64_t detected = 0;
+    for (const core::Backend backend : kBackends) {
+      // Several 64-op slices and a ragged tail; a few ops on the engine.
+      const auto ops =
+          random_ops(backend == core::Backend::kBitLevel ? 5 : 150, 16, 4242);
+      for (const ReliabilityPolicy policy :
+           {ReliabilityPolicy::kOff, ReliabilityPolicy::kDetectAndRepair,
+            ReliabilityPolicy::kTripleVote}) {
+        for (const ApproxConfig approx : {ApproxConfig::exact(),
+                                          ApproxConfig{1, 6}}) {
+          SCOPED_TRACE(std::string(kind.name) + " backend " +
+                       std::to_string(static_cast<int>(backend)) +
+                       " policy " + std::to_string(static_cast<int>(policy)) +
+                       " relax " + std::to_string(approx.relax_bits));
+          core::ApimConfig cfg = device_config(backend);
+          cfg.approx = approx;
+          cfg.reliability.policy = policy;
+          cfg.reliability.faults = faults;
+
+          core::ApimDevice scalar{cfg};
+          std::vector<std::uint64_t> ref_vals;
+          std::vector<util::Cycles> ref_cycles;
+          for (const auto& [a, b] : ops) {
+            const util::Cycles before = scalar.stats().cycles;
+            ref_vals.push_back(kind.scalar(scalar, a, b));
+            ref_cycles.push_back(scalar.stats().cycles - before);
+          }
+
+          core::ApimDevice batched{cfg};
+          std::vector<std::uint64_t> vals(ops.size());
+          std::vector<util::Cycles> cycles(ops.size());
+          (batched.*kind.batch)(ops, vals, cycles);
+          EXPECT_EQ(vals, ref_vals);
+          EXPECT_EQ(cycles, ref_cycles);
+          EXPECT_EQ(batched.stats(), scalar.stats());
+          if (policy != ReliabilityPolicy::kOff)
+            detected += scalar.stats().faults_detected;
+        }
+      }
+    }
+    EXPECT_GT(detected, 0u) << kind.name << ": the fault table never bit";
+  }
 }
 
-void expect_same_stats(const core::ExecStats& a, const core::ExecStats& b) {
-  EXPECT_EQ(a.multiplies, b.multiplies);
-  EXPECT_EQ(a.additions, b.additions);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.energy_ops_pj, b.energy_ops_pj);  // Bit-exact.
-  EXPECT_EQ(a.partial_products, b.partial_products);
-  EXPECT_EQ(a.residue_checks, b.residue_checks);
-  EXPECT_EQ(a.faults_detected, b.faults_detected);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.votes, b.votes);
-  EXPECT_EQ(a.escalations, b.escalations);
-}
+// The three cases below cross backends: a kBitsliced batch must replay a
+// kFast device's scalar loop, not just its own.
 
 TEST(DeviceBatch, BitslicedBatchEqualsScalarLoopOnFastDevice) {
-  const auto ops = device_ops(130, 16);
+  const auto ops = random_ops(130, 16, 4242);
   std::vector<std::uint64_t> ref_vals(ops.size());
   std::vector<util::Cycles> ref_cycles(ops.size());
   core::ApimDevice scalar{device_config(core::Backend::kFast)};
@@ -528,11 +571,11 @@ TEST(DeviceBatch, BitslicedBatchEqualsScalarLoopOnFastDevice) {
   sliced.mul_magnitude_batch(ops, vals, cycles);
   EXPECT_EQ(vals, ref_vals);
   EXPECT_EQ(cycles, ref_cycles);
-  expect_same_stats(sliced.stats(), scalar.stats());
+  EXPECT_EQ(sliced.stats(), scalar.stats());
 }
 
 TEST(DeviceBatch, AddBatchEqualsScalarLoopOnFastDevice) {
-  const auto ops = device_ops(100, 16);
+  const auto ops = random_ops(100, 16, 4242);
   std::vector<std::uint64_t> ref_vals(ops.size());
   core::ApimDevice scalar{device_config(core::Backend::kFast)};
   for (std::size_t i = 0; i < ops.size(); ++i)
@@ -543,11 +586,11 @@ TEST(DeviceBatch, AddBatchEqualsScalarLoopOnFastDevice) {
   std::vector<util::Cycles> cycles(ops.size());
   sliced.add_magnitude_batch(ops, vals, cycles);
   EXPECT_EQ(vals, ref_vals);
-  expect_same_stats(sliced.stats(), scalar.stats());
+  EXPECT_EQ(sliced.stats(), scalar.stats());
 }
 
 TEST(DeviceBatch, ReliabilityMachineryReplaysIdenticallyUnderBitsliced) {
-  // Faulty lane 0 + detect-and-repair: op indices, residue checks and the
+  // Faulty lanes + detect-and-repair: op indices, residue checks and the
   // retry ladder must replay exactly as in scalar execution, because the
   // batch path recomputes op_index per op in order.
   core::ApimConfig base = device_config(core::Backend::kFast);
@@ -557,7 +600,7 @@ TEST(DeviceBatch, ReliabilityMachineryReplaysIdenticallyUnderBitsliced) {
   base.reliability.faults.add_add_stuck(2, 0, 3, true);
   base.approx = ApproxConfig::exact();  // Residue checks need exact ops.
 
-  const auto ops = device_ops(96, 16);
+  const auto ops = random_ops(96, 16, 4242);
   core::ApimDevice scalar{base};
   std::vector<std::uint64_t> ref_mul(ops.size()), ref_add(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i)
@@ -574,17 +617,36 @@ TEST(DeviceBatch, ReliabilityMachineryReplaysIdenticallyUnderBitsliced) {
   sliced.add_magnitude_batch(ops, add_vals, cycles);
   EXPECT_EQ(mul_vals, ref_mul);
   EXPECT_EQ(add_vals, ref_add);
-  expect_same_stats(sliced.stats(), scalar.stats());
+  EXPECT_EQ(sliced.stats(), scalar.stats());
 }
 
 TEST(DeviceBatch, EmptyBatchIsANoOp) {
-  core::ApimDevice device{device_config(core::Backend::kBitsliced)};
-  device.mul_magnitude_batch({}, {}, {});
-  device.add_magnitude_batch({}, {}, {});
-  EXPECT_EQ(device.stats().multiplies, 0u);
-  EXPECT_EQ(device.stats().additions, 0u);
-  EXPECT_EQ(device.stats().cycles, 0u);
-  EXPECT_EQ(device.stats().energy_ops_pj, 0.0);
+  for (const core::Backend backend : kBackends) {
+    core::ApimDevice device{device_config(backend)};
+    for (const DeviceKind& kind : kDeviceKinds)
+      (device.*kind.batch)({}, {}, {});
+    EXPECT_EQ(device.stats(), core::ExecStats{});
+  }
+}
+
+TEST(DeviceBatch, ShortOutputSpanThrowsBeforeAnyOpRuns) {
+  // A short `values` or `op_cycles` span is rejected in every build type,
+  // never written past.
+  const auto ops = random_ops(70, 16, 99);
+  std::vector<std::uint64_t> vals(ops.size()), short_vals(ops.size() - 1);
+  std::vector<util::Cycles> cycles(ops.size()), short_cycles(ops.size() - 1);
+  for (const core::Backend backend :
+       {core::Backend::kFast, core::Backend::kBitsliced}) {
+    core::ApimDevice device{device_config(backend)};
+    for (const DeviceKind& kind : kDeviceKinds) {
+      SCOPED_TRACE(kind.name);
+      EXPECT_THROW((device.*kind.batch)(ops, short_vals, cycles),
+                   std::invalid_argument);
+      EXPECT_THROW((device.*kind.batch)(ops, vals, short_cycles),
+                   std::invalid_argument);
+    }
+    EXPECT_EQ(device.stats(), core::ExecStats{});
+  }
 }
 
 }  // namespace

@@ -1,24 +1,26 @@
-// Tests for the host-side thread pool (util/thread_pool.hpp) and the
-// bit-exactness contract of every parallelized path: products, cycles and
-// energy must be IDENTICAL (not merely close) for any host thread count,
-// because chunk boundaries and merge order depend only on the problem
-// size, never on the worker count.
+// Tests for the host-side thread pool (util/thread_pool.hpp), the
+// bit-exactness contract of every parallelized path, and the lane-makespan
+// model of the served batch executor (serve::execute_batch). Products,
+// cycles and energy must be IDENTICAL (not merely close) for any host
+// thread count, because chunk boundaries and merge order depend only on
+// the problem size, never on the worker count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/app.hpp"
-#include "arith/approx.hpp"
-#include "arith/batch.hpp"
 #include "arith/vector_unit.hpp"
 #include "core/apim.hpp"
 #include "device/energy_model.hpp"
 #include "reliability/campaign.hpp"
+#include "serve/executor.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -126,10 +128,12 @@ TEST(ThreadPool, SetThreadCountReconfiguresGlobalPool) {
 /// and a count that does not divide typical chunk counts.
 constexpr std::size_t kThreadSweep[] = {1, 2, 7};
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> random_pairs(
-    std::size_t count, unsigned n, std::uint64_t seed) {
+using OpPair = std::pair<std::uint64_t, std::uint64_t>;
+
+std::vector<OpPair> random_pairs(std::size_t count, unsigned n,
+                                 std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  std::vector<OpPair> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i)
     out.emplace_back(rng.next() & util::low_mask(n),
@@ -137,25 +141,53 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> random_pairs(
   return out;
 }
 
+/// `ops` as one single-member multiply dispatch of width `n` and relax
+/// `relax_bits` on a `lanes`-lane stream, through the served executor.
+serve::BatchExecution execute_multiplies(
+    const std::vector<OpPair>& ops, unsigned n, std::size_t lanes,
+    core::Backend backend = core::Backend::kFast, unsigned relax_bits = 0) {
+  core::ApimConfig base;
+  base.backend = backend;
+  serve::BatchKey key;
+  key.width = n;
+  key.relax_bits = relax_bits;
+  const std::span<const OpPair> member(ops);
+  return serve::execute_batch(std::span(&member, 1), key, lanes, base);
+}
+
+/// Makespan inflation over the balanced-load ideal total / lanes (what
+/// ApimDevice::elapsed_seconds assumes); 1.0 = perfectly balanced.
+double imbalance(const serve::BatchExecution& b) {
+  if (b.lanes_used == 0 || b.total_lane_cycles == 0) return 1.0;
+  return static_cast<double>(b.makespan) * static_cast<double>(b.lanes_used) /
+         static_cast<double>(b.total_lane_cycles);
+}
+
 TEST(ParallelDeterminism, FastMultiplyBatchBitExact) {
+  // 2000 ops: 31 full 64-op executor chunks and a ragged 16-op tail, on
+  // both host tiers, for every thread count.
   const ThreadCountGuard guard;
   const auto pairs = random_pairs(2000, 32, 901);
 
   util::set_thread_count(1);
-  const arith::BatchOutcome ref = arith::fast_multiply_batch(
-      pairs, 32, arith::ApproxConfig::exact(), em(), 64);
+  const serve::BatchExecution ref = execute_multiplies(pairs, 32, 64);
 
-  for (std::size_t threads : kThreadSweep) {
-    util::set_thread_count(threads);
-    const arith::BatchOutcome got = arith::fast_multiply_batch(
-        pairs, 32, arith::ApproxConfig::exact(), em(), 64);
-    EXPECT_EQ(got.products, ref.products) << "threads=" << threads;
-    EXPECT_EQ(got.makespan, ref.makespan) << "threads=" << threads;
-    EXPECT_EQ(got.total_lane_cycles, ref.total_lane_cycles)
-        << "threads=" << threads;
-    EXPECT_EQ(got.lanes_used, ref.lanes_used) << "threads=" << threads;
-    // Bit-exact FP equality, not NEAR: the merge order is fixed.
-    EXPECT_EQ(got.energy_ops_pj, ref.energy_ops_pj) << "threads=" << threads;
+  for (const core::Backend backend :
+       {core::Backend::kFast, core::Backend::kBitsliced}) {
+    SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)));
+    for (std::size_t threads : kThreadSweep) {
+      util::set_thread_count(threads);
+      const serve::BatchExecution got =
+          execute_multiplies(pairs, 32, 64, backend);
+      EXPECT_EQ(got.values, ref.values) << "threads=" << threads;
+      EXPECT_EQ(got.makespan, ref.makespan) << "threads=" << threads;
+      EXPECT_EQ(got.total_lane_cycles, ref.total_lane_cycles)
+          << "threads=" << threads;
+      EXPECT_EQ(got.lanes_used, ref.lanes_used) << "threads=" << threads;
+      // Bit-exact FP equality, not NEAR: the merge order is fixed.
+      EXPECT_EQ(got.energy_pj, ref.energy_pj) << "threads=" << threads;
+      EXPECT_EQ(got.stats, ref.stats) << "threads=" << threads;
+    }
   }
 }
 
@@ -283,16 +315,15 @@ TEST(ParallelDeterminism, FaultCampaignBitExact) {
 // ------------------------------------------------- degenerate batches --
 
 TEST(DegenerateInputs, EmptyMultiplyBatchIsZeroed) {
-  const std::vector<std::pair<std::uint64_t, std::uint64_t>> none;
-  const arith::BatchOutcome out = arith::fast_multiply_batch(
-      none, 32, arith::ApproxConfig::exact(), em(), 16);
-  EXPECT_TRUE(out.products.empty());
+  const serve::BatchExecution out = execute_multiplies({}, 32, 16);
+  ASSERT_EQ(out.values.size(), 1u);
+  EXPECT_TRUE(out.values[0].empty());
   EXPECT_EQ(out.makespan, 0u);
   EXPECT_EQ(out.total_lane_cycles, 0u);
-  EXPECT_EQ(out.energy_ops_pj, 0.0);
+  EXPECT_EQ(out.energy_pj, 0.0);
   EXPECT_EQ(out.lanes_used, 0u);
-  EXPECT_EQ(out.ideal_makespan(), 0.0);
-  EXPECT_EQ(out.imbalance(), 1.0);
+  EXPECT_EQ(out.stats, core::ExecStats{});
+  EXPECT_EQ(imbalance(out), 1.0);
 }
 
 TEST(DegenerateInputs, EmptyVectorAddsAreZeroed) {
@@ -308,6 +339,85 @@ TEST(DegenerateInputs, EmptyVectorAddsAreZeroed) {
   EXPECT_TRUE(engine.sums.empty());
   EXPECT_EQ(engine.cycles, 0u);
   EXPECT_EQ(engine.energy_ops_pj, 0.0);
+}
+
+// ------------------------------------- served executor lane makespan --
+
+TEST(Batch, ProductsMatchScalarExecution) {
+  const auto pairs = random_pairs(50, 16, 111);
+  const serve::BatchExecution batch = execute_multiplies(pairs, 16, 8);
+  ASSERT_EQ(batch.values[0].size(), pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    EXPECT_EQ(batch.values[0][i], pairs[i].first * pairs[i].second) << i;
+}
+
+TEST(Batch, SingleLaneMakespanEqualsTotal) {
+  const auto pairs = random_pairs(20, 16, 112);
+  const serve::BatchExecution batch = execute_multiplies(pairs, 16, 1);
+  EXPECT_EQ(batch.makespan, batch.total_lane_cycles);
+  EXPECT_DOUBLE_EQ(imbalance(batch), 1.0);
+}
+
+TEST(Batch, MoreLanesShrinkMakespan) {
+  const auto pairs = random_pairs(256, 32, 113);
+  const serve::BatchExecution narrow = execute_multiplies(pairs, 32, 4);
+  const serve::BatchExecution wide = execute_multiplies(pairs, 32, 64);
+  EXPECT_LT(wide.makespan, narrow.makespan);
+  // Energy is lane-independent.
+  EXPECT_EQ(wide.energy_pj, narrow.energy_pj);
+  EXPECT_EQ(wide.total_lane_cycles, narrow.total_lane_cycles);
+}
+
+TEST(Batch, ImbalanceIsSmallForLargeBatches) {
+  // The balanced-load idealization used by ApimDevice: with many ops per
+  // lane, data-dependent latency variation averages out. This quantifies
+  // the error of that assumption at Figure-5 scale.
+  const serve::BatchExecution batch =
+      execute_multiplies(random_pairs(4096, 32, 114), 32, 64);
+  EXPECT_GE(imbalance(batch), 1.0);
+  EXPECT_LT(imbalance(batch), 1.05);  // <5% makespan inflation.
+}
+
+TEST(Batch, ImbalanceIsLargerForTinyBatches) {
+  // One op per lane: makespan = slowest single op. Multiply latency is
+  // tightly concentrated (popcount varies by a few cycles on ~930), so the
+  // inflation is small — but it must exceed the many-ops-per-lane case,
+  // where averaging tightens it further.
+  const serve::BatchExecution tiny =
+      execute_multiplies(random_pairs(64, 32, 115), 32, 64);
+  const serve::BatchExecution large =
+      execute_multiplies(random_pairs(4096, 32, 115), 32, 64);
+  EXPECT_GT(imbalance(tiny), imbalance(large));
+  EXPECT_GT(imbalance(tiny), 1.005);
+}
+
+TEST(Batch, LanesClampedToBatchSize) {
+  const serve::BatchExecution batch =
+      execute_multiplies(random_pairs(3, 8, 116), 8, 100);
+  EXPECT_EQ(batch.lanes_used, 3u);
+}
+
+TEST(Batch, EmptyBatch) {
+  // No members at all: no values, no lanes engaged, zeroed accounting.
+  const serve::BatchExecution batch = serve::execute_batch(
+      {}, serve::BatchKey{}, /*lanes=*/4, core::ApimConfig{});
+  EXPECT_TRUE(batch.values.empty());
+  EXPECT_EQ(batch.makespan, 0u);
+  EXPECT_EQ(batch.lanes_used, 0u);
+  EXPECT_EQ(batch.total_lane_cycles, 0u);
+  EXPECT_EQ(batch.energy_pj, 0.0);
+  EXPECT_EQ(batch.stats, core::ExecStats{});
+}
+
+TEST(Batch, ApproximationAppliesPerLaneOp) {
+  const auto pairs = random_pairs(32, 32, 117);
+  const serve::BatchExecution exact = execute_multiplies(pairs, 32, 8);
+  const serve::BatchExecution relaxed = execute_multiplies(
+      pairs, 32, 8, core::Backend::kFast, /*relax_bits=*/32);
+  EXPECT_LT(relaxed.makespan, exact.makespan);
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    EXPECT_EQ(relaxed.values[0][i] >> 32,
+              (pairs[i].first * pairs[i].second) >> 32);
 }
 
 }  // namespace
