@@ -1,7 +1,7 @@
 #include "arith/compare_units.hpp"
 
+#include <array>
 #include <cassert>
-#include <vector>
 
 #include "arith/bitsliced.hpp"
 #include "util/bitops.hpp"
@@ -62,46 +62,54 @@ void bitsliced_compare_slice(
     const device::EnergyModel& em, std::span<CompareOutcome> out) {
   assert(ops.size() <= kBitsliceLanes);
   assert(out.size() >= ops.size());
+  const std::size_t count = ops.size();
   const std::uint64_t mask = low_mask(n);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> add_ops(ops.size());
-  for (std::size_t l = 0; l < ops.size(); ++l)
+  std::array<std::pair<std::uint64_t, std::uint64_t>, kBitsliceLanes> add_ops;
+  for (std::size_t l = 0; l < count; ++l)
     add_ops[l] = {ops[l].first & mask, ~(ops[l].second & mask) & mask};
-  std::vector<AddOutcome> add_out(ops.size());
-  bitsliced_add_slice(add_ops, n, /*relax_m=*/0, em, add_out);
-  for (std::size_t l = 0; l < ops.size(); ++l)
+  std::array<AddOutcome, kBitsliceLanes> add_out;
+  bitsliced_add_slice(std::span(add_ops).first(count), n, /*relax_m=*/0, em,
+                      std::span(add_out).first(count));
+  for (std::size_t l = 0; l < count; ++l)
     out[l] = compose_compare(ops[l].second & mask, n, em, add_out[l]);
 }
 
 namespace {
 
-/// Unpack the low n bits of x into n 1-bit tree-add operands.
-void popcount_operands(std::uint64_t x, unsigned n,
-                       std::vector<std::uint64_t>& values,
-                       std::vector<unsigned>& widths) {
-  values.resize(n);
-  widths.assign(n, 1u);
-  for (unsigned i = 0; i < n; ++i) values[i] = bit(x, i);
+/// The low n bits of x as n 1-bit tree-add operands (n <= 64), in stack
+/// buffers.
+struct PopcountOperands {
+  std::array<std::uint64_t, 64> values{};
+  std::array<unsigned, 64> widths{};
+};
+
+PopcountOperands popcount_operands(std::uint64_t x, unsigned n) {
+  assert(n >= 1 && n <= 64);
+  PopcountOperands ops;
+  for (unsigned i = 0; i < n; ++i) {
+    ops.values[i] = bit(x, i);
+    ops.widths[i] = 1;
+  }
+  return ops;
 }
 
 }  // namespace
 
 AddOutcome fast_popcount(std::uint64_t x, unsigned n,
                          const device::EnergyModel& em) {
-  assert(n >= 1 && n <= 64);
-  std::vector<std::uint64_t> values;
-  std::vector<unsigned> widths;
-  popcount_operands(x & low_mask(n), n, values, widths);
-  return fast_tree_add(values, widths, popcount_width_cap(n), em);
+  const PopcountOperands ops = popcount_operands(x, n);
+  return fast_tree_add(std::span(ops.values).first(n),
+                       std::span(ops.widths).first(n), popcount_width_cap(n),
+                       em);
 }
 
 InMemoryResult inmemory_popcount(std::uint64_t x, unsigned n,
                                  const device::EnergyModel& em,
                                  magic::Tracer* tracer) {
-  assert(n >= 1 && n <= 64);
-  std::vector<std::uint64_t> values;
-  std::vector<unsigned> widths;
-  popcount_operands(x & low_mask(n), n, values, widths);
-  return inmemory_tree_add(values, widths, popcount_width_cap(n), em, tracer);
+  const PopcountOperands ops = popcount_operands(x, n);
+  return inmemory_tree_add(std::span(ops.values).first(n),
+                           std::span(ops.widths).first(n),
+                           popcount_width_cap(n), em, tracer);
 }
 
 }  // namespace apim::arith

@@ -1,12 +1,18 @@
 #include "core/tuner.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace apim::core {
 
+AccuracyTuner::AccuracyTuner(unsigned max_relax, unsigned step)
+    : max_relax_(max_relax), step_(step) {
+  if (step_ == 0) {
+    throw std::invalid_argument("AccuracyTuner: step must be >= 1");
+  }
+}
+
 TunerResult AccuracyTuner::tune(
     const std::function<double(unsigned)>& evaluate, double threshold) const {
-  assert(step_ > 0);
   TunerResult result;
   for (const unsigned m : relax_candidates()) {
     const double error = evaluate(m);
@@ -27,7 +33,6 @@ TunerResult AccuracyTuner::tune(
 }
 
 std::vector<unsigned> AccuracyTuner::relax_candidates() const {
-  assert(step_ > 0);
   std::vector<unsigned> schedule;
   unsigned m = max_relax_;
   for (;;) {

@@ -29,8 +29,8 @@ struct TunerResult {
 class AccuracyTuner {
  public:
   /// `max_relax` start point and `step` decrement, per the paper (32 / 4).
-  explicit AccuracyTuner(unsigned max_relax = 32, unsigned step = 4)
-      : max_relax_(max_relax), step_(step) {}
+  /// Throws std::invalid_argument for step 0, whose schedule never ends.
+  explicit AccuracyTuner(unsigned max_relax = 32, unsigned step = 4);
 
   /// `evaluate(m)` must run the application at relax setting `m` and return
   /// its quality-loss metric (lower is better, e.g. average relative error,

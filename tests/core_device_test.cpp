@@ -2,11 +2,32 @@
 // knobs, statistics and the time/energy/EDP accounting.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <stdexcept>
 #include <vector>
 
+#include "arith/compare_units.hpp"
+#include "arith/fast_units.hpp"
 #include "arith/latency_model.hpp"
 #include "core/apim.hpp"
 #include "util/rng.hpp"
+
+// Counting global allocator: every operator new in this test binary bumps
+// g_heap_allocations, so a test can assert that a code region makes no
+// heap allocation at all.
+namespace {
+std::atomic<std::size_t> g_heap_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace apim::core {
 namespace {
@@ -141,6 +162,86 @@ TEST(ApimDevice, MagnitudesClampAtWordWidth) {
   ApimDevice dev{cfg};
   // 300 clamps to 255 in an 8-bit datapath.
   EXPECT_EQ(dev.mul_int(300, 1), 255);
+}
+
+TEST(ApimDevice, RejectsInvalidConfigInEveryBuildType) {
+  for (const unsigned bits : {3u, 33u}) {
+    ApimConfig cfg;
+    cfg.word_bits = bits;
+    EXPECT_THROW(ApimDevice{cfg}, std::invalid_argument) << bits;
+  }
+  ApimConfig no_lanes;
+  no_lanes.parallel_lanes = 0;
+  EXPECT_THROW(ApimDevice{no_lanes}, std::invalid_argument);
+  for (const unsigned bits : {4u, 32u}) {
+    ApimConfig cfg;
+    cfg.word_bits = bits;
+    EXPECT_NO_THROW(ApimDevice{cfg}) << bits;
+  }
+}
+
+/// Heap allocations made by `body` (run once untimed first, so one-time
+/// lazy initialization is not counted).
+template <class Body>
+std::size_t allocations_in(Body body) {
+  body();
+  const std::size_t before = g_heap_allocations.load();
+  body();
+  return g_heap_allocations.load() - before;
+}
+
+// The scalar word path is allocation-free: what makes it cheap on the
+// host is checked by counting, not by a clock.
+TEST(ApimDevice, ScalarWordOpsMakeNoHeapAllocations) {
+  ApimDevice dev = make_device();
+  ASSERT_EQ(dev.config().backend, Backend::kFast);
+  ASSERT_TRUE(dev.config().reliability.passive());
+  util::Xoshiro256 rng(71);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops(64);
+  for (auto& [a, b] : ops) {
+    a = rng.next() & 0xFFFFFFFFu;
+    b = rng.next() & 0xFFFFFFFFu;
+  }
+  std::uint64_t sink = 0;
+  EXPECT_EQ(allocations_in([&] {
+              for (const auto& [a, b] : ops) {
+                sink += dev.mul_magnitude(a, b);
+                sink += dev.add_magnitude(a, b);
+                sink += dev.cmp_magnitude(a, b);
+                sink += dev.popcnt_magnitude(a);
+              }
+            }),
+            0u);
+  dev.set_relax_bits(20);
+  EXPECT_EQ(allocations_in([&] {
+              for (const auto& [a, b] : ops)
+                sink += dev.mul_magnitude(a, b) + dev.add_magnitude(a, b);
+            }),
+            0u);
+
+  const device::EnergyModel& em = dev.config().energy;
+  for (const unsigned n : {4u, 8u, 16u, 24u, 32u}) {
+    const std::uint64_t mask = (std::uint64_t{1} << n) - 1;
+    EXPECT_EQ(allocations_in([&] {
+                for (const auto& [a, b] : ops) {
+                  sink += arith::fast_multiply(a & mask, b & mask, n,
+                                               arith::ApproxConfig{3, n},
+                                               em)
+                              .product;
+                  sink += arith::fast_multiply(a & mask, b & mask, n,
+                                               arith::ApproxConfig::exact(),
+                                               em)
+                              .product;
+                  sink += arith::fast_add(a, b, n, 0, em).sum;
+                  sink += arith::fast_add(a, b, n, n / 2, em).sum;
+                  sink += arith::fast_compare(a, b, n, em).code;
+                  sink += arith::fast_popcount(a, n, em).sum;
+                }
+              }),
+              0u)
+        << "n=" << n;
+  }
+  EXPECT_NE(sink, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // relax bits, step down by 4 until QoS is met).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/tuner.hpp"
@@ -64,6 +65,13 @@ TEST(Tuner, CustomStartAndStep) {
   std::vector<unsigned> visited;
   for (const TunerStep& s : r.history) visited.push_back(s.relax_bits);
   EXPECT_EQ(visited, (std::vector<unsigned>{16, 8}));
+}
+
+TEST(Tuner, RejectsZeroStep) {
+  // Step 0 would repeat max_relax forever; refused in every build type.
+  EXPECT_THROW(AccuracyTuner(32, 0), std::invalid_argument);
+  EXPECT_THROW(AccuracyTuner(0, 0), std::invalid_argument);
+  EXPECT_EQ(AccuracyTuner(32, 1).relax_candidates().size(), 33u);
 }
 
 TEST(Tuner, HistoryRecordsAcceptability) {
