@@ -84,9 +84,9 @@ class ApimDevice {
   // op indices, fault draws, residue checks, retry ladders and every stats
   // field replay per op, so values, cycles and energy are bit-identical to
   // the scalar loop for EVERY backend. Under Backend::kBitsliced the raw
-  // per-op outcomes come from 64-lane bitsliced slices instead of per-op
-  // word models — same numbers, a fraction of the host cost (popcount has
-  // no bitsliced kernel and runs the word model per op). `values[i]`
+  // per-op outcomes of adds and compares come from 64-lane bitsliced
+  // slices instead of per-op word models — same numbers (multiply and
+  // popcount have no slice kernel and run the word model per op). `values[i]`
   // receives op i's result; `op_cycles[i]` the device-cycle delta charged
   // for op i (including protection and retries). Both spans must match
   // `ops` in size, or the call throws std::invalid_argument before any op

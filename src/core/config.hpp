@@ -24,7 +24,7 @@ enum class Backend {
   /// kFast (which is itself bit-identical to the engine). Engages on the
   /// device's *_magnitude_batch entry points, which serve::execute_batch
   /// drives, for the op kinds whose kernel-table row has a slice kernel
-  /// (mul, add, cmp; popcount has none and runs the word model per op).
+  /// (add, cmp; mul and popcount have none and run the word model per op).
   /// Scalar ops fall back to the word models, so results never depend on
   /// call granularity.
   kBitsliced,
