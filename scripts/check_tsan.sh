@@ -17,6 +17,11 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAPIM_SANITIZE=thread
 
+# The serving engine runs on its caller's thread in every driving mode
+# (there is no threaded driver); its only host concurrency is
+# execute_batch's pool inside a dispatch. serve_test's Serve* suites
+# drive it at threads {1,2,7} (ServeDeterminism), also under a
+# reliability policy.
 # serve_fairness_test's Serve* suites (DRR unit tests, randomized
 # conservation, thread-count invariance) run here; its heavy
 # FairShareContention suite stays outside the regex below on purpose.

@@ -46,6 +46,7 @@ std::vector<std::uint64_t> Runner::run_wave(
       ++requests_;
     }
     while (const auto at = server_->next_event_at()) server_->step_until(*at);
+    server_->release_finished();
     for (const std::uint64_t id : ids) {
       const serve::Response& resp = server_->response(id);
       if (resp.status != serve::RequestStatus::kOk)

@@ -1,12 +1,17 @@
 #include "crossbar/decoder.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "util/bitops.hpp"
 
 namespace apim::crossbar {
 
-Decoder::Decoder(std::size_t lines) : lines_(lines) { assert(lines > 0); }
+Decoder::Decoder(std::size_t lines) : lines_(lines) {
+  // Checked in every build type: BlockedCrossbar builds its decoders in
+  // member initializers, before its own geometry check can run.
+  if (lines == 0) throw std::invalid_argument("Decoder: zero lines");
+}
 
 void Decoder::activate(std::size_t line) {
   assert(line < lines_);

@@ -15,7 +15,8 @@ namespace apim::crossbar {
 
 class Decoder {
  public:
-  /// A decoder selecting one of `lines` outputs.
+  /// A decoder selecting one of `lines` outputs. Throws
+  /// std::invalid_argument for zero lines.
   explicit Decoder(std::size_t lines);
 
   [[nodiscard]] std::size_t lines() const noexcept { return lines_; }

@@ -7,7 +7,6 @@
 namespace apim::serve {
 
 void Metrics::record_submitted(util::Cycles arrival) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ++submitted_;
   if (!saw_arrival_ || arrival < first_arrival_) {
     first_arrival_ = arrival;
@@ -16,22 +15,18 @@ void Metrics::record_submitted(util::Cycles arrival) {
 }
 
 void Metrics::record_rejected() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ++rejected_;
 }
 
 void Metrics::record_expired() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ++expired_;
 }
 
 void Metrics::record_invalid() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ++invalid_;
 }
 
 void Metrics::record_queue_depth(std::size_t depth) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   max_queue_depth_ = std::max(max_queue_depth_, depth);
 }
 
@@ -39,11 +34,10 @@ void Metrics::record_dispatch(std::size_t batch_requests,
                               std::size_t batch_ops, std::size_t lanes_used,
                               util::Cycles busy_cycles, double energy_pj,
                               const core::ExecStats& stats) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ++batches_;
   batched_ops_ += batch_ops;
   max_batch_requests_ = std::max(max_batch_requests_, batch_requests);
-  batch_size_samples_.push_back(static_cast<double>(batch_requests));
+  batch_requests_sum_ += static_cast<double>(batch_requests);
   busy_lane_cycles_ += busy_cycles * lanes_used;
   busy_stream_cycles_ += busy_cycles;
   energy_pj_ += energy_pj;
@@ -53,7 +47,6 @@ void Metrics::record_dispatch(std::size_t batch_requests,
 void Metrics::record_completed(const std::string& app, util::Cycles arrival,
                                util::Cycles completion, bool escalated,
                                bool qos_missed) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   last_completion_ = std::max(last_completion_, completion);
   latency_samples_.push_back(
       static_cast<double>(completion >= arrival ? completion - arrival : 0));
@@ -64,7 +57,6 @@ void Metrics::record_completed(const std::string& app, util::Cycles arrival,
 }
 
 void Metrics::record_escalation() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ++escalations_;
 }
 
@@ -72,7 +64,6 @@ void Metrics::record_tenant_dispatch(const std::string& app,
                                      std::uint32_t weight, std::size_t ops,
                                      util::Cycles queued_for,
                                      std::uint64_t deficit_carried) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot::AppCounts& counts = per_app_[app];
   counts.weight = weight;
   ++counts.dispatches;
@@ -84,7 +75,6 @@ void Metrics::record_tenant_dispatch(const std::string& app,
 }
 
 void Metrics::configure_domains(std::size_t domains) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   domains_.assign(domains, MetricsSnapshot::DomainSnapshot{});
   capacity_timeline_.assign(1, MetricsSnapshot::CapacityPoint{0, domains});
   min_serving_domains_ = domains;
@@ -93,7 +83,6 @@ void Metrics::configure_domains(std::size_t domains) {
 void Metrics::record_domain_dispatch(std::size_t domain,
                                      std::uint64_t detections,
                                      std::uint64_t escalations) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   if (domain >= domains_.size()) return;
   MetricsSnapshot::DomainSnapshot& d = domains_[domain];
   ++d.dispatches;
@@ -104,7 +93,6 @@ void Metrics::record_domain_dispatch(std::size_t domain,
 void Metrics::record_domain_state(std::size_t domain,
                                   health::DomainState state, bool dead,
                                   util::Cycles at, std::size_t serving) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   if (domain >= domains_.size()) return;
   MetricsSnapshot::DomainSnapshot& d = domains_[domain];
   const health::DomainState prev = d.state;
@@ -127,7 +115,6 @@ void Metrics::record_domain_state(std::size_t domain,
 
 void Metrics::record_scrub(std::size_t domain,
                            const health::ScrubReport& report) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ++scrub_passes_;
   scrub_cycles_ += report.cycles;
   scrub_energy_pj_ += report.energy_pj;
@@ -140,25 +127,21 @@ void Metrics::record_scrub(std::size_t domain,
 }
 
 void Metrics::record_relocation(std::size_t requests, std::size_t ops) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ++relocated_batches_;
   relocated_requests_ += requests;
   relocated_ops_ += ops;
 }
 
 void Metrics::record_relocation_reject() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ++relocation_rejects_;
 }
 
 void Metrics::record_degraded(std::size_t ops) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ++degraded_batches_;
   degraded_ops_ += ops;
 }
 
 MetricsSnapshot Metrics::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot s;
   s.submitted = submitted_;
   s.completed = latency_samples_.size();
@@ -201,11 +184,8 @@ MetricsSnapshot Metrics::snapshot() const {
     s.jain_fairness =
         x_sum * x_sum / (static_cast<double>(fair_apps) * x_sq_sum);
 
-  if (!batch_size_samples_.empty()) {
-    double sum = 0.0;
-    for (const double b : batch_size_samples_) sum += b;
-    s.mean_batch_requests = sum / static_cast<double>(batch_size_samples_.size());
-  }
+  if (batches_ > 0)
+    s.mean_batch_requests = batch_requests_sum_ / static_cast<double>(batches_);
   if (saw_arrival_ && last_completion_ > first_arrival_)
     s.span_cycles = last_completion_ - first_arrival_;
   if (!latency_samples_.empty()) {

@@ -1,17 +1,16 @@
 // Serving metrics: counters, distributions and a consistent snapshot.
 //
 // The scheduler records everything in SIMULATED cycles (the served chip's
-// clock). Metrics is thread-safe so the async server's callers can
-// snapshot while the scheduler thread is serving; a snapshot is taken
-// under the same lock the recorders use, so its counts are mutually
-// consistent (completed + rejected + expired + invalid never exceeds
-// submitted, latency sample count equals completed, and so on).
+// clock). Metrics is not synchronized: the engine records from its one
+// thread, and callers snapshot between driver calls or steps. A snapshot's
+// counts are mutually consistent (completed + rejected + expired + invalid
+// never exceeds submitted, latency sample count equals completed, and so
+// on).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -160,11 +159,10 @@ class Metrics {
   void record_relocation_reject();
   void record_degraded(std::size_t ops);
 
-  /// Consistent point-in-time view; callable while serving.
+  /// Consistent point-in-time view.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
-  mutable std::mutex mutex_;
   std::size_t lanes_total_;
   std::size_t streams_;
 
@@ -181,7 +179,8 @@ class Metrics {
   double energy_pj_ = 0.0;
   core::ExecStats device_stats_{};
   std::vector<double> latency_samples_;
-  std::vector<double> batch_size_samples_;
+  /// Sum of requests per dispatch, added in dispatch order.
+  double batch_requests_sum_ = 0.0;
   std::map<std::string, MetricsSnapshot::AppCounts> per_app_;
 
   // -- Online health state --------------------------------------------------

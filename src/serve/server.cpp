@@ -1,16 +1,13 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <queue>
 #include <span>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "arith/compare_units.hpp"
@@ -19,7 +16,6 @@
 #include "serve/scheduler.hpp"
 #include "serve/trace.hpp"
 #include "util/bitops.hpp"
-#include "util/thread_pool.hpp"
 
 namespace apim::serve {
 
@@ -80,18 +76,14 @@ SchedulerConfig scheduler_config(const ServerConfig& cfg) {
 
 }  // namespace
 
-/// One request's full scheduler state.
+/// One request's full scheduler state: the engine's only copy of it.
 struct PendingReq {
   std::uint64_t id = 0;
-  Request req;
+  Request req;  ///< Operands are freed by release_finished() once final.
   unsigned relax = 0;     ///< Current batch-shape relax level.
   bool escalated = false; ///< A QoS miss already forced an exact rerun.
   bool finalized = false;
   Response resp;
-  std::optional<std::promise<Response>> promise;  ///< Live mode only.
-  // Closed-loop bookkeeping.
-  std::size_t client = 0;
-  std::size_t client_index = 0;
 };
 
 /// The deterministic virtual-time scheduler shared by every driving mode.
@@ -120,8 +112,6 @@ class Engine {
         track_domains_(cfg.health.enabled ||
                        !cfg.health.fault_schedule.empty()),
         monitor_(cfg.health.enabled ? cfg.streams : 0, cfg.health) {
-    assert(cfg_.streams >= 1 && cfg_.lanes_per_stream >= 1);
-    assert(cfg_.queue_capacity >= 1);
     if (track_domains_)
       domain_faults_.assign(cfg_.streams, cfg_.device.reliability.faults);
     if (health_on()) {
@@ -153,36 +143,28 @@ class Engine {
     }
   }
 
+  /// Called once per request as it finalizes. It may stage new requests:
+  /// the request table is a deque, so the PendingReq& stays valid.
   std::function<void(PendingReq&)> on_finalize;
-  /// Live mode frees a request's state once its promise is fulfilled.
-  bool release_after_finalize = false;
-  /// Trace/closed-loop modes enforce queue capacity inside the engine;
-  /// live mode enforces it at submit() (outstanding counter) instead.
-  bool enforce_capacity = true;
 
   [[nodiscard]] util::Cycles now() const noexcept { return now_; }
 
-  [[nodiscard]] PendingReq& at(std::uint64_t id) { return *reqs_[id]; }
+  [[nodiscard]] PendingReq& at(std::uint64_t id) { return reqs_[id]; }
 
-  std::uint64_t create(Request req) {
-    auto p = std::make_unique<PendingReq>();
-    p->id = reqs_.size();
-    p->req = std::move(req);
-    reqs_.push_back(std::move(p));
-    return reqs_.back()->id;
-  }
+  /// Id the next staged request gets: ids are dense from 0.
+  [[nodiscard]] std::uint64_t next_id() const noexcept { return reqs_.size(); }
 
-  void push_arrival(std::uint64_t id) {
-    arrivals_.emplace(reqs_[id]->req.arrival, id);
+  /// Stage `req` as an arrival at `req.arrival`; returns its id.
+  std::uint64_t stage(Request req) {
+    PendingReq& p = reqs_.emplace_back();
+    p.id = reqs_.size() - 1;
+    p.req = std::move(req);
+    arrivals_.emplace(p.req.arrival, p.id);
+    return p.id;
   }
 
   [[nodiscard]] std::size_t queue_depth() const noexcept {
     return batcher_.pending_requests() + sched_.pending_requests();
-  }
-
-  [[nodiscard]] bool has_events() const {
-    return !arrivals_.empty() || batcher_.pending_requests() > 0 ||
-           sched_.has_work() || !inflight_.empty();
   }
 
   /// Advance to the next event time and process everything due. Returns
@@ -221,6 +203,18 @@ class Engine {
     }
   }
 
+  /// Free the operands of every request finalized since the last call; a
+  /// finalized request never runs again. Bulk, at points its driver
+  /// picks, rather than one by one at finalize: the caller's later
+  /// long-lived allocations (response values, response copies) would
+  /// otherwise fill the scattered holes and fragment the heap for
+  /// whatever runs next.
+  void release_finished() {
+    for (const std::uint64_t id : finished_)
+      reqs_[id].req.operands = decltype(reqs_[id].req.operands)();
+    finished_.clear();
+  }
+
   /// Earliest virtual time at which step() would make progress, or nullopt
   /// when the engine is drained (step() would return false). A pure peek:
   /// it shares step()'s timer computation so the two cannot diverge.
@@ -238,7 +232,7 @@ class Engine {
   }
 
   [[nodiscard]] const PendingReq& at(std::uint64_t id) const {
-    return *reqs_[id];
+    return reqs_[id];
   }
 
  private:
@@ -358,8 +352,7 @@ class Engine {
   }
 
   [[nodiscard]] bool admission_open() const noexcept {
-    return !enforce_capacity ||
-           effective_admission() == AdmissionPolicy::kReject ||
+    return effective_admission() == AdmissionPolicy::kReject ||
            queue_depth() < effective_capacity();
   }
 
@@ -450,9 +443,8 @@ class Engine {
         break;
       case RequestStatus::kPending: break;  // Unreachable.
     }
-    const std::uint64_t id = p.id;
+    finished_.push_back(p.id);
     if (on_finalize) on_finalize(p);
-    if (release_after_finalize) reqs_[id].reset();
   }
 
   void join_batcher(PendingReq& p) {
@@ -485,8 +477,7 @@ class Engine {
 
   void admit_due() {
     while (!arrivals_.empty() && arrivals_.top().first <= now_) {
-      if (enforce_capacity &&
-          effective_admission() == AdmissionPolicy::kBlock &&
+      if (effective_admission() == AdmissionPolicy::kBlock &&
           queue_depth() >= effective_capacity()) {
         break;  // Head-of-line blocks; later arrivals wait behind it.
       }
@@ -498,7 +489,7 @@ class Engine {
         finalize(p, RequestStatus::kInvalid, now_);
         continue;
       }
-      if (enforce_capacity && queue_depth() >= effective_capacity()) {
+      if (queue_depth() >= effective_capacity()) {
         finalize(p, RequestStatus::kRejected, now_);
         continue;
       }
@@ -515,7 +506,7 @@ class Engine {
         // Depth including this request; admission checked < capacity, so a
         // clean engine never records depth > capacity.
         e.queue_depth = queue_depth() + 1;
-        e.capacity = enforce_capacity ? effective_capacity() : 0;
+        e.capacity = effective_capacity();
         trace_->record(std::move(e));
       }
       join_batcher(p);
@@ -918,16 +909,15 @@ class Engine {
       for (const std::uint64_t id : done.members) {
         PendingReq& p = at(id);
         if (p.finalized) continue;  // Relocation budget ran out mid-abort.
-        std::vector<double> golden, test;
-        golden.reserve(p.req.operands.size());
-        test.reserve(p.req.operands.size());
+        qos_golden_.clear();
+        qos_test_.clear();
         for (std::size_t j = 0; j < p.req.operands.size(); ++j) {
-          golden.push_back(golden_value(p.req.op, p.req.width,
-                                        p.req.operands[j].first,
-                                        p.req.operands[j].second));
-          test.push_back(static_cast<double>(p.resp.values[j]));
+          qos_golden_.push_back(golden_value(p.req.op, p.req.width,
+                                             p.req.operands[j].first,
+                                             p.req.operands[j].second));
+          qos_test_.push_back(static_cast<double>(p.resp.values[j]));
         }
-        p.resp.qos = quality::evaluate_qos(p.req.qos, golden, test);
+        p.resp.qos = quality::evaluate_qos(p.req.qos, qos_golden_, qos_test_);
         if (!p.resp.qos.acceptable && p.relax > 0 && cfg_.escalate_on_miss &&
             !p.escalated) {
           // QoS miss under approximation: pin the app to exact and rerun
@@ -979,7 +969,9 @@ class Engine {
   std::size_t scrub_cursor_ = 0;
   core::ApimConfig scratch_device_{};  ///< device_for() staging copy.
 
-  std::vector<std::unique_ptr<PendingReq>> reqs_;
+  /// Every staged request, indexed by id. A deque, so references survive
+  /// on_finalize staging new requests mid-step.
+  std::deque<PendingReq> reqs_;
   /// (arrival, id) min-heap: earliest arrival first, id tie-break.
   std::priority_queue<std::pair<util::Cycles, std::uint64_t>,
                       std::vector<std::pair<util::Cycles, std::uint64_t>>,
@@ -987,6 +979,10 @@ class Engine {
       arrivals_;
   std::vector<InFlight> inflight_;
   std::uint64_t next_dispatch_seq_ = 0;
+  /// Completion-time QoS check buffers, reused across requests.
+  std::vector<double> qos_golden_, qos_test_;
+  /// Finalized requests whose operands release_finished() has not freed.
+  std::vector<std::uint64_t> finished_;
 };
 
 struct Server::Impl {
@@ -1000,80 +996,42 @@ struct Server::Impl {
   QosTable table;
   Metrics metrics;
   Engine engine;
-
-  // -- Live async state ----------------------------------------------------
-  struct Submission {
-    Request req;
-    std::promise<Response> promise;
-  };
-  std::thread scheduler;
-  bool running = false;
-  bool stop_requested = false;
-  std::mutex mailbox_mutex;
-  std::condition_variable mailbox_cv;
-  std::condition_variable space_cv;
-  std::deque<Submission> mailbox;
-  std::atomic<std::size_t> outstanding{0};
-  std::atomic<util::Cycles> now_approx{0};
-
-  void scheduler_loop();
 };
 
-void Server::Impl::scheduler_loop() {
-  engine.enforce_capacity = false;  // submit() enforces via `outstanding`.
-  engine.release_after_finalize = true;
-  engine.on_finalize = [this](PendingReq& p) {
-    if (p.promise) p.promise->set_value(std::move(p.resp));
-    outstanding.fetch_sub(1, std::memory_order_acq_rel);
-    {
-      // Pair the notification with the mutex so a blocked submit() cannot
-      // miss the wakeup between its predicate check and its wait.
-      const std::lock_guard<std::mutex> lock(mailbox_mutex);
-    }
-    space_cv.notify_all();
-  };
+namespace {
 
-  for (;;) {
-    std::deque<Submission> pulled;
-    {
-      std::unique_lock<std::mutex> lock(mailbox_mutex);
-      mailbox_cv.wait(lock, [&] {
-        return stop_requested || !mailbox.empty() || engine.has_events();
-      });
-      pulled.swap(mailbox);
-      if (pulled.empty() && !engine.has_events() && stop_requested) break;
-    }
-    for (Submission& s : pulled) {
-      s.req.arrival = engine.now();
-      const std::uint64_t id = engine.create(std::move(s.req));
-      engine.at(id).promise = std::move(s.promise);
-      engine.push_arrival(id);
-    }
-    engine.step();
-    now_approx.store(engine.now(), std::memory_order_relaxed);
-  }
-
-  engine.on_finalize = nullptr;
-  engine.release_after_finalize = false;
-  engine.enforce_capacity = true;
+/// Checked in every build type: execute_batch divides by
+/// lanes_per_stream, and with no stream or no queue slot requests would
+/// stay pending forever (the conservation contract).
+ServerConfig validated(ServerConfig cfg) {
+  if (cfg.streams == 0)
+    throw std::invalid_argument("Server: streams must be >= 1");
+  if (cfg.lanes_per_stream == 0)
+    throw std::invalid_argument("Server: lanes_per_stream must be >= 1");
+  if (cfg.queue_capacity == 0)
+    throw std::invalid_argument("Server: queue_capacity must be >= 1");
+  return cfg;
 }
 
-Server::Server(ServerConfig config, QosTable table)
-    : impl_(std::make_unique<Impl>(std::move(config), std::move(table))) {}
+}  // namespace
 
-Server::~Server() { stop(); }
+Server::Server(ServerConfig config, QosTable table)
+    : impl_(std::make_unique<Impl>(validated(std::move(config)),
+                                   std::move(table))) {}
+
+Server::~Server() = default;
 
 std::vector<Response> Server::run_trace(std::vector<Request> trace) {
-  assert(!impl_->running);
   Engine& engine = impl_->engine;
-  std::vector<std::uint64_t> ids;
-  ids.reserve(trace.size());
-  for (Request& r : trace) ids.push_back(engine.create(std::move(r)));
-  for (const std::uint64_t id : ids) engine.push_arrival(id);
+  const std::uint64_t first = engine.next_id();
+  for (Request& r : trace) engine.stage(std::move(r));
+  trace = std::vector<Request>();  // Each request now lives in the engine.
   engine.run_to_completion();
+  engine.release_finished();
   std::vector<Response> responses;
-  responses.reserve(ids.size());
-  for (const std::uint64_t id : ids) responses.push_back(engine.at(id).resp);
+  responses.reserve(engine.next_id() - first);
+  for (std::uint64_t id = first; id < engine.next_id(); ++id)
+    responses.push_back(std::move(engine.at(id).resp));
   return responses;
 }
 
@@ -1081,45 +1039,41 @@ std::vector<Response> Server::run_closed_loop(
     std::size_t clients, std::size_t requests_per_client,
     util::Cycles think_cycles,
     const std::function<Request(std::size_t, std::size_t)>& make_request) {
-  assert(!impl_->running);
   Engine& engine = impl_->engine;
-  std::vector<std::uint64_t> ids;
-  ids.reserve(clients * requests_per_client);
+  const std::uint64_t first = engine.next_id();
+  /// (client, index within the client) of each request this call staged.
+  std::vector<std::pair<std::size_t, std::size_t>> owner;
+  owner.reserve(clients * requests_per_client);
 
   const auto submit_for = [&](std::size_t client, std::size_t index,
                               util::Cycles arrival) {
     Request next = make_request(client, index);
     next.arrival = arrival;
-    const std::uint64_t id = engine.create(std::move(next));
-    engine.at(id).client = client;
-    engine.at(id).client_index = index;
-    engine.push_arrival(id);
-    ids.push_back(id);
+    engine.stage(std::move(next));
+    owner.emplace_back(client, index);
   };
 
   engine.on_finalize = [&](PendingReq& p) {
-    if (p.client_index + 1 < requests_per_client)
-      submit_for(p.client, p.client_index + 1,
-                 p.resp.completion + think_cycles);
+    if (p.id < first) return;  // Staged earlier through stage_request.
+    const auto [client, index] = owner[p.id - first];
+    if (index + 1 < requests_per_client)
+      submit_for(client, index + 1, p.resp.completion + think_cycles);
   };
   for (std::size_t c = 0; c < clients; ++c)
     submit_for(c, 0, engine.now());
   engine.run_to_completion();
   engine.on_finalize = nullptr;
+  engine.release_finished();
 
-  std::sort(ids.begin(), ids.end());
   std::vector<Response> responses;
-  responses.reserve(ids.size());
-  for (const std::uint64_t id : ids) responses.push_back(engine.at(id).resp);
+  responses.reserve(owner.size());
+  for (std::uint64_t id = first; id < engine.next_id(); ++id)
+    responses.push_back(std::move(engine.at(id).resp));
   return responses;
 }
 
 std::uint64_t Server::stage_request(Request request) {
-  assert(!impl_->running);
-  Engine& engine = impl_->engine;
-  const std::uint64_t id = engine.create(std::move(request));
-  engine.push_arrival(id);
-  return id;
+  return impl_->engine.stage(std::move(request));
 }
 
 std::optional<util::Cycles> Server::next_event_at() const {
@@ -1127,7 +1081,6 @@ std::optional<util::Cycles> Server::next_event_at() const {
 }
 
 bool Server::step_until(util::Cycles limit) {
-  assert(!impl_->running);
   Engine& engine = impl_->engine;
   bool any = false;
   for (;;) {
@@ -1145,76 +1098,10 @@ const Response& Server::response(std::uint64_t id) const {
   return impl_->engine.at(id).resp;
 }
 
+void Server::release_finished() { impl_->engine.release_finished(); }
+
 std::size_t Server::serving_domain_count() const {
   return impl_->engine.serving_domains_now();
-}
-
-void Server::start() {
-  Impl& impl = *impl_;
-  if (impl.running) return;
-  impl.stop_requested = false;
-  impl.running = true;
-  impl.scheduler = std::thread([&impl] { impl.scheduler_loop(); });
-}
-
-std::future<Response> Server::submit(Request request) {
-  start();
-  Impl& impl = *impl_;
-  std::promise<Response> promise;
-  std::future<Response> future = promise.get_future();
-
-  const auto reject_now = [&]() {
-    Response r;
-    r.status = RequestStatus::kRejected;
-    r.arrival = impl.now_approx.load(std::memory_order_relaxed);
-    r.completion = r.arrival;
-    impl.metrics.record_submitted(r.arrival);
-    impl.metrics.record_rejected();
-    promise.set_value(std::move(r));
-    return std::move(future);
-  };
-
-  // A pool worker blocking here could deadlock the pool the dispatches
-  // themselves need, so refuse outright (util/thread_pool.hpp).
-  if (util::in_pool_worker()) return reject_now();
-
-  if (impl.cfg.admission == AdmissionPolicy::kReject &&
-      impl.outstanding.load(std::memory_order_acquire) >=
-          impl.cfg.queue_capacity) {
-    return reject_now();
-  }
-  if (impl.cfg.admission == AdmissionPolicy::kBlock) {
-    std::unique_lock<std::mutex> lock(impl.mailbox_mutex);
-    impl.space_cv.wait(lock, [&] {
-      return impl.stop_requested ||
-             impl.outstanding.load(std::memory_order_acquire) <
-                 impl.cfg.queue_capacity;
-    });
-    if (impl.stop_requested) return reject_now();
-  }
-
-  impl.outstanding.fetch_add(1, std::memory_order_acq_rel);
-  {
-    const std::lock_guard<std::mutex> lock(impl.mailbox_mutex);
-    impl.mailbox.push_back(
-        Impl::Submission{std::move(request), std::move(promise)});
-  }
-  impl.mailbox_cv.notify_one();
-  return future;
-}
-
-void Server::stop() {
-  Impl& impl = *impl_;
-  if (!impl.running) return;
-  {
-    const std::lock_guard<std::mutex> lock(impl.mailbox_mutex);
-    impl.stop_requested = true;
-  }
-  impl.mailbox_cv.notify_all();
-  impl.space_cv.notify_all();
-  impl.scheduler.join();
-  impl.running = false;
-  impl.stop_requested = false;
 }
 
 MetricsSnapshot Server::snapshot() const { return impl_->metrics.snapshot(); }

@@ -1,5 +1,5 @@
-// Serving runtime: an asynchronous multi-tenant request scheduler over the
-// APIM chip model.
+// Serving runtime: a multi-tenant request scheduler over the APIM chip
+// model.
 //
 // The Server owns a bounded admission queue, a dynamic batcher
 // (serve/batcher.hpp) and a pool of execution resources derived from the
@@ -12,7 +12,7 @@
 // determinism discipline as apps::parallel_map.
 //
 // Request lifecycle:
-//   submit/arrival -> admission (reject or block at capacity)
+//   arrival -> admission (reject or block at capacity)
 //     -> relax level from the QoS table (exact fallback)
 //     -> dynamic batcher (same-shape, single-tenant coalescing)
 //     -> fair-share scheduler (per-tenant deficit round-robin with
@@ -21,16 +21,19 @@
 //     -> completion; QoS check vs host-exact golden
 //     -> on miss: escalate app to exact, re-execute once
 //
-// Three driving modes share the engine:
+// Three driving modes share the engine, all in virtual time:
 //  * run_trace        — deterministic open-loop replay of a seeded trace;
 //  * run_closed_loop  — N virtual clients, next request on completion;
-//  * start/submit/stop — live async serving with std::future responses.
+//  * stage_request/step_until — event-by-event stepping for coordinators
+//    (the cluster, analytics waves).
+// The engine holds one record per staged request. A finalized request's
+// operands are freed in bulk by release_finished(), and its Response is
+// kept until the driver collects it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -59,10 +62,12 @@ struct ServerConfig {
   /// Controller command streams (concurrent dispatches) and lanes each
   /// stream broadcasts to. Defaults are a small slice of a chip, sized so
   /// tests and benches run in milliseconds; from_chip() scales them up.
+  /// Both must be >= 1 (Server throws std::invalid_argument otherwise).
   std::size_t streams = 4;
   std::size_t lanes_per_stream = 64;
 
   /// Admission control: requests waiting (batching or awaiting a stream).
+  /// Must be >= 1.
   std::size_t queue_capacity = 1024;
   AdmissionPolicy admission = AdmissionPolicy::kReject;
 
@@ -117,8 +122,8 @@ struct ServerConfig {
   /// Optional structured event stream (serve/trace.hpp) consumed by the
   /// runtime trace verifier (analysis::check_serving_trace). nullptr (the
   /// default) emits nothing and leaves every run bit-identical to an
-  /// untraced one. Attach only to the deterministic virtual-time entry
-  /// points; the log is not synchronized for the live async mode.
+  /// untraced one. The log is not synchronized: one engine thread at a
+  /// time may write to it.
   trace::EventLog* trace = nullptr;
   /// Chip id stamped on emitted events (set by cluster::Cluster; -1 for a
   /// standalone server).
@@ -138,6 +143,8 @@ struct ServerConfig {
 
 class Server {
  public:
+  /// Throws std::invalid_argument when streams, lanes_per_stream or
+  /// queue_capacity is zero.
   explicit Server(ServerConfig config, QosTable table = {});
   ~Server();
 
@@ -148,14 +155,16 @@ class Server {
 
   /// Execute an open-loop trace (requests with arrival cycles set) to
   /// completion. Returns one response per request, in trace order.
-  /// Bit-identical for every host thread count. Not concurrently callable
-  /// with the async interface.
+  /// Bit-identical for every host thread count. The trace's storage is
+  /// freed once every request is staged, and the responses are moved out
+  /// of the engine.
   std::vector<Response> run_trace(std::vector<Request> trace);
 
   /// Closed-loop drive: `clients` virtual clients each submit
   /// `requests_per_client` requests, the next one `think_cycles` after the
   /// previous completes. `make_request(client, index)` supplies each
   /// request (arrival is overwritten by the engine). Deterministic.
+  /// Responses come back in staging order, moved out of the engine.
   std::vector<Response> run_closed_loop(
       std::size_t clients, std::size_t requests_per_client,
       util::Cycles think_cycles,
@@ -168,8 +177,7 @@ class Server {
   // calling run_trace: stage arrivals as they become known, advance every
   // chip to the global minimum event time, repeat. Driving a single
   // server this way reproduces run_trace bit-exactly — step_until uses
-  // the same event-selection code as run_to_completion. Not usable while
-  // the async scheduler thread runs.
+  // the same event-selection code as run_to_completion.
 
   /// Stage one open-loop request (arrival cycle set by the caller) without
   /// running the engine. Returns the request's dense id for response().
@@ -188,39 +196,32 @@ class Server {
   /// Current virtual time of the engine clock.
   [[nodiscard]] util::Cycles virtual_now() const;
 
-  /// Response of a staged request; meaningful once the request finalized
-  /// (status != kPending).
+  /// Response of a request staged with stage_request; meaningful once it
+  /// finalized (status != kPending). run_trace and run_closed_loop move
+  /// their responses out, so this does not cover their requests.
   [[nodiscard]] const Response& response(std::uint64_t id) const;
+
+  /// Free the operands of every request finalized so far; their responses
+  /// stay readable. run_trace and run_closed_loop do this before they
+  /// return. A stepping driver calls it between waves (analytics::Runner);
+  /// the cluster does not, because freeing its chips' operands mid-run
+  /// interleaves the freed holes with the responses it copies out at the
+  /// end, and its chips are destroyed with it.
+  void release_finished();
 
   /// Streams currently in service: with the health layer on, the count of
   /// non-quarantined domains; with it off, all streams. Cheap (no
   /// snapshot allocation) — placement/rebalancing polls this per tick.
   [[nodiscard]] std::size_t serving_domain_count() const;
 
-  // -- Live async serving --------------------------------------------------
-
-  /// Start the scheduler thread. Idempotent.
-  void start();
-
-  /// Submit a request for async execution; the future resolves when the
-  /// request finalizes (any status). Under kBlock this call blocks while
-  /// the server is at capacity — never call it from a ThreadPool worker
-  /// (util::in_pool_worker guards; such calls are rejected immediately).
-  /// Virtual arrival time is stamped at admission.
-  std::future<Response> submit(Request request);
-
-  /// Drain everything in flight and join the scheduler thread. Idempotent.
-  void stop();
-
   // -- Introspection -------------------------------------------------------
 
-  /// Consistent metrics snapshot; safe to call while serving.
+  /// Metrics snapshot, taken between driver calls or steps.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   [[nodiscard]] const ServerConfig& config() const noexcept;
 
-  /// The QoS table, including runtime escalations. Do not call while the
-  /// async scheduler is running.
+  /// The QoS table, including runtime escalations.
   [[nodiscard]] const QosTable& qos_table() const noexcept;
 
  private:

@@ -50,8 +50,6 @@ void set_thread_count(std::size_t threads) {
   g_thread_override = threads;
 }
 
-bool in_pool_worker() noexcept { return t_in_worker; }
-
 // One parallel_for invocation. Shared with workers through a shared_ptr so
 // a worker that wakes up after the caller has already returned still holds
 // a live object (it will find no chunks left and exit immediately).

@@ -32,13 +32,6 @@ namespace apim::util {
 /// while parallel work is in flight.
 void set_thread_count(std::size_t threads);
 
-/// True while the calling thread is a pool worker servicing chunks.
-/// Long-running subsystems use this as a deadlock guard: a pool worker
-/// must never block on work that itself needs the pool (e.g. the serving
-/// runtime refuses blocking submissions from inside a worker, see
-/// serve::Server::submit).
-[[nodiscard]] bool in_pool_worker() noexcept;
-
 class ThreadPool {
  public:
   /// A pool of `threads` total executors: the calling thread plus

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -239,6 +240,15 @@ TEST(ClusterServe, SingleChipBitExactUnderFaults) {
     as_outcome.responses.push_back(r.resp);
   as_outcome.snap = cluster_out.snap.chips[0];
   EXPECT_EQ(serve_harness::diff_outcomes(server_out, as_outcome), "");
+}
+
+/// Each chip is a serve::Server, so a zero-sized server config is refused
+/// at construction in every build type.
+TEST(ClusterServe, RejectsZeroSizedServerConfig) {
+  cluster::ClusterConfig cfg;
+  cfg.chips = 2;
+  cfg.server.lanes_per_stream = 0;
+  EXPECT_THROW(cluster::Cluster(cfg, {}), std::invalid_argument);
 }
 
 // -- Multi-chip serving ------------------------------------------------------

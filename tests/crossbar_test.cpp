@@ -87,6 +87,10 @@ TEST(Decoder, CountsActivations) {
   EXPECT_GT(d.estimated_transistors(), 64u);
 }
 
+TEST(Decoder, RejectsZeroLinesInEveryBuildType) {
+  EXPECT_THROW(Decoder(0), std::invalid_argument);
+}
+
 TEST(SenseAmp, ReadAndMajority) {
   CrossbarBlock b(4, 4);
   SenseAmp sa;

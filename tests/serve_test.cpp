@@ -1,11 +1,12 @@
 // Serving-runtime tests: determinism across host worker counts, deadline
 // expiry, admission backpressure, batcher shape rules, QoS escalation,
-// metrics-snapshot consistency, and the live async facade.
+// metrics-snapshot consistency, config validation and the request
+// lifecycle.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <future>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -503,75 +504,62 @@ TEST(ServeClosedLoop, ClientsSelfPaceAndStaySorted) {
   EXPECT_EQ(server.snapshot().completed, 12u);
 }
 
-// -- Live async facade --------------------------------------------------------
+// -- Configuration ------------------------------------------------------------
 
-TEST(ServeAsync, SubmitResolvesFuturesAndSnapshotsWhileServing) {
-  ServerConfig cfg;
-  cfg.batch_window = 50;
-  Server server(cfg, {});
-  server.start();
-
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 8; ++i)
-    futures.push_back(server.submit(
-        make_request("", OpKind::kMultiply, 32,
-                     {{std::uint64_t(i + 2), 10}})));
-  futures.push_back(server.submit(
-      make_request("", OpKind::kMultiply, 2, {{1, 1}})));  // Invalid width.
-
-  for (std::size_t i = 0; i < 8; ++i) {
-    const Response r = futures[i].get();
-    EXPECT_EQ(r.status, RequestStatus::kOk);
-    ASSERT_EQ(r.values.size(), 1u);
-    EXPECT_EQ(r.values[0], (i + 2) * 10);
+TEST(ServeConfig, RejectsZeroSizesInEveryBuildType) {
+  // Each used to misbehave in Release, where the engine's asserts compile
+  // out: zero lanes divide by zero on the first multiply, and zero streams
+  // or a zero blocking queue leave requests pending forever.
+  const auto with = [](auto set) {
+    ServerConfig cfg;
+    set(cfg);
+    return cfg;
+  };
+  EXPECT_THROW(Server(with([](ServerConfig& c) { c.streams = 0; })),
+               std::invalid_argument);
+  EXPECT_THROW(Server(with([](ServerConfig& c) { c.lanes_per_stream = 0; })),
+               std::invalid_argument);
+  for (const AdmissionPolicy admission :
+       {AdmissionPolicy::kBlock, AdmissionPolicy::kReject}) {
+    EXPECT_THROW(Server(with([&](ServerConfig& c) {
+                   c.queue_capacity = 0;
+                   c.admission = admission;
+                 })),
+                 std::invalid_argument);
   }
-  EXPECT_EQ(futures[8].get().status, RequestStatus::kInvalid);
-
-  const MetricsSnapshot snap = server.snapshot();  // While serving.
-  EXPECT_EQ(snap.submitted, 9u);
-  EXPECT_EQ(snap.completed, 8u);
-  EXPECT_EQ(snap.invalid, 1u);
-  server.stop();
+  // The smallest valid sizes serve.
+  Server server(with([](ServerConfig& c) {
+    c.streams = 1;
+    c.lanes_per_stream = 1;
+    c.queue_capacity = 1;
+    c.admission = AdmissionPolicy::kBlock;
+  }));
+  const std::vector<Response> responses = server.run_trace(
+      {make_request("", OpKind::kMultiply, 16, {{6, 7}, {8, 9}}),
+       make_request("", OpKind::kVectorAdd, 16, {{1, 2}})});
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].values, (std::vector<std::uint64_t>{42, 72}));
+  EXPECT_EQ(responses[1].values, (std::vector<std::uint64_t>{3}));
 }
 
-TEST(ServeAsync, PoolWorkerSubmissionsAreRefused) {
-  // The calling thread also services chunks (without being a pool worker),
-  // so assert the guard's invariant per chunk: worker-thread submissions
-  // are refused outright, caller-thread ones are served.
-  ThreadCountGuard guard;
-  util::set_thread_count(4);
-  EXPECT_FALSE(util::in_pool_worker());
-  ServerConfig cfg;
-  cfg.batch_window = 10;
-  Server server(cfg, {});
-  server.start();
-  util::ThreadPool::global().parallel_for(0, 8, 1, [&](std::size_t lo,
-                                                       std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const bool from_worker = util::in_pool_worker();
-      auto fut =
-          server.submit(make_request("", OpKind::kMultiply, 16, {{2, 3}}));
-      const Response r = fut.get();
-      if (from_worker)
-        EXPECT_EQ(r.status, RequestStatus::kRejected);
-      else
-        EXPECT_EQ(r.status, RequestStatus::kOk);
-    }
-  });
-  server.stop();
-}
+// -- Request lifecycle --------------------------------------------------------
 
-TEST(ServeAsync, StopDrainsAndIsIdempotent) {
-  ServerConfig cfg;
-  cfg.batch_window = 5000;  // Long window: stop() must still drain.
-  Server server(cfg, {});
-  auto fut =
-      server.submit(make_request("", OpKind::kMultiply, 16, {{11, 13}}));
-  server.stop();
-  server.stop();
-  const Response r = fut.get();
+TEST(ServeLifecycle, StagedResponsesStayReadableAfterADrive) {
+  // response(id) covers stage_request. run_trace moves its own responses
+  // out and releases every finished request's operands; the staged
+  // response survives both, and ids stay dense across the two drivers.
+  Server server(ServerConfig{}, {});
+  const std::uint64_t staged = server.stage_request(
+      make_request("", OpKind::kMultiply, 16, {{3, 5}}));
+  while (const auto at = server.next_event_at()) server.step_until(*at);
+  const std::vector<Response> traced = server.run_trace(
+      {make_request("", OpKind::kMultiply, 16, {{7, 11}}, 10)});
+  ASSERT_EQ(traced.size(), 1u);
+  EXPECT_EQ(traced[0].id, staged + 1);
+  EXPECT_EQ(traced[0].values, (std::vector<std::uint64_t>{77}));
+  const Response& r = server.response(staged);
   EXPECT_EQ(r.status, RequestStatus::kOk);
-  EXPECT_EQ(r.values, (std::vector<std::uint64_t>{143}));
+  EXPECT_EQ(r.values, (std::vector<std::uint64_t>{15}));
 }
 
 // -- Offline QoS table --------------------------------------------------------
