@@ -13,18 +13,16 @@
 // the p99 latency (including the batching window) stays inside the SLO.
 //
 // A second section A/B-tests the simulation tier itself: the same
-// saturation trace through Backend::kFast (scalar word models) and
-// Backend::kBitsliced (64-lane bit-plane slices). Every simulated number
-// is bit-identical between the two — the section asserts that — so the
-// only difference is HOST wall-clock cost, reported as
-// bitsliced_vs_word_host_speedup. Both tiers run the same per-op multiply
-// (kBitsliced has no multiply slice) and only the adds differ, so the
-// ratio sits near 1. Full mode requires >= 0.3x: the lowest observed
-// full-mode ratio (0.562) divided by 1.5, rounded down to a multiple of
-// 0.1. The ratio's run-to-run spread is wide (0.56-1.49 over 120 runs,
-// median 0.98), so the floor fails only at about a 1.9x slowdown of the
-// bitsliced run from the slowest observed run, or about 3.3x from the
-// median.
+// saturation trace through Backend::kFast and Backend::kBitsliced. Both
+// now run the same word kernels for every op kind, so every simulated
+// number is bit-identical between the two — the section asserts that —
+// and the host wall-clock ratio, reported as
+// bitsliced_vs_word_host_speedup, is run-to-run noise around 1. Full mode
+// requires >= 0.3x: the lowest observed full-mode ratio (0.562) divided by
+// 1.5, rounded down to a multiple of 0.1. The ratio's spread is wide
+// (0.56-1.49 over 120 runs, median 0.98), so the floor fails only at
+// about a 1.9x slowdown of one run from the slowest observed run, or
+// about 3.3x from the median. The A/B retires with kBitsliced.
 //
 // Flags: --threads N, --json <path>, --smoke (tiny trace for CI),
 // --trace <path> (capture the batched saturation point's event log,
@@ -162,13 +160,13 @@ int main(int argc, char** argv) {
 
   // -- Backend A/B: host cost of the simulation tier ------------------------
   //
-  // Same saturation trace, same server shape, kFast vs kBitsliced. The
-  // simulated outcome must be bit-identical (the equivalence gate's
-  // property, re-checked here end to end); the host wall-clock is not.
-  // Heavier requests than the sweep (16 ops each) so the arithmetic
-  // kernels dominate host time rather than the scheduler bookkeeping --
-  // that is the regime the bitsliced tier exists for -- and a mul/add mix
-  // so the A/B equality check covers both device batch entry points.
+  // Same saturation trace, same server shape, kFast vs kBitsliced, which
+  // run the same kernels. The simulated outcome must be bit-identical (the
+  // equivalence gate's property, re-checked here end to end); the host
+  // wall-clock is not. Heavier requests than the sweep (16 ops each) so
+  // the arithmetic kernels dominate host time rather than the scheduler
+  // bookkeeping, and a mul/add mix so the A/B equality check covers both
+  // device batch entry points.
   LoadGenConfig ab_gen;
   ab_gen.requests = requests;
   ab_gen.rate_per_kcycle = rates.back();

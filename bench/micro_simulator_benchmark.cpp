@@ -127,16 +127,16 @@ void BM_FastMultiplyBatch10k(benchmark::State& state) {
 }
 BENCHMARK(BM_FastMultiplyBatch10k)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// The same 10k batch through the bitsliced (tier-3) backend. It has no
-// multiply slice and runs fast_multiply per op, so items_per_second should
-// match BM_FastMultiplyBatch10k's at the same Arg.
+// The same 10k batch through Backend::kBitsliced, which runs the same
+// kernels as kFast, so items_per_second should match
+// BM_FastMultiplyBatch10k's at the same Arg.
 void BM_BitslicedMultiplyBatch10k(benchmark::State& state) {
   run_multiply_batch10k(state, core::Backend::kBitsliced);
 }
 BENCHMARK(BM_BitslicedMultiplyBatch10k)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Standalone adds bitslice end to end (no per-lane tree stage), so the
-// per-op host cost collapses further.
+// The add slice shim: 64 width-32 fast_add calls, so its per-item time is
+// the word add's.
 void BM_BitslicedAddSlice(benchmark::State& state) {
   util::Xoshiro256 rng(7);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;

@@ -1,26 +1,14 @@
-// Bitsliced (tier-3) execution of homogeneous operation slices.
+// 64-op slice entry points over the word models.
 //
-// APIM executes the same NOR schedule across all crossbar rows of a block
-// simultaneously; this unit reproduces that data-parallel structure on the
-// host by transposing up to 64 independent operations into bit-plane form
-// (lane l's operand bit i becomes bit l of plane i) and evaluating the
-// shared carry recurrence once per bit position with plain bitwise ops.
-// Cycles come from the closed-form latency laws (12n+1 serial, 13-cycle
-// CSA stages, 13k+2m+1 relaxed final stage); per-lane energy comes from
-// the word models' per-triple FaEnergyTable (word_models.hpp), indexed by
-// the lanes' bit triples.
-//
-// Fidelity contract: every per-lane outcome — value, cycles AND the energy
-// double — is bit-identical to the scalar word-level model (fast_multiply /
-// fast_add), because the energy is accumulated with the exact same floating
-// point expressions in the exact same order; the table merely memoizes
-// word_fa_bit's deterministic per-triple result. The cross-backend gate
-// (tests/bitsliced_equivalence_test.cpp) enforces this with operator==.
-//
-// Multiplier trees are per-lane heterogeneous (the reduction plan depends
-// on the multiplier's set-bit pattern), so bitsliced_multiply_slice runs
-// fast_multiply per lane and the device has no multiply slice row.
-// Standalone adds (shared width/relax) bitslice end to end.
+// Each slice function is a per-lane loop over fast_multiply or fast_add
+// (bitsliced_compare_slice, in compare_units.hpp, over fast_compare), so
+// out[i] is the scalar word-model result for ops[i], energy doubles
+// included. On the host the word models beat evaluating 64 transposed
+// lanes at once, so no device path calls these: every core::Backend but
+// the bit-level one runs the word models directly (core/config.hpp). The
+// functions and transpose64 stay only for the end-to-end benchmark's
+// per-layer timings and the slice-vs-word tests
+// (tests/bitsliced_equivalence_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -33,11 +21,11 @@
 
 namespace apim::arith {
 
-/// Lanes per slice: one host word of bit-planes.
+/// Most ops one slice call takes.
 inline constexpr std::size_t kBitsliceLanes = 64;
 
 /// Transpose a 64x64 bit matrix: bit i of out[l] == bit l of in[i].
-/// (Self-inverse; used to move between lane-major operands and bit planes.)
+/// (Self-inverse; moves between lane-major words and bit planes.)
 void transpose64(const std::uint64_t in[64], std::uint64_t out[64]) noexcept;
 
 /// Execute up to 64 same-shape multiplies (shared n <= 32 and ApproxConfig),
@@ -48,10 +36,9 @@ void bitsliced_multiply_slice(
     ApproxConfig cfg, const device::EnergyModel& em,
     std::span<MultiplyOutcome> out);
 
-/// Execute up to 64 same-shape adds (shared n <= 64 and requested relax;
-/// the profitable_add_relax dispatch is applied exactly as fast_add does).
-/// out[i] is bit-identical to fast_add(ops[i].first, ops[i].second, n,
-/// relax_m, em), including carry_out.
+/// Execute up to 64 same-shape adds (shared n <= 64 and requested relax),
+/// one fast_add per lane: out[i] is fast_add(ops[i].first, ops[i].second,
+/// n, relax_m, em), including carry_out.
 void bitsliced_add_slice(
     std::span<const std::pair<std::uint64_t, std::uint64_t>> ops, unsigned n,
     unsigned relax_m, const device::EnergyModel& em,

@@ -16,8 +16,7 @@ namespace {
 
 /// Energy of the complement pass: one shared init of the n destination
 /// cells plus one row-parallel NOT of the subtrahend. NOT lanes: input is
-/// b, the result switches (1 -> 0) exactly where b is 1. Shared between the
-/// word and bitsliced paths so the doubles compose identically.
+/// b, the result switches (1 -> 0) exactly where b is 1.
 double complement_energy_pj(std::uint64_t b, unsigned n,
                             const device::EnergyModel& em) {
   const int ones = popcount(b);
@@ -26,21 +25,6 @@ double complement_energy_pj(std::uint64_t b, unsigned n,
          static_cast<double>(ones) * em.e_input_on_pj +
          static_cast<double>(zeros) * em.e_input_off_pj +
          static_cast<double>(ones) * em.e_switch_pj;
-}
-
-CompareOutcome compose_compare(std::uint64_t b_masked, unsigned n,
-                               const device::EnergyModel& em,
-                               const AddOutcome& add) {
-  CompareOutcome out;
-  // Complement pass: 1 init cycle + 1 row-parallel NOT cycle.
-  out.cycles = 2;
-  out.energy_ops_pj = complement_energy_pj(b_masked, n, em);
-  out.cycles += add.cycles;
-  out.energy_ops_pj += add.energy_ops_pj;
-  out.sum = add.sum;
-  out.carry_out = add.carry_out;
-  out.code = compare_code(add.sum, add.carry_out, n);
-  return out;
 }
 
 }  // namespace
@@ -54,7 +38,16 @@ CompareOutcome fast_compare(std::uint64_t a, std::uint64_t b, unsigned n,
   // Comparison is always exact: relax 0, so fast_add dispatches to the
   // serial adder (12n + 1 cycles) whose carry chain carries the predicate.
   const AddOutcome add = fast_add(a, ~b & mask, n, /*relax_m=*/0, em);
-  return compose_compare(b, n, em, add);
+  CompareOutcome out;
+  // Complement pass: 1 init cycle + 1 row-parallel NOT cycle.
+  out.cycles = 2;
+  out.energy_ops_pj = complement_energy_pj(b, n, em);
+  out.cycles += add.cycles;
+  out.energy_ops_pj += add.energy_ops_pj;
+  out.sum = add.sum;
+  out.carry_out = add.carry_out;
+  out.code = compare_code(add.sum, add.carry_out, n);
+  return out;
 }
 
 void bitsliced_compare_slice(
@@ -62,16 +55,8 @@ void bitsliced_compare_slice(
     const device::EnergyModel& em, std::span<CompareOutcome> out) {
   assert(ops.size() <= kBitsliceLanes);
   assert(out.size() >= ops.size());
-  const std::size_t count = ops.size();
-  const std::uint64_t mask = low_mask(n);
-  std::array<std::pair<std::uint64_t, std::uint64_t>, kBitsliceLanes> add_ops;
-  for (std::size_t l = 0; l < count; ++l)
-    add_ops[l] = {ops[l].first & mask, ~(ops[l].second & mask) & mask};
-  std::array<AddOutcome, kBitsliceLanes> add_out;
-  bitsliced_add_slice(std::span(add_ops).first(count), n, /*relax_m=*/0, em,
-                      std::span(add_out).first(count));
-  for (std::size_t l = 0; l < count; ++l)
-    out[l] = compose_compare(ops[l].second & mask, n, em, add_out[l]);
+  for (std::size_t l = 0; l < ops.size(); ++l)
+    out[l] = fast_compare(ops[l].first, ops[l].second, n, em);
 }
 
 namespace {

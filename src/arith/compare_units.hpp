@@ -15,12 +15,11 @@
 // operands fed to the existing Wallace 3:2 reduction, so it inherits the
 // tree-add latency/energy laws unchanged.
 //
-// All three backends are provided with the usual fidelity contract:
+// Both evaluators are provided with the usual fidelity contract:
 // `inmemory_compare` (engine) vs `fast_compare` (word) agree on value and
-// cycles exactly and on energy to summation-order tolerance;
-// `bitsliced_compare_slice` is bit-identical to `fast_compare` including
-// the energy doubles (it composes the identical per-lane expressions around
-// the already-exact bitsliced adder).
+// cycles exactly and on energy to summation-order tolerance.
+// `bitsliced_compare_slice` is a per-lane loop over `fast_compare`
+// (arith/bitsliced.hpp).
 #pragma once
 
 #include <cstdint>
@@ -66,9 +65,8 @@ struct CompareOutcome {
                                           unsigned n,
                                           const device::EnergyModel& em);
 
-/// Execute up to 64 same-width compares. out[i] is bit-identical to
-/// fast_compare(ops[i].first, ops[i].second, n, em), energy doubles
-/// included (same contract as bitsliced_add_slice).
+/// Execute up to 64 same-width compares, one fast_compare per lane: out[i]
+/// is fast_compare(ops[i].first, ops[i].second, n, em).
 void bitsliced_compare_slice(
     std::span<const std::pair<std::uint64_t, std::uint64_t>> ops, unsigned n,
     const device::EnergyModel& em, std::span<CompareOutcome> out);

@@ -27,7 +27,6 @@ struct VectorAddOutcome {
 
 /// Word-level model: K exact n-bit additions in one row-parallel pass.
 /// Sums, cycles and energy are bit-identical for every host thread count.
-/// (The bitsliced tier runs adds through serve::execute_batch.)
 [[nodiscard]] VectorAddOutcome fast_vector_add(
     std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
     unsigned n, const device::EnergyModel& em);

@@ -1,9 +1,9 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "serve/health.hpp"
@@ -292,7 +292,11 @@ Cluster::~Cluster() = default;
 std::vector<ClusterResponse> Cluster::run_trace(
     std::vector<serve::Request> trace) {
   Impl& im = *impl_;
-  assert(!im.ran);
+  // The chips' clocks, queues and counters carry over from a first run, so
+  // a second one would silently serve wrong results.
+  if (im.ran) {
+    throw std::logic_error("Cluster::run_trace: one run per Cluster instance");
+  }
   im.ran = true;
 
   im.reqs = std::move(trace);

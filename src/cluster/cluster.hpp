@@ -173,7 +173,8 @@ class Cluster {
   /// Execute an open-loop trace (arrival cycles set) to completion across
   /// the cluster. Returns one response per request, in trace order.
   /// Bit-identical for every host thread count; deterministic for a fixed
-  /// config + trace. One run per Cluster instance.
+  /// config + trace. One run per Cluster instance: a second call throws
+  /// std::logic_error before touching any state, in every build type.
   std::vector<ClusterResponse> run_trace(std::vector<serve::Request> trace);
 
   [[nodiscard]] ClusterSnapshot snapshot() const;

@@ -1,14 +1,12 @@
 #include "core/apim.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "arith/bitsliced.hpp"
 #include "arith/compare_units.hpp"
 #include "arith/inmemory_units.hpp"
 #include "arith/latency_model.hpp"
@@ -36,6 +34,12 @@ std::uint64_t ApimDevice::clamp_magnitude(std::uint64_t m) const noexcept {
   return m > cap ? cap : m;
 }
 
+enum class DeviceOp : unsigned char { kMul, kAdd, kCmp, kPopcnt };
+
+namespace {
+
+using OpPair = std::pair<std::uint64_t, std::uint64_t>;
+
 /// One op's raw unit result before accounting, in one shape whichever
 /// kernel of the table produced it.
 struct UnitOutcome {
@@ -44,12 +48,6 @@ struct UnitOutcome {
   double energy_pj = 0.0;
   unsigned partial_products = 0;  ///< Nonzero only for word-model multiplies.
 };
-
-enum class DeviceOp : unsigned char { kMul, kAdd, kCmp, kPopcnt };
-
-namespace {
-
-using OpPair = std::pair<std::uint64_t, std::uint64_t>;
 
 UnitOutcome unit(const arith::MultiplyOutcome& r) {
   return {r.product, r.cycles, r.energy_ops_pj, r.partial_count};
@@ -66,14 +64,6 @@ UnitOutcome unit(const arith::InMemoryResult& r) {
   return {r.value, r.cycles, r.energy_ops_pj, 0};
 }
 
-/// Runs a bitsliced slice kernel into its own outcome type, then converts.
-template <class Outcome, class Slice>
-void slice_into(std::span<UnitOutcome> out, Slice slice) {
-  std::array<Outcome, arith::kBitsliceLanes> lanes;
-  slice(std::span(lanes.data(), out.size()));
-  for (std::size_t k = 0; k < out.size(); ++k) out[k] = unit(lanes[k]);
-}
-
 /// The adder relax setting scales with adder width: standalone word adds
 /// relax the same fraction of their N bits as the multiplier's final stage
 /// relaxes of its 2N (see the class comment).
@@ -88,10 +78,6 @@ struct OpKernel {
   UnitOutcome (*word)(const ApimConfig&, std::uint64_t a, std::uint64_t b);
   UnitOutcome (*bit_level)(const ApimConfig&, std::uint64_t a,
                            std::uint64_t b);
-  /// Up to 64 ops in one bitsliced pass (arith/bitsliced.hpp), used by
-  /// Backend::kBitsliced batches; null when no slice kernel exists.
-  void (*slice)(const ApimConfig&, std::span<const OpPair> ops,
-                std::span<UnitOutcome> out);
   // -- Protection spec (ApimDevice::protect_result) ------------------------
   unsigned (*out_bits)(unsigned n);
   /// The operand pair the residue identity checks the result against.
@@ -122,9 +108,6 @@ constexpr OpKernel kKernels[] = {
        return unit(arith::inmemory_multiply(a, b, c.word_bits, c.approx,
                                             c.energy));
      },
-     // Multiplier trees are per-lane heterogeneous, so a slice would only
-     // loop over fast_multiply: kBitsliced runs the word model per op.
-     .slice = nullptr,
      .out_bits = [](unsigned n) { return 2 * n; },
      .residue_operands = operands_as_given,
      .exact = [](const ApimConfig& c) { return c.approx.is_exact(); },
@@ -145,13 +128,6 @@ constexpr OpKernel kKernels[] = {
                        : arith::inmemory_relaxed_add(a, b, n, relax,
                                                      c.energy));
      },
-     .slice = [](const ApimConfig& c, std::span<const OpPair> ops,
-                 std::span<UnitOutcome> out) {
-       slice_into<arith::AddOutcome>(out, [&](auto lanes) {
-         arith::bitsliced_add_slice(ops, c.word_bits, adder_relax(c),
-                                    c.energy, lanes);
-       });
-     },
      .out_bits = [](unsigned n) { return n + 1; },
      .residue_operands = operands_as_given,
      .exact = [](const ApimConfig& c) { return adder_relax(c) == 0; },
@@ -165,12 +141,6 @@ constexpr OpKernel kKernels[] = {
      },
      .bit_level = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
        return unit(arith::inmemory_compare(a, b, c.word_bits, c.energy));
-     },
-     .slice = [](const ApimConfig& c, std::span<const OpPair> ops,
-                 std::span<UnitOutcome> out) {
-       slice_into<arith::CompareOutcome>(out, [&](auto lanes) {
-         arith::bitsliced_compare_slice(ops, c.word_bits, c.energy, lanes);
-       });
      },
      .out_bits = [](unsigned n) { return n + 1; },
      .residue_operands =
@@ -189,7 +159,6 @@ constexpr OpKernel kKernels[] = {
      .bit_level = [](const ApimConfig& c, std::uint64_t a, std::uint64_t) {
        return unit(arith::inmemory_popcount(a, c.word_bits, c.energy));
      },
-     .slice = nullptr,
      .out_bits = arith::popcount_width_cap,
      .residue_operands =
          [](std::uint64_t a, std::uint64_t, unsigned n) {
@@ -205,20 +174,15 @@ constexpr const OpKernel& kernel(DeviceOp op) {
   return kKernels[static_cast<std::size_t>(op)];
 }
 
-/// One op through the backend's scalar model: the word model, or the
-/// bit-level engine under Backend::kBitLevel.
-UnitOutcome run_one(const OpKernel& k, const ApimConfig& c, std::uint64_t a,
-                      std::uint64_t b) {
-  return c.backend == Backend::kBitLevel ? k.bit_level(c, a, b)
-                                         : k.word(c, a, b);
-}
-
 }  // namespace
 
 template <DeviceOp K>
-std::uint64_t ApimDevice::account(std::uint64_t a, std::uint64_t b,
-                                  const UnitOutcome& r) {
+std::uint64_t ApimDevice::run_op(std::uint64_t a, std::uint64_t b) {
   constexpr const OpKernel& k = kernel(K);
+  // The word model on every backend but kBitLevel, which runs the engine.
+  const UnitOutcome r = config_.backend == Backend::kBitLevel
+                            ? k.bit_level(config_, a, b)
+                            : k.word(config_, a, b);
   // Op index BEFORE the increment: lane assignment and transient-fault
   // draws key off it, and it restarts per device clone, so host-parallel
   // chunking reproduces it for every thread count (apps/parallel.hpp).
@@ -242,11 +206,6 @@ std::uint64_t ApimDevice::account(std::uint64_t a, std::uint64_t b,
 }
 
 template <DeviceOp K>
-std::uint64_t ApimDevice::run_op(std::uint64_t a, std::uint64_t b) {
-  return account<K>(a, b, run_one(kernel(K), config_, a, b));
-}
-
-template <DeviceOp K>
 void ApimDevice::run_batch(std::span<const OpPair> ops,
                            std::span<std::uint64_t> values,
                            std::span<util::Cycles> op_cycles) {
@@ -254,25 +213,10 @@ void ApimDevice::run_batch(std::span<const OpPair> ops,
     throw std::invalid_argument(
         "ApimDevice batch: values and op_cycles must match ops in size");
   }
-  constexpr const OpKernel& k = kernel(K);
-  const bool sliced =
-      k.slice != nullptr && config_.backend == Backend::kBitsliced;
-  std::array<UnitOutcome, arith::kBitsliceLanes> raw;
-  for (std::size_t lo = 0; lo < ops.size(); lo += arith::kBitsliceLanes) {
-    const std::span<const OpPair> chunk =
-        ops.subspan(lo, std::min(arith::kBitsliceLanes, ops.size() - lo));
-    if (sliced) {
-      k.slice(config_, chunk, std::span(raw.data(), chunk.size()));
-    } else {
-      for (std::size_t j = 0; j < chunk.size(); ++j)
-        raw[j] = run_one(k, config_, chunk[j].first, chunk[j].second);
-    }
-    // Replay the scalar accounting per op, in op order.
-    for (std::size_t j = 0; j < chunk.size(); ++j) {
-      const util::Cycles before = stats_.cycles;
-      values[lo + j] = account<K>(chunk[j].first, chunk[j].second, raw[j]);
-      op_cycles[lo + j] = stats_.cycles - before;
-    }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const util::Cycles before = stats_.cycles;
+    values[i] = run_op<K>(ops[i].first, ops[i].second);
+    op_cycles[i] = stats_.cycles - before;
   }
 }
 

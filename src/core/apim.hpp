@@ -36,10 +36,8 @@
 
 namespace apim::core {
 
-/// Keys of the per-op-kind kernel table and the per-op outcome its kernels
-/// report; both are defined in apim.cpp.
+/// Keys of the per-op-kind kernel table, defined in apim.cpp.
 enum class DeviceOp : unsigned char;
-struct UnitOutcome;
 
 class ApimDevice {
  public:
@@ -80,17 +78,12 @@ class ApimDevice {
 
   // -- Batched magnitude operations ----------------------------------------
   //
-  // Semantically identical to calling the scalar op once per pair in order:
-  // op indices, fault draws, residue checks, retry ladders and every stats
-  // field replay per op, so values, cycles and energy are bit-identical to
-  // the scalar loop for EVERY backend. Under Backend::kBitsliced the raw
-  // per-op outcomes of adds and compares come from 64-lane bitsliced
-  // slices instead of per-op word models — same numbers (multiply and
-  // popcount have no slice kernel and run the word model per op). `values[i]`
-  // receives op i's result; `op_cycles[i]` the device-cycle delta charged
-  // for op i (including protection and retries). Both spans must match
-  // `ops` in size, or the call throws std::invalid_argument before any op
-  // runs.
+  // The scalar op once per pair, in order, through the same kernel on every
+  // backend: op indices, fault draws, residue checks, retry ladders and
+  // every stats field are those of the scalar loop. `values[i]` receives
+  // op i's result; `op_cycles[i]` the device-cycle delta charged for op i
+  // (including protection and retries). Both spans must match `ops` in
+  // size, or the call throws std::invalid_argument before any op runs.
   void mul_magnitude_batch(
       std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
       std::span<std::uint64_t> values, std::span<util::Cycles> op_cycles);
@@ -234,16 +227,14 @@ class ApimDevice {
                                              double exec_energy,
                                              bool has_residue);
 
-  /// The per-op accounting step every entry point shares: op index, op
-  /// counter, stats, protection and result decode, as table row K of
-  /// apim.cpp specifies them.
-  template <DeviceOp K>
-  [[nodiscard]] std::uint64_t account(std::uint64_t a, std::uint64_t b,
-                                      const UnitOutcome& r);
-  /// One scalar op of kind K: one direct word-model (or engine) call.
+  /// The one per-op step every entry point shares: the kernel call (word
+  /// model, or the engine under Backend::kBitLevel), op index, op counter,
+  /// stats, protection and result decode, as table row K of apim.cpp
+  /// specifies them.
   template <DeviceOp K>
   [[nodiscard]] std::uint64_t run_op(std::uint64_t a, std::uint64_t b);
-  /// The one batch loop behind the four *_magnitude_batch entry points.
+  /// The one batch loop behind the four *_magnitude_batch entry points:
+  /// run_op per op, in op order, recording each op's cycle delta.
   template <DeviceOp K>
   void run_batch(std::span<const std::pair<std::uint64_t, std::uint64_t>> ops,
                  std::span<std::uint64_t> values,

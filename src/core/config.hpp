@@ -19,14 +19,9 @@ enum class Backend {
   /// cells. Orders of magnitude slower on the host; use for audits and
   /// small workloads.
   kBitLevel,
-  /// Bitsliced batch tier (arith/bitsliced.hpp): homogeneous batches run
-  /// in 64-lane bit-plane slices, values/cycles/energy bit-identical to
-  /// kFast (which is itself bit-identical to the engine). Engages on the
-  /// device's *_magnitude_batch entry points, which serve::execute_batch
-  /// drives, for the op kinds whose kernel-table row has a slice kernel
-  /// (add, cmp; mul and popcount have none and run the word model per op).
-  /// Scalar ops fall back to the word models, so results never depend on
-  /// call granularity.
+  /// The same kernels as kFast, on every entry point. Kept only because
+  /// the end-to-end benchmark selects it by name; it retires with the
+  /// slice shims of arith/bitsliced.hpp.
   kBitsliced,
 };
 

@@ -1,21 +1,21 @@
-// Cross-backend equivalence gate for the bitsliced (tier-3) batch tier.
+// Cross-backend equivalence gate for the batch paths and the slice shims.
 //
-// The contract under test (arith/bitsliced.hpp): for every lane of a
-// homogeneous slice, the bitsliced evaluator produces values, cycle counts
-// AND energy doubles that are bit-identical (operator==) to the scalar
-// word-level models — which are themselves property-tested against the
-// bit-level MAGIC engine (tests/arith_equivalence_test.cpp). The gate
-// closes the triangle three ways:
+// The contract under test (arith/bitsliced.hpp): every lane of a slice
+// call produces values, cycle counts AND energy doubles that are
+// bit-identical (operator==) to the scalar word-level models — which are
+// themselves property-tested against the bit-level MAGIC engine
+// (tests/arith_equivalence_test.cpp). The slice functions are per-lane
+// word-model loops, so the third leg holds by construction; it stays until
+// the shims retire. The gate closes the triangle three ways:
 //
 //   bit-level engine  ==  word models   (values/cycles exact, energy to
 //                                        summation-order tolerance)
-//   word models       ==  bitsliced     (everything exact, incl. energy)
+//   word models       ==  slice shims   (everything exact, incl. energy)
 //
 // plus the carry-out boundary contract at widths 63/64, and the batch
-// paths built on the slices: the served executor (serve::execute_batch)
-// across host tiers, degenerate shapes and thread counts, and every device
-// batch entry point against its scalar loop under every backend and
-// reliability policy.
+// paths: the served executor (serve::execute_batch) across backends,
+// degenerate shapes and thread counts, and every device batch entry point
+// against its scalar loop under every backend and reliability policy.
 #include <gtest/gtest.h>
 
 #include <array>

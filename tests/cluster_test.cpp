@@ -10,6 +10,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -278,6 +279,32 @@ TEST(ClusterServe, SeedDeterminism) {
   const ClusterOutcome a = run_cluster_scenario(skewed_scenario(6));
   const ClusterOutcome b = run_cluster_scenario(skewed_scenario(6));
   EXPECT_EQ(cluster_harness::diff_cluster_outcomes(a, b), "");
+}
+
+/// One run per Cluster instance: the chips' clocks and counters would
+/// carry over into a second run and skew every response, so run_trace
+/// refuses it in every build type and leaves the first run's state as is.
+TEST(ClusterServe, SecondRunTraceThrows) {
+  ClusterScenario cs = skewed_scenario(8);
+  cs.cluster.chips = 2;
+  serve::QosTable table;
+  for (const serve_harness::TenantSpec& t : cs.tenants) {
+    table.set(t.name, serve::QosTableEntry{t.relax_bits, 0.0, true, false});
+    cs.cluster.server.tenant_weights[t.name] = t.weight;
+  }
+  cluster::Cluster cl(cs.cluster, std::move(table));
+  serve_harness::Scenario src;
+  src.seed = cs.seed;
+  src.tenants = cs.tenants;
+  const std::vector<serve::Request> trace = serve_harness::merged_trace(src);
+  ASSERT_EQ(cl.run_trace(trace).size(), trace.size());
+  const cluster::ClusterSnapshot first = cl.snapshot();
+
+  EXPECT_THROW((void)cl.run_trace(trace), std::logic_error);
+  const cluster::ClusterSnapshot after = cl.snapshot();
+  EXPECT_EQ(after.requests, first.requests);
+  EXPECT_EQ(after.total_ops, first.total_ops);
+  EXPECT_EQ(after.placement, first.placement);
 }
 
 /// Hot-shard migration races the in-flight work of the shard it moves:

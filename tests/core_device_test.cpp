@@ -244,5 +244,36 @@ TEST(ApimDevice, ScalarWordOpsMakeNoHeapAllocations) {
   EXPECT_NE(sink, 0u);
 }
 
+// The batch entry points serve::execute_batch drives on every dispatch are
+// the scalar step in a loop: no per-batch buffer, on either word backend.
+TEST(ApimDevice, BatchOpsMakeNoHeapAllocations) {
+  util::Xoshiro256 rng(72);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops(64);
+  for (auto& [a, b] : ops) {
+    a = rng.next() & 0xFFFFFFFFu;
+    b = rng.next() & 0xFFFFFFFFu;
+  }
+  std::vector<std::uint64_t> values(ops.size());
+  std::vector<util::Cycles> cycles(ops.size());
+  for (const Backend backend : {Backend::kFast, Backend::kBitsliced}) {
+    for (const unsigned relax : {0u, 20u}) {
+      ApimConfig cfg;
+      cfg.backend = backend;
+      cfg.approx = arith::ApproxConfig{0, relax};
+      ApimDevice dev{cfg};
+      ASSERT_TRUE(dev.config().reliability.passive());
+      EXPECT_EQ(allocations_in([&] {
+                  dev.mul_magnitude_batch(ops, values, cycles);
+                  dev.add_magnitude_batch(ops, values, cycles);
+                  dev.cmp_magnitude_batch(ops, values, cycles);
+                  dev.popcnt_magnitude_batch(ops, values, cycles);
+                }),
+                0u)
+          << "backend " << static_cast<int>(backend) << " relax " << relax;
+      EXPECT_EQ(dev.stats().multiplies, 2 * ops.size());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace apim::core

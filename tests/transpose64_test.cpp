@@ -1,8 +1,8 @@
 // Direct unit tests for arith::transpose64, the 64x64 bit-matrix
-// transpose underneath the bitsliced batch backend. The slice kernels are
-// covered end to end by bitsliced_equivalence_test; these tests pin the
-// transpose itself: the defining bit property, self-inverse round trips,
-// ragged (<64-lane) inputs, and single-bit planes.
+// transpose the end-to-end benchmark still times (no device path uses it;
+// it retires with the slice shims of arith/bitsliced.hpp). These tests pin
+// the transpose itself: the defining bit property, self-inverse round
+// trips, ragged (<64-lane) inputs, and single-bit planes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,8 +44,8 @@ TEST(Transpose64, RoundTripIsIdentity) {
   }
 }
 
-// Ragged slices: only the first `lanes` rows carry data (how the batch
-// backend pads a short tail). The transposed planes must confine their
+// Ragged slices: only the first `lanes` rows carry data (a short tail
+// padded with zero rows). The transposed planes must confine their
 // bits to the low `lanes` positions, and the round trip must hold.
 TEST(Transpose64, RaggedLaneCounts) {
   apim::util::Xoshiro256 rng(0x4a99ed);
