@@ -66,7 +66,6 @@ ServerConfig make_server_config(bool batched) {
   cfg.queue_capacity = 4096;
   cfg.batch_window = batched ? 2000 : 0;
   cfg.dispatch_cycles = 64;
-  cfg.slo_p99_cycles = kSloP99Cycles;
   return cfg;
 }
 

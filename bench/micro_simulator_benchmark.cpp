@@ -20,7 +20,6 @@
 #include "serve/executor.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -94,12 +93,10 @@ void BM_FastPopcount(benchmark::State& state) {
 }
 BENCHMARK(BM_FastPopcount);
 
-// Host-side scaling of the served batch executor (serve::execute_batch)
-// over the thread pool: one 10k-multiply dispatch on a 256-lane stream.
-// Arg = thread count. The products/cycles/energy are bit-identical across
-// all Args and both host tiers (tests/parallel_exec_test.cpp asserts
-// this); only wall-clock time changes. On a >= 4-core host Arg(4) should
-// run >= 2x faster than Arg(1).
+// Host cost of the served batch executor (serve::execute_batch): one
+// 10k-multiply dispatch on a 256-lane stream. The executor runs serially,
+// and the products/cycles/energy are bit-identical on both host tiers
+// (tests/parallel_exec_test.cpp asserts this).
 void run_multiply_batch10k(benchmark::State& state, core::Backend backend) {
   constexpr std::size_t kBatch = 10000;
   util::Xoshiro256 rng(6);
@@ -112,28 +109,26 @@ void run_multiply_batch10k(benchmark::State& state, core::Backend backend) {
   core::ApimConfig base;
   base.backend = backend;
   const serve::BatchKey key;  // Exact width-32 multiplies.
-  util::set_thread_count(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(serve::execute_batch(std::span(&member, 1), key,
                                                   /*lanes=*/256, base));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBatch));
-  util::set_thread_count(0);  // Restore the default for later benchmarks.
 }
 
 void BM_FastMultiplyBatch10k(benchmark::State& state) {
   run_multiply_batch10k(state, core::Backend::kFast);
 }
-BENCHMARK(BM_FastMultiplyBatch10k)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_FastMultiplyBatch10k);
 
 // The same 10k batch through Backend::kBitsliced, which runs the same
 // kernels as kFast, so items_per_second should match
-// BM_FastMultiplyBatch10k's at the same Arg.
+// BM_FastMultiplyBatch10k's.
 void BM_BitslicedMultiplyBatch10k(benchmark::State& state) {
   run_multiply_batch10k(state, core::Backend::kBitsliced);
 }
-BENCHMARK(BM_BitslicedMultiplyBatch10k)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_BitslicedMultiplyBatch10k);
 
 // The add slice shim: 64 width-32 fast_add calls, so its per-item time is
 // the word add's.

@@ -17,24 +17,20 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAPIM_SANITIZE=thread
 
-# The serving engine runs on its caller's thread in every driving mode
-# (there is no threaded driver); its only host concurrency is
-# execute_batch's pool inside a dispatch. serve_test's Serve* suites
-# drive it at threads {1,2,7} (ServeDeterminism), also under a
-# reliability policy.
-# serve_fairness_test's Serve* suites (DRR unit tests, randomized
-# conservation, thread-count invariance) run here; its heavy
-# FairShareContention suite stays outside the regex below on purpose.
-# serve_health_test's Serve* suites (health monitor, scrub, chaos with
-# mid-serve kills) exercise execute_batch's pool under relocation.
-# cluster_test's Cluster* suites drive N servers' dispatch pools from the
-# cluster event loop, including the thread-count invariance test.
-# analytics_test's AnalyticsDifferential suites sweep host threads {1,2,7}
-# over operator waves, hammering execute_batch's parallel_for.
-# The direct multi-chunk, multi-thread tests of serve::execute_batch are
-# parallel_exec_test's ParallelDeterminism, DegenerateInputs and Batch
-# suites and bitsliced_equivalence_test's ExecutorBackends and
-# BitslicedDegenerate suites (kFast vs kBitsliced, ragged tails).
+# The thread pool's users are apps::parallel_map and arith/vector_unit
+# (parallel_exec_test, vector_unit_test, apps_test, util_test). The
+# serving engine, its batch executor included, runs on its caller's
+# thread, so the serving, cluster and analytics suites below have no host
+# concurrency of their own; they stay in the gate so that a change which
+# adds some (such as stepping cluster chips in parallel) is raced at once.
+# serve_test's ServeDeterminism, serve_fairness_test's and
+# serve_health_test's Serve* suites, cluster_test's Cluster* suites and
+# analytics_test's AnalyticsDifferential suites sweep host threads
+# {1,2,7}; serve_fairness_test's heavy FairShareContention suite stays
+# outside the regex below on purpose. parallel_exec_test's
+# ParallelDeterminism, DegenerateInputs and Batch suites and
+# bitsliced_equivalence_test's ExecutorBackends and BitslicedDegenerate
+# suites run serve::execute_batch across its 64-op device boundaries.
 TARGETS=(parallel_exec_test bitsliced_equivalence_test vector_unit_test
   util_test apps_test serve_test serve_fairness_test serve_health_test
   cluster_test analytics_test)

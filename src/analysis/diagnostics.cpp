@@ -40,11 +40,6 @@ const char* to_string(Severity s) noexcept {
   return "?";
 }
 
-void Report::merge(const Report& other) {
-  diagnostics_.insert(diagnostics_.end(), other.diagnostics_.begin(),
-                      other.diagnostics_.end());
-}
-
 std::size_t Report::count(Severity s) const noexcept {
   std::size_t n = 0;
   for (const Diagnostic& d : diagnostics_)

@@ -31,7 +31,6 @@ struct Diagnostic {
 class Report {
  public:
   void add(Diagnostic d) { diagnostics_.push_back(std::move(d)); }
-  void merge(const Report& other);
 
   [[nodiscard]] const std::vector<Diagnostic>& diagnostics() const noexcept {
     return diagnostics_;

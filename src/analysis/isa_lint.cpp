@@ -319,11 +319,16 @@ class Linter {
       for (std::uint8_t r : use.reads) {
         if (r == 0 || (in[i] >> r) & 1u || (flagged >> r) & 1u) continue;
         flagged |= 1u << r;
-        diag(Severity::kError, "use-before-def", i,
-             "r" + std::to_string(r) + " is read before it is written on "
-             "some path (it silently holds the power-on zero)",
-             "initialize it first, e.g. `load r" + std::to_string(r) +
-             ", #0`");
+        std::string reg = "r";
+        reg += std::to_string(r);
+        std::string message = reg;
+        message += " is read before it is written on some path (it "
+                   "silently holds the power-on zero)";
+        std::string hint = "initialize it first, e.g. `load ";
+        hint += reg;
+        hint += ", #0`";
+        diag(Severity::kError, "use-before-def", i, std::move(message),
+             std::move(hint));
       }
       // A write to r0 is dropped by the register file — almost always a
       // typo for another register.

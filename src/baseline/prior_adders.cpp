@@ -47,15 +47,6 @@ util::Cycles PcAdder::multi_add_cycles(std::size_t operands,
   return static_cast<util::Cycles>(operands - 1) * add_cycles(n);
 }
 
-double PcAdder::multi_add_energy_pj(std::size_t operands, unsigned n,
-                                    const device::EnergyModel& em) {
-  const util::Cycles talati = TalatiAdder::multi_add_cycles(operands, n);
-  if (talati == 0) return 0.0;
-  const double ratio = static_cast<double>(multi_add_cycles(operands, n)) /
-                       static_cast<double>(talati);
-  return TalatiAdder::multi_add_energy_pj(operands, n, em) * ratio;
-}
-
 std::size_t PcAdder::controller_transistors(std::size_t arrays,
                                             std::size_t rows,
                                             std::size_t cols) {

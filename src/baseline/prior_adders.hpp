@@ -56,11 +56,6 @@ class PcAdder {
   [[nodiscard]] static util::Cycles multi_add_cycles(std::size_t operands,
                                                      unsigned n) noexcept;
 
-  /// Energy: scaled from the Talati energy by the latency ratio (CRS
-  /// switching is comparable per event; fewer events per add).
-  [[nodiscard]] static double multi_add_energy_pj(
-      std::size_t operands, unsigned n, const device::EnergyModel& em);
-
   /// Area proxy: transistors spent on controllers. The PC-Adder needs one
   /// decoder pair per array (paper Section 4.2: "multiple arrays each
   /// having different wordline and bitline controllers").

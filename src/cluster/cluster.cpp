@@ -20,20 +20,34 @@ std::uint64_t payload_bits(std::size_t ops, unsigned width) {
   return static_cast<std::uint64_t>(ops) * 2u * width;
 }
 
-}  // namespace
-
-ClusterConfig ClusterConfig::from_chip(const core::ApimChip& chip,
-                                       std::size_t chips) {
-  ClusterConfig cfg;
-  cfg.chips = chips == 0 ? 1 : chips;
-  cfg.server = serve::ServerConfig::from_chip(chip);
-  cfg.interconnect = InterconnectConfig::from_chip(chip);
+/// Checked in every build type: an empty cluster, or an override or
+/// fault schedule that names a shard or chip the cluster does not have,
+/// would otherwise be clamped or dropped and the run served silently.
+ClusterConfig validated(ClusterConfig cfg) {
+  if (cfg.chips == 0)
+    throw std::invalid_argument("Cluster: chips must be >= 1");
+  if (cfg.shards == 0)
+    throw std::invalid_argument("Cluster: shards must be >= 1");
+  for (const auto& [shard, chip] : cfg.placement_overrides) {
+    if (shard >= cfg.shards || chip >= cfg.chips) {
+      throw std::invalid_argument(
+          "Cluster: placement override names a shard or chip out of range");
+    }
+  }
+  for (const auto& entry : cfg.chip_fault_schedules) {
+    if (entry.first >= cfg.chips) {
+      throw std::invalid_argument(
+          "Cluster: chip fault schedule names a chip out of range");
+    }
+  }
   return cfg;
 }
 
+}  // namespace
+
 struct Cluster::Impl {
   Impl(ClusterConfig c, serve::QosTable t)
-      : cfg(normalize(std::move(c))),
+      : cfg(validated(std::move(c))),
         table(std::move(t)),
         placement(cfg.shards, cfg.chips, cfg.seed, cfg.placement_overrides),
         rebalancer(cfg.shards, cfg.rebalance) {
@@ -59,12 +73,6 @@ struct Cluster::Impl {
       sc.trace_chip = static_cast<std::int32_t>(chip);
       servers.push_back(std::make_unique<serve::Server>(sc, table));
     }
-  }
-
-  static ClusterConfig normalize(ClusterConfig c) {
-    if (c.chips == 0) c.chips = 1;
-    if (c.shards == 0) c.shards = 1;
-    return c;
   }
 
   // -- Per-request routing record ------------------------------------------
@@ -474,16 +482,6 @@ ClusterSnapshot Cluster::snapshot() const {
   s.placement = im.placement.assignment();
   s.shard_load = im.rebalancer.load();
   return s;
-}
-
-const ClusterConfig& Cluster::config() const noexcept { return impl_->cfg; }
-
-const Placement& Cluster::placement() const noexcept {
-  return impl_->placement;
-}
-
-std::size_t Cluster::shard_of(const std::string& app) const {
-  return Placement::shard_of(app, impl_->cfg.shards);
 }
 
 }  // namespace apim::cluster

@@ -36,9 +36,9 @@
 //
 // Determinism contract: placement, routing and migration are pure
 // functions of the trace, the config and the seed, computed in virtual
-// time. Host threads only parallelize arithmetic inside each chip's
-// dispatches, so responses and every snapshot field are bit-identical for
-// any host thread count — the same discipline as serve::Server.
+// time, and every chip's server runs on the coordinator's thread, so
+// responses and every snapshot field are bit-identical for any host
+// thread count — the same discipline as serve::Server.
 #pragma once
 
 #include <cstddef>
@@ -93,11 +93,6 @@ struct ClusterConfig {
   /// legs) and every chip's server (chip = i events). nullptr disables
   /// tracing with zero behavior change.
   serve::trace::EventLog* trace = nullptr;
-
-  /// Cluster of N full chips: per-chip serving resources from the chip
-  /// model, interconnect beat width from its off-chip link.
-  [[nodiscard]] static ClusterConfig from_chip(const core::ApimChip& chip,
-                                               std::size_t chips);
 };
 
 /// A chip-local serve::Response plus the routing that wrapped it. `resp`
@@ -164,6 +159,11 @@ struct ClusterSnapshot {
 
 class Cluster {
  public:
+  /// Throws std::invalid_argument, in every build type, when `chips` or
+  /// `shards` is zero, a placement override names a shard or chip out of
+  /// range, a chip fault schedule names a chip out of range, or the
+  /// rebalancer's `ewma_alpha` lies outside (0, 1]; and whatever
+  /// serve::Server throws for `server`.
   explicit Cluster(ClusterConfig config, serve::QosTable table = {});
   ~Cluster();
 
@@ -178,14 +178,6 @@ class Cluster {
   std::vector<ClusterResponse> run_trace(std::vector<serve::Request> trace);
 
   [[nodiscard]] ClusterSnapshot snapshot() const;
-
-  [[nodiscard]] const ClusterConfig& config() const noexcept;
-
-  /// Live shard -> chip assignment (initial until run_trace migrates).
-  [[nodiscard]] const Placement& placement() const noexcept;
-
-  /// The shard a tenant hashes to under this cluster's shard count.
-  [[nodiscard]] std::size_t shard_of(const std::string& app) const;
 
  private:
   struct Impl;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 
 namespace apim::cluster {
 
@@ -11,7 +12,8 @@ Rebalancer::Rebalancer(std::size_t shards, RebalanceConfig config)
       ewma_(shards, 0.0),
       window_(shards, 0),
       cooldown_(shards, 0) {
-  assert(cfg_.ewma_alpha > 0.0 && cfg_.ewma_alpha <= 1.0);
+  if (!(cfg_.ewma_alpha > 0.0 && cfg_.ewma_alpha <= 1.0))
+    throw std::invalid_argument("Rebalancer: ewma_alpha must be in (0, 1]");
 }
 
 void Rebalancer::note_admitted(std::size_t shard, std::size_t ops) {

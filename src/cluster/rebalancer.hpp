@@ -60,6 +60,8 @@ struct MigrationDecision {
 
 class Rebalancer {
  public:
+  /// Throws std::invalid_argument, in every build type, when
+  /// `config.ewma_alpha` lies outside (0, 1].
   Rebalancer(std::size_t shards, RebalanceConfig config);
 
   /// Called by the router for every admitted request.

@@ -5,12 +5,6 @@
 
 namespace apim::cluster {
 
-InterconnectConfig InterconnectConfig::from_chip(const core::ApimChip& chip) {
-  InterconnectConfig cfg;
-  cfg.link_bits = chip.off_chip_link_bits();
-  return cfg;
-}
-
 namespace {
 
 /// Smallest side length whose square grid holds `chips` nodes.

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "core/chip.hpp"
 #include "util/units.hpp"
 
 namespace apim::cluster {
@@ -35,16 +34,15 @@ struct InterconnectConfig {
   /// Switch/router traversal latency charged per hop.
   util::Cycles hop_latency_cycles = 24;
   /// Link width in bits: one serialization beat moves this many bits.
+  /// The default is one crossbar row of the default chip
+  /// (core::ChipGeometry::cols): the paper's block-to-block interconnect
+  /// (Figure 3(a)) moves a full row per hop inside a tile, and the
+  /// chip-to-chip link keeps that beat width.
   std::size_t link_bits = 128;
   /// Energy per bit per hop (SerDes + wire). Order-of-magnitude typical
   /// for short-reach chip-to-chip links; dwarfs the sub-pJ MAGIC ops, so
   /// staying on the home chip matters.
   double pj_per_bit_hop = 2.0;
-
-  /// Defaults derived from a chip: the off-chip beat carries one crossbar
-  /// row, matching the intra-tile interconnect generalized off chip.
-  [[nodiscard]] static InterconnectConfig from_chip(
-      const core::ApimChip& chip);
 };
 
 /// Hop count between chips `a` and `b` (0 when equal) among `chips` nodes.

@@ -29,14 +29,6 @@ std::size_t ApimChip::lanes_per_stream() const noexcept {
   return geometry_.active_tiles_per_bank;
 }
 
-std::size_t ApimChip::fault_domains() const noexcept {
-  return command_streams();
-}
-
-std::size_t ApimChip::off_chip_link_bits() const noexcept {
-  return geometry_.cols;
-}
-
 bool ApimChip::fits(double dataset_bytes) const noexcept {
   return dataset_bytes <= capacity_bytes();
 }

@@ -54,24 +54,14 @@ class ApimChip {
   /// time, which is why the serving runtime coalesces same-shaped
   /// requests — a coalesced batch shares a single broadcast, while
   /// differently-shaped requests queue for separate streams (src/serve/).
+  /// A bank fails as a unit (its controller, decoders and shared drive
+  /// circuitry), so each stream is also one health fault domain
+  /// (serve/health.hpp).
   [[nodiscard]] std::size_t command_streams() const noexcept;
 
   /// Lanes one command stream drives: the active tiles of its bank. The
   /// upper bound on useful batch width per dispatch.
   [[nodiscard]] std::size_t lanes_per_stream() const noexcept;
-
-  /// Health-trackable fault domains: a bank fails (controller, decoder,
-  /// shared drivers) as a unit, so the serving runtime's health monitor
-  /// tracks one domain per command stream (serve/health.hpp).
-  [[nodiscard]] std::size_t fault_domains() const noexcept;
-
-  /// Off-chip link width in bits: what one inter-chip transfer beat can
-  /// carry. The paper's block-to-block interconnect (Figure 3(a)) moves a
-  /// full row of `cols` bits per hop inside a tile; the chip-to-chip
-  /// generalization keeps that beat width, so a cluster interconnect
-  /// (src/cluster/topology.hpp) charges ceil(bits / off_chip_link_bits())
-  /// serialization beats per hop.
-  [[nodiscard]] std::size_t off_chip_link_bits() const noexcept;
 
   /// Whether a dataset fits in the data blocks.
   [[nodiscard]] bool fits(double dataset_bytes) const noexcept;

@@ -23,8 +23,6 @@ double from_q16(std::int64_t raw) {
                           kFuncFormat);
 }
 
-std::int64_t apim_abs(std::int64_t a) noexcept { return a < 0 ? -a : a; }
-
 std::int64_t apim_reciprocal_q16(ApimDevice& device, std::int64_t x,
                                  int iterations) {
   if (x == 0) return std::int64_t{1} << 31;  // Saturate: +infinity proxy.

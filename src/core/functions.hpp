@@ -36,9 +36,6 @@ inline constexpr util::FixedPointFormat kFuncFormat{16, 16};
                                                std::int64_t x,
                                                int iterations = 5);
 
-/// |a| via the device's sign-magnitude representation (free).
-[[nodiscard]] std::int64_t apim_abs(std::int64_t a) noexcept;
-
 /// Euclidean norm approximation sqrt(a^2 + b^2) — the gradient-magnitude
 /// operation of the edge detectors, composed from the primitives above.
 [[nodiscard]] std::int64_t apim_hypot_q16(ApimDevice& device, std::int64_t a,

@@ -19,8 +19,14 @@ struct CellAddr {
 
 /// Debug formatting ("b2[r5,c17]").
 [[nodiscard]] inline std::string to_string(const CellAddr& a) {
-  return "b" + std::to_string(a.block) + "[r" + std::to_string(a.row) + ",c" +
-         std::to_string(a.col) + "]";
+  std::string s = "b";
+  s += std::to_string(a.block);
+  s += "[r";
+  s += std::to_string(a.row);
+  s += ",c";
+  s += std::to_string(a.col);
+  s += ']';
+  return s;
 }
 
 }  // namespace apim::crossbar

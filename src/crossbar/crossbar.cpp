@@ -65,11 +65,6 @@ Interconnect& BlockedCrossbar::interconnect(std::size_t i) {
   return interconnects_[i];
 }
 
-const Interconnect& BlockedCrossbar::interconnect(std::size_t i) const {
-  assert(i < interconnects_.size());
-  return interconnects_[i];
-}
-
 void BlockedCrossbar::check_addr(const CellAddr& addr) const {
   (void)addr;  // Release builds compile the asserts away.
   assert(addr.block < blocks_.size());

@@ -45,7 +45,6 @@ class BlockedCrossbar {
 
   /// Interconnect between block `i` and block `i + 1`.
   [[nodiscard]] Interconnect& interconnect(std::size_t i);
-  [[nodiscard]] const Interconnect& interconnect(std::size_t i) const;
 
   [[nodiscard]] SenseAmp& sense_amps() noexcept { return sense_amps_; }
   [[nodiscard]] const SenseAmp& sense_amps() const noexcept {

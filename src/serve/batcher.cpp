@@ -83,14 +83,6 @@ std::vector<ClosedBatch> DynamicBatcher::close_due(util::Cycles now) {
   return closed;
 }
 
-std::vector<ClosedBatch> DynamicBatcher::close_all(util::Cycles now) {
-  std::vector<ClosedBatch> closed;
-  for (auto& [key, open] : open_)
-    closed.push_back(seal(key, std::move(open), now));
-  open_.clear();
-  return closed;
-}
-
 std::optional<util::Cycles> DynamicBatcher::next_close() const {
   std::optional<util::Cycles> earliest;
   for (const auto& [key, open] : open_)

@@ -85,9 +85,6 @@ class DynamicBatcher {
   /// deterministic (close time, key) order.
   [[nodiscard]] std::vector<ClosedBatch> close_due(util::Cycles now);
 
-  /// Close everything regardless of window (drain on shutdown).
-  [[nodiscard]] std::vector<ClosedBatch> close_all(util::Cycles now);
-
   /// Earliest pending window expiry, or nullopt when no batch is open.
   [[nodiscard]] std::optional<util::Cycles> next_close() const;
 

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "util/bitops.hpp"
-#include "util/thread_pool.hpp"
 
 namespace apim::serve {
 
@@ -19,6 +18,17 @@ core::ApimConfig shape_config(const BatchKey& key,
   return cfg;
 }
 
+std::uint64_t run_op(core::ApimDevice& device, OpKind op, std::uint64_t a,
+                     std::uint64_t b) {
+  switch (op) {
+    case OpKind::kMultiply: return device.mul_magnitude(a, b);
+    case OpKind::kVectorAdd: return device.add_magnitude(a, b);
+    case OpKind::kCompare: return device.cmp_magnitude(a, b);
+    case OpKind::kPopcount: return device.popcnt_magnitude(a);
+  }
+  return 0;
+}
+
 }  // namespace
 
 BatchExecution execute_batch(
@@ -29,78 +39,50 @@ BatchExecution execute_batch(
   BatchExecution out;
   out.values.resize(members.size());
 
-  // Flatten member ops into one index space so chunk boundaries depend
-  // only on the total op count.
   std::size_t total_ops = 0;
   for (const auto& ops : members) total_ops += ops.size();
   if (total_ops == 0) return out;
 
-  // Clamp to the shape's word width up front, exactly as
+  // Clamp to the shape's word width, exactly as
   // ApimDevice::clamp_magnitude does in direct device use.
   const std::uint64_t cap = util::mask_n(key.width);
   const auto clamp = [cap](std::uint64_t v) { return v > cap ? cap : v; };
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> flat;
-  flat.reserve(total_ops);
-  for (const auto& ops : members)
-    for (const auto& [a, b] : ops) flat.emplace_back(clamp(a), clamp(b));
-
   const core::ApimConfig cfg = shape_config(key, base);
-  const std::size_t chunks = (total_ops + kExecutorGrain - 1) / kExecutorGrain;
 
-  std::vector<std::uint64_t> per_op_value(total_ops);
-  std::vector<util::Cycles> per_op_cycles(total_ops);
-  std::vector<core::ExecStats> chunk_stats(chunks);
-
-  util::ThreadPool::global().parallel_for(
-      0, total_ops, kExecutorGrain, [&](std::size_t lo, std::size_t hi) {
-        // Private clone per chunk: the op index (lane assignment, transient
-        // fault draws) restarts at the chunk boundary, which depends only
-        // on the op count — identical for every thread count.
-        core::ApimDevice worker{cfg};
-        const auto ops = std::span(flat).subspan(lo, hi - lo);
-        const auto vals = std::span(per_op_value).subspan(lo, hi - lo);
-        const auto cycles = std::span(per_op_cycles).subspan(lo, hi - lo);
-        switch (key.op) {
-          case OpKind::kMultiply:
-            worker.mul_magnitude_batch(ops, vals, cycles);
-            break;
-          case OpKind::kVectorAdd:
-            worker.add_magnitude_batch(ops, vals, cycles);
-            break;
-          case OpKind::kCompare:
-            worker.cmp_magnitude_batch(ops, vals, cycles);
-            break;
-          case OpKind::kPopcount:
-            worker.popcnt_magnitude_batch(ops, vals, cycles);
-            break;
-        }
-        chunk_stats[lo / kExecutorGrain] = worker.stats();
-      });
-
-  for (const core::ExecStats& s : chunk_stats) out.stats.merge(s);
-
-  // Serial merge in op order: distribute values back to members and
-  // account latency per the op kind's parallelism model.
   // Adder-pass shapes (add/compare/popcount) are row-parallel: one lane,
   // shared serial pass. Only multiplies spread over the stream's lanes.
-  out.lanes_used =
-      key.op == OpKind::kMultiply ? std::min(lanes, total_ops) : 1;
+  const bool multiply = key.op == OpKind::kMultiply;
+  out.lanes_used = multiply ? std::min(lanes, total_ops) : 1;
   std::vector<util::Cycles> lane_cycles(out.lanes_used, 0);
+
+  // A fresh device every kExecutorGrain ops: the op index (lane
+  // assignment, transient fault draws) restarts at each boundary, which
+  // depends only on the op count.
+  core::ApimDevice device{cfg};
   std::size_t op = 0;
   for (std::size_t m = 0; m < members.size(); ++m) {
     out.values[m].reserve(members[m].size());
-    for (std::size_t j = 0; j < members[m].size(); ++j, ++op) {
-      out.values[m].push_back(per_op_value[op]);
-      if (key.op != OpKind::kMultiply) {
+    for (const auto& [a, b] : members[m]) {
+      if (op > 0 && op % kExecutorGrain == 0) {
+        out.stats.merge(device.stats());
+        device = core::ApimDevice{cfg};
+      }
+      const util::Cycles before = device.stats().cycles;
+      out.values[m].push_back(run_op(device, key.op, clamp(a), clamp(b)));
+      const util::Cycles cycles = device.stats().cycles - before;
+      if (multiply) {
+        lane_cycles[op % out.lanes_used] += cycles;
+      } else {
         // Row-parallel: every op shares the pass; the slowest op (retry
         // ladders can lengthen one) bounds the batch.
-        lane_cycles[0] = std::max(lane_cycles[0], per_op_cycles[op]);
-      } else {
-        lane_cycles[op % out.lanes_used] += per_op_cycles[op];
+        lane_cycles[0] = std::max(lane_cycles[0], cycles);
       }
-      out.total_lane_cycles += per_op_cycles[op];
+      out.total_lane_cycles += cycles;
+      ++op;
     }
   }
+  out.stats.merge(device.stats());
+
   out.makespan = *std::max_element(lane_cycles.begin(), lane_cycles.end());
   out.energy_pj = out.stats.energy_ops_pj +
                   static_cast<double>(out.stats.cycles) *

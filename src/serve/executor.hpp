@@ -1,13 +1,12 @@
 // Batch executor: run one coalesced dispatch through the device models.
 //
-// Every op of the batch executes on an ApimDevice clone configured with
-// the batch shape (width, relax, reliability policy), so approximation
-// error, residue checks, retry ladders and fault injection behave exactly
-// as in direct device use. Host execution follows the repo's determinism
-// contract (util/thread_pool.hpp): ops are chunked with a fixed grain,
-// each chunk runs on a private device clone, and per-op results merge
-// serially in index order — values, cycles and energy are bit-identical
-// for every host thread count.
+// Every op of the batch executes on an ApimDevice configured with the
+// batch shape (width, relax, reliability policy), so approximation error,
+// residue checks, retry ladders and fault injection behave exactly as in
+// direct device use. One serial pass walks the ops in member order and
+// starts a fresh device every kExecutorGrain ops, so op indices and fault
+// draws depend only on the op count — values, cycles and energy are
+// bit-identical for every host thread count.
 //
 // This is the simulator's one lane-makespan model. Latency semantics per
 // op kind:
@@ -30,7 +29,7 @@
 
 namespace apim::serve {
 
-/// Op indices per host-pool chunk (fixed, never thread-count derived).
+/// Ops per device: the op index restarts every kExecutorGrain ops.
 inline constexpr std::size_t kExecutorGrain = 64;
 
 struct BatchExecution {

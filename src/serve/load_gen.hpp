@@ -3,9 +3,8 @@
 // Open loop: a Poisson arrival process at a configured offered rate —
 // requests arrive on the simulated clock whether or not the server keeps
 // up, which is what exposes the throughput-latency curve (and queueing
-// collapse past saturation). Closed loop is driven by the server itself
-// (Server::run_closed_loop): each virtual client submits its next request
-// only when the previous one completes.
+// collapse past saturation). Code that paces requests on completions (the
+// analytics waves) stages them through Server::stage_request instead.
 //
 // Everything derives from an explicit seed through util::Xoshiro256, so a
 // trace is bit-identical across runs, platforms and host thread counts.

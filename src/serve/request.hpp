@@ -75,8 +75,8 @@ struct Request {
   /// the host-exact golden results on completion; a miss escalates the
   /// app to exact mode when the server is configured to.
   quality::QosSpec qos = quality::QosSpec::numeric();
-  /// Simulated arrival time (open-loop traces set this; the closed-loop
-  /// driver stamps it).
+  /// Simulated arrival time, set by whoever builds the request (a trace
+  /// generator or a stepping loop).
   util::Cycles arrival = 0;
   /// Relative deadline in cycles from arrival; 0 = none. A request not
   /// DISPATCHED by arrival + deadline expires without executing.

@@ -61,9 +61,7 @@ SchedulerConfig scheduler_config(const ServerConfig& cfg) {
   SchedulerConfig s;
   s.fair_share = cfg.fair_share;
   s.streams = cfg.streams;
-  s.quantum_ops =
-      cfg.drr_quantum_ops != 0 ? cfg.drr_quantum_ops : cfg.batch_op_budget();
-  s.default_weight = cfg.default_tenant_weight;
+  s.quantum_ops = cfg.batch_op_budget();
   s.weights = cfg.tenant_weights;
   if (cfg.health.enabled) {
     s.weights[health::kScrubTenant] =
@@ -86,10 +84,10 @@ struct PendingReq {
   Response resp;
 };
 
-/// The deterministic virtual-time scheduler shared by every driving mode.
-/// Single-threaded by design: host parallelism lives INSIDE dispatches
-/// (serve/executor.hpp), which keeps the event order — and therefore every
-/// timestamp and metric — independent of the host worker count.
+/// The deterministic virtual-time scheduler shared by both driving modes.
+/// Single-threaded by design, dispatches included (serve/executor.hpp), so
+/// the event order — and therefore every timestamp and metric — is
+/// independent of the host worker count.
 ///
 /// Fault domains: each stream is one health fault domain. With the health
 /// layer OFF and no fault schedule the engine is bit-identical to the
@@ -142,10 +140,6 @@ class Engine {
       m.health = cfg_.health.enabled;
     }
   }
-
-  /// Called once per request as it finalizes. It may stage new requests:
-  /// the request table is a deque, so the PendingReq& stays valid.
-  std::function<void(PendingReq&)> on_finalize;
 
   [[nodiscard]] util::Cycles now() const noexcept { return now_; }
 
@@ -444,7 +438,6 @@ class Engine {
       case RequestStatus::kPending: break;  // Unreachable.
     }
     finished_.push_back(p.id);
-    if (on_finalize) on_finalize(p);
   }
 
   void join_batcher(PendingReq& p) {
@@ -758,9 +751,7 @@ class Engine {
     std::size_t expired_ops = 0;
     for (const std::uint64_t id : batch.members) {
       PendingReq& p = at(id);
-      const util::Cycles deadline =
-          p.req.deadline != 0 ? p.req.deadline : cfg_.default_deadline;
-      if (deadline != 0 && now_ > p.req.arrival + deadline) {
+      if (p.req.deadline != 0 && now_ > p.req.arrival + p.req.deadline) {
         expired_ops += p.req.operands.size();
         finalize(p, RequestStatus::kExpired, now_);
       } else {
@@ -969,8 +960,8 @@ class Engine {
   std::size_t scrub_cursor_ = 0;
   core::ApimConfig scratch_device_{};  ///< device_for() staging copy.
 
-  /// Every staged request, indexed by id. A deque, so references survive
-  /// on_finalize staging new requests mid-step.
+  /// Every staged request, indexed by id. A deque: growth never moves a
+  /// PendingReq, so staging does not relocate the records before it.
   std::deque<PendingReq> reqs_;
   /// (arrival, id) min-heap: earliest arrival first, id tie-break.
   std::priority_queue<std::pair<util::Cycles, std::uint64_t>,
@@ -1035,43 +1026,6 @@ std::vector<Response> Server::run_trace(std::vector<Request> trace) {
   return responses;
 }
 
-std::vector<Response> Server::run_closed_loop(
-    std::size_t clients, std::size_t requests_per_client,
-    util::Cycles think_cycles,
-    const std::function<Request(std::size_t, std::size_t)>& make_request) {
-  Engine& engine = impl_->engine;
-  const std::uint64_t first = engine.next_id();
-  /// (client, index within the client) of each request this call staged.
-  std::vector<std::pair<std::size_t, std::size_t>> owner;
-  owner.reserve(clients * requests_per_client);
-
-  const auto submit_for = [&](std::size_t client, std::size_t index,
-                              util::Cycles arrival) {
-    Request next = make_request(client, index);
-    next.arrival = arrival;
-    engine.stage(std::move(next));
-    owner.emplace_back(client, index);
-  };
-
-  engine.on_finalize = [&](PendingReq& p) {
-    if (p.id < first) return;  // Staged earlier through stage_request.
-    const auto [client, index] = owner[p.id - first];
-    if (index + 1 < requests_per_client)
-      submit_for(client, index + 1, p.resp.completion + think_cycles);
-  };
-  for (std::size_t c = 0; c < clients; ++c)
-    submit_for(c, 0, engine.now());
-  engine.run_to_completion();
-  engine.on_finalize = nullptr;
-  engine.release_finished();
-
-  std::vector<Response> responses;
-  responses.reserve(owner.size());
-  for (std::uint64_t id = first; id < engine.next_id(); ++id)
-    responses.push_back(std::move(engine.at(id).resp));
-  return responses;
-}
-
 std::uint64_t Server::stage_request(Request request) {
   return impl_->engine.stage(std::move(request));
 }
@@ -1105,8 +1059,6 @@ std::size_t Server::serving_domain_count() const {
 }
 
 MetricsSnapshot Server::snapshot() const { return impl_->metrics.snapshot(); }
-
-const ServerConfig& Server::config() const noexcept { return impl_->cfg; }
 
 const QosTable& Server::qos_table() const noexcept { return impl_->table; }
 

@@ -6,10 +6,9 @@
 // chip: `streams` controller command streams (one broadcast schedule at a
 // time each, core/chip.hpp) with `lanes_per_stream` lanes behind each.
 // Scheduling runs in VIRTUAL time (simulated MAGIC cycles) as a
-// discrete-event model; host threads (util::ThreadPool) only accelerate
-// the arithmetic inside each dispatch, so served values, timestamps and
-// metrics are bit-identical for every host worker count — the same
-// determinism discipline as apps::parallel_map.
+// discrete-event model on the caller's thread, and each dispatch executes
+// serially (serve/executor.hpp), so served values, timestamps and metrics
+// are bit-identical for every host worker count.
 //
 // Request lifecycle:
 //   arrival -> admission (reject or block at capacity)
@@ -21,9 +20,8 @@
 //     -> completion; QoS check vs host-exact golden
 //     -> on miss: escalate app to exact, re-execute once
 //
-// Three driving modes share the engine, all in virtual time:
+// Two driving modes share the engine, both in virtual time:
 //  * run_trace        — deterministic open-loop replay of a seeded trace;
-//  * run_closed_loop  — N virtual clients, next request on completion;
 //  * stage_request/step_until — event-by-event stepping for coordinators
 //    (the cluster, analytics waves).
 // The engine holds one record per staged request. A finalized request's
@@ -33,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -82,27 +79,16 @@ struct ServerConfig {
   /// operand staging). This is what batching amortizes.
   util::Cycles dispatch_cycles = 64;
 
-  /// Deadline applied to requests that carry none; 0 = unbounded.
-  util::Cycles default_deadline = 0;
-
   /// Fair-share dispatch (serve/scheduler.hpp): drain closed batches with
   /// a per-tenant deficit round-robin and weighted stream allocation
   /// instead of the legacy global FIFO in batch-close order. With one
   /// tenant (or equal weights and no contention) the schedules coincide;
   /// under contention DRR serves tenants' ops in weight proportion.
   bool fair_share = true;
-  /// Scheduling weight per app; unlisted apps get `default_tenant_weight`
-  /// (zero clamps to one). Weights set both the DRR quantum scale and the
-  /// concurrent-stream share.
+  /// Scheduling weight per app; unlisted apps weigh 1 (zero clamps to
+  /// one). Weights set both the DRR quantum scale — batch_op_budget() ops
+  /// per weight unit per ring visit — and the concurrent-stream share.
   std::map<std::string, std::uint32_t> tenant_weights;
-  std::uint32_t default_tenant_weight = 1;
-  /// DRR quantum in ops credited per ring visit (scaled by the tenant's
-  /// weight); 0 means batch_op_budget() — one full dispatch per visit.
-  std::size_t drr_quantum_ops = 0;
-
-  /// Latency SLO for reporting: target p99 in simulated cycles (0 = none).
-  /// The scheduler does not gate on it; MetricsSnapshot::slo_met checks it.
-  double slo_p99_cycles = 0.0;
 
   /// Re-execute a request exactly (and pin its app to exact) when its
   /// completed result misses its QoS spec.
@@ -160,16 +146,6 @@ class Server {
   /// of the engine.
   std::vector<Response> run_trace(std::vector<Request> trace);
 
-  /// Closed-loop drive: `clients` virtual clients each submit
-  /// `requests_per_client` requests, the next one `think_cycles` after the
-  /// previous completes. `make_request(client, index)` supplies each
-  /// request (arrival is overwritten by the engine). Deterministic.
-  /// Responses come back in staging order, moved out of the engine.
-  std::vector<Response> run_closed_loop(
-      std::size_t clients, std::size_t requests_per_client,
-      util::Cycles think_cycles,
-      const std::function<Request(std::size_t, std::size_t)>& make_request);
-
   // -- Incremental stepping (cluster coordination) -------------------------
   //
   // A coordinator that interleaves several virtual-time servers (one per
@@ -197,16 +173,16 @@ class Server {
   [[nodiscard]] util::Cycles virtual_now() const;
 
   /// Response of a request staged with stage_request; meaningful once it
-  /// finalized (status != kPending). run_trace and run_closed_loop move
-  /// their responses out, so this does not cover their requests.
+  /// finalized (status != kPending). run_trace moves its responses out,
+  /// so this does not cover its requests.
   [[nodiscard]] const Response& response(std::uint64_t id) const;
 
   /// Free the operands of every request finalized so far; their responses
-  /// stay readable. run_trace and run_closed_loop do this before they
-  /// return. A stepping driver calls it between waves (analytics::Runner);
-  /// the cluster does not, because freeing its chips' operands mid-run
-  /// interleaves the freed holes with the responses it copies out at the
-  /// end, and its chips are destroyed with it.
+  /// stay readable. run_trace does this before it returns. The analytics
+  /// runner calls it between waves; the cluster does not, because freeing
+  /// its chips' operands mid-run interleaves the freed holes with the
+  /// responses it copies out at the end, and its chips are destroyed with
+  /// it.
   void release_finished();
 
   /// Streams currently in service: with the health layer on, the count of
@@ -218,8 +194,6 @@ class Server {
 
   /// Metrics snapshot, taken between driver calls or steps.
   [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  [[nodiscard]] const ServerConfig& config() const noexcept;
 
   /// The QoS table, including runtime escalations.
   [[nodiscard]] const QosTable& qos_table() const noexcept;

@@ -1,9 +1,11 @@
 #include "serve/trace.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 
 namespace apim::serve::trace {
 
@@ -81,16 +83,36 @@ bool next_token(std::string_view& rest, Token* out) {
   return true;
 }
 
-std::uint64_t parse_u64(std::string_view v) {
-  return std::strtoull(std::string(v).c_str(), nullptr, 10);
+/// Scan all of `v` into `*out`: the whole token must be a decimal number
+/// that fits T, with a '-' sign only for signed T. A bool reads as any
+/// unsigned number, nonzero for true.
+template <class T>
+bool scan(std::string_view v, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    std::uint64_t x = 0;
+    if (!scan(v, &x)) return false;
+    *out = x != 0;
+    return true;
+  } else {
+    T x{};
+    const char* const end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, x);
+    if (ec != std::errc{} || ptr != end) return false;
+    *out = x;
+    return true;
+  }
 }
 
-std::int64_t parse_i64(std::string_view v) {
-  return std::strtoll(std::string(v).c_str(), nullptr, 10);
-}
-
-double parse_double(std::string_view v) {
-  return std::strtod(std::string(v).c_str(), nullptr);
+/// Scan a comma-separated list of request ids; no item may be empty.
+bool scan_members(std::string_view v, std::vector<std::uint64_t>* out) {
+  for (;;) {
+    const std::size_t comma = v.find(',');
+    std::uint64_t id = 0;
+    if (!scan(v.substr(0, comma), &id)) return false;
+    out->push_back(id);
+    if (comma == std::string_view::npos) return true;
+    v.remove_prefix(comma + 1);
+  }
 }
 
 }  // namespace
@@ -186,6 +208,14 @@ bool EventLog::parse(const std::string& text, EventLog* out,
     }
     return false;
   };
+  auto bad_value = [&](const Token& t) {
+    std::string what = "bad value '";
+    what += t.value;
+    what += "' for key '";
+    what += t.key;
+    what += '\'';
+    return fail(what);
+  };
   if (!std::getline(is, line)) return fail("empty document");
   ++line_no;
   if (line != "apim-trace v1") return fail("bad header (want 'apim-trace v1')");
@@ -198,39 +228,37 @@ bool EventLog::parse(const std::string& text, EventLog* out,
     if (tok.key == "meta") {
       Meta& m = out->meta;
       while (next_token(rest, &tok)) {
-        if (tok.key == "streams") m.streams = parse_u64(tok.value);
-        else if (tok.key == "lanes") m.lanes = parse_u64(tok.value);
-        else if (tok.key == "queue_capacity")
-          m.queue_capacity = parse_u64(tok.value);
-        else if (tok.key == "fair_share")
-          m.fair_share = parse_u64(tok.value) != 0;
-        else if (tok.key == "quantum") m.quantum_ops = parse_u64(tok.value);
-        else if (tok.key == "default_weight")
-          m.default_weight = parse_u64(tok.value);
-        else if (tok.key == "health") m.health = parse_u64(tok.value) != 0;
-        else if (tok.key == "chips") m.chips = parse_u64(tok.value);
-        else if (tok.key == "shards") m.shards = parse_u64(tok.value);
-        else if (tok.key == "topology")
-          m.topology = static_cast<std::uint8_t>(parse_u64(tok.value));
-        else if (tok.key == "hop_latency")
-          m.hop_latency_cycles = parse_u64(tok.value);
-        else if (tok.key == "link_bits") m.link_bits = parse_u64(tok.value);
-        else if (tok.key == "pj_per_bit_hop")
-          m.pj_per_bit_hop = parse_double(tok.value);
-        else if (tok.key == "shard_bits") m.shard_bits = parse_u64(tok.value);
-        else if (tok.key == "overflowed")
-          out->overflowed_ = parse_u64(tok.value) != 0;
+        const std::string_view v = tok.value;
+        bool ok = true;
+        if (tok.key == "streams") ok = scan(v, &m.streams);
+        else if (tok.key == "lanes") ok = scan(v, &m.lanes);
+        else if (tok.key == "queue_capacity") ok = scan(v, &m.queue_capacity);
+        else if (tok.key == "fair_share") ok = scan(v, &m.fair_share);
+        else if (tok.key == "quantum") ok = scan(v, &m.quantum_ops);
+        else if (tok.key == "default_weight") ok = scan(v, &m.default_weight);
+        else if (tok.key == "health") ok = scan(v, &m.health);
+        else if (tok.key == "chips") ok = scan(v, &m.chips);
+        else if (tok.key == "shards") ok = scan(v, &m.shards);
+        else if (tok.key == "topology") ok = scan(v, &m.topology);
+        else if (tok.key == "hop_latency") ok = scan(v, &m.hop_latency_cycles);
+        else if (tok.key == "link_bits") ok = scan(v, &m.link_bits);
+        else if (tok.key == "pj_per_bit_hop") ok = scan(v, &m.pj_per_bit_hop);
+        else if (tok.key == "shard_bits") ok = scan(v, &m.shard_bits);
+        else if (tok.key == "overflowed") ok = scan(v, &out->overflowed_);
         else
           return fail("unknown meta key '" + std::string(tok.key) + "'");
+        if (!ok) return bad_value(tok);
       }
     } else if (tok.key == "weight") {
       std::string app;
       std::uint64_t w = 0;
       while (next_token(rest, &tok)) {
         if (tok.key == "app") app = std::string(tok.value);
-        else if (tok.key == "w") w = parse_u64(tok.value);
-        else
+        else if (tok.key == "w") {
+          if (!scan(tok.value, &w)) return bad_value(tok);
+        } else {
           return fail("unknown weight key '" + std::string(tok.key) + "'");
+        }
       }
       if (app.empty()) return fail("weight record without app");
       out->meta.weights[app] = w;
@@ -238,61 +266,48 @@ bool EventLog::parse(const std::string& text, EventLog* out,
       Event e;
       bool have_kind = false;
       while (next_token(rest, &tok)) {
+        const std::string_view v = tok.value;
+        bool ok = true;
         if (tok.key == "k") {
-          if (!kind_from_string(std::string(tok.value), &e.kind))
-            return fail("unknown event kind '" + std::string(tok.value) + "'");
+          if (!kind_from_string(std::string(v), &e.kind))
+            return fail("unknown event kind '" + std::string(v) + "'");
           have_kind = true;
-        } else if (tok.key == "t") e.at = parse_u64(tok.value);
-        else if (tok.key == "chip")
-          e.chip = static_cast<std::int32_t>(parse_i64(tok.value));
-        else if (tok.key == "req") e.req = parse_i64(tok.value);
-        else if (tok.key == "app") e.app = std::string(tok.value);
-        else if (tok.key == "domain") e.domain = parse_i64(tok.value);
-        else if (tok.key == "op")
-          e.op = static_cast<std::uint8_t>(parse_u64(tok.value));
-        else if (tok.key == "width")
-          e.width = static_cast<unsigned>(parse_u64(tok.value));
-        else if (tok.key == "relax")
-          e.relax = static_cast<unsigned>(parse_u64(tok.value));
-        else if (tok.key == "policy")
-          e.policy = static_cast<std::uint8_t>(parse_u64(tok.value));
-        else if (tok.key == "ops") e.ops = parse_u64(tok.value);
-        else if (tok.key == "members") {
-          std::string_view v = tok.value;
-          while (!v.empty()) {
-            const std::size_t comma = v.find(',');
-            const std::string_view item =
-                comma == std::string_view::npos ? v : v.substr(0, comma);
-            e.members.push_back(parse_u64(item));
-            v.remove_prefix(comma == std::string_view::npos ? v.size()
-                                                            : comma + 1);
-          }
-        } else if (tok.key == "amount") e.amount = parse_u64(tok.value);
-        else if (tok.key == "deficit") e.deficit_after = parse_u64(tok.value);
-        else if (tok.key == "idle") e.idle_reset = parse_u64(tok.value) != 0;
-        else if (tok.key == "depth") e.queue_depth = parse_u64(tok.value);
-        else if (tok.key == "cap") e.capacity = parse_u64(tok.value);
-        else if (tok.key == "state_from")
-          e.state_from = static_cast<std::uint8_t>(parse_u64(tok.value));
-        else if (tok.key == "state_to")
-          e.state_to = static_cast<std::uint8_t>(parse_u64(tok.value));
-        else if (tok.key == "dead") e.dead = parse_u64(tok.value) != 0;
-        else if (tok.key == "clean") e.clean = parse_u64(tok.value) != 0;
-        else if (tok.key == "offline") e.offline = parse_u64(tok.value) != 0;
-        else if (tok.key == "stuck") e.stuck = parse_u64(tok.value);
-        else if (tok.key == "repaired") e.repaired = parse_u64(tok.value);
-        else if (tok.key == "det") e.detections = parse_u64(tok.value);
-        else if (tok.key == "esc") e.escalations = parse_u64(tok.value);
-        else if (tok.key == "scrub") e.scrub = parse_u64(tok.value) != 0;
-        else if (tok.key == "from") e.from = parse_i64(tok.value);
-        else if (tok.key == "to") e.to = parse_i64(tok.value);
-        else if (tok.key == "hops") e.hops = parse_u64(tok.value);
-        else if (tok.key == "bits") e.bits = parse_u64(tok.value);
-        else if (tok.key == "cycles") e.cycles = parse_u64(tok.value);
-        else if (tok.key == "pj") e.energy_pj = parse_double(tok.value);
-        else if (tok.key == "shard") e.shard = parse_i64(tok.value);
+        } else if (tok.key == "t") ok = scan(v, &e.at);
+        else if (tok.key == "chip") ok = scan(v, &e.chip);
+        else if (tok.key == "req") ok = scan(v, &e.req);
+        else if (tok.key == "app") e.app = std::string(v);
+        else if (tok.key == "domain") ok = scan(v, &e.domain);
+        else if (tok.key == "op") ok = scan(v, &e.op);
+        else if (tok.key == "width") ok = scan(v, &e.width);
+        else if (tok.key == "relax") ok = scan(v, &e.relax);
+        else if (tok.key == "policy") ok = scan(v, &e.policy);
+        else if (tok.key == "ops") ok = scan(v, &e.ops);
+        else if (tok.key == "members") ok = scan_members(v, &e.members);
+        else if (tok.key == "amount") ok = scan(v, &e.amount);
+        else if (tok.key == "deficit") ok = scan(v, &e.deficit_after);
+        else if (tok.key == "idle") ok = scan(v, &e.idle_reset);
+        else if (tok.key == "depth") ok = scan(v, &e.queue_depth);
+        else if (tok.key == "cap") ok = scan(v, &e.capacity);
+        else if (tok.key == "state_from") ok = scan(v, &e.state_from);
+        else if (tok.key == "state_to") ok = scan(v, &e.state_to);
+        else if (tok.key == "dead") ok = scan(v, &e.dead);
+        else if (tok.key == "clean") ok = scan(v, &e.clean);
+        else if (tok.key == "offline") ok = scan(v, &e.offline);
+        else if (tok.key == "stuck") ok = scan(v, &e.stuck);
+        else if (tok.key == "repaired") ok = scan(v, &e.repaired);
+        else if (tok.key == "det") ok = scan(v, &e.detections);
+        else if (tok.key == "esc") ok = scan(v, &e.escalations);
+        else if (tok.key == "scrub") ok = scan(v, &e.scrub);
+        else if (tok.key == "from") ok = scan(v, &e.from);
+        else if (tok.key == "to") ok = scan(v, &e.to);
+        else if (tok.key == "hops") ok = scan(v, &e.hops);
+        else if (tok.key == "bits") ok = scan(v, &e.bits);
+        else if (tok.key == "cycles") ok = scan(v, &e.cycles);
+        else if (tok.key == "pj") ok = scan(v, &e.energy_pj);
+        else if (tok.key == "shard") ok = scan(v, &e.shard);
         else
           return fail("unknown event key '" + std::string(tok.key) + "'");
+        if (!ok) return bad_value(tok);
       }
       if (!have_kind) return fail("event record without kind");
       out->events_.push_back(std::move(e));

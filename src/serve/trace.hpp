@@ -12,8 +12,8 @@
 // Tracing is strictly observational: with `trace == nullptr` (the default)
 // no event is constructed and every run is bit-identical to an untraced one.
 // The log is not synchronized; attach it only to the deterministic
-// virtual-time entry points (`run_trace`, `run_closed_loop`, the stepping
-// API), where all emissions happen on one thread.
+// virtual-time entry points (`run_trace`, the stepping API), where all
+// emissions happen on one thread.
 #pragma once
 
 #include <cstddef>
@@ -162,7 +162,10 @@ class EventLog {
   /// Doubles print with enough digits to round-trip bit-exactly.
   [[nodiscard]] std::string serialize() const;
   /// Inverse of serialize(). Returns false and sets `*error` on a malformed
-  /// document; `*out` is cleared first.
+  /// document; `*out` is cleared first. Every number must be the whole
+  /// token, carry no sign on an unsigned field and fit its field; a
+  /// `members` list has no empty items. A bad number reports
+  /// "line N: bad value 'V' for key 'K'".
   static bool parse(const std::string& text, EventLog* out,
                     std::string* error);
 

@@ -81,11 +81,4 @@ double Xoshiro256::next_gaussian() noexcept {
   return radius * std::cos(angle);
 }
 
-std::vector<std::uint64_t> Xoshiro256::take(std::size_t n) {
-  std::vector<std::uint64_t> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(next());
-  return out;
-}
-
 }  // namespace apim::util

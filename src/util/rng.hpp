@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace apim::util {
 
@@ -38,9 +37,6 @@ class Xoshiro256 {
 
   /// Standard normal via Box-Muller (deterministic; caches the second value).
   double next_gaussian() noexcept;
-
-  /// Vector of `n` raw values, convenient for workload generators.
-  std::vector<std::uint64_t> take(std::size_t n);
 
   // UniformRandomBitGenerator interface so the generator also plugs into
   // <algorithm> shuffles when needed.

@@ -1,6 +1,8 @@
 // Fixed-size host thread pool for the embarrassingly-parallel hot paths of
-// the simulator (batched multiplies, row-parallel vector adds, per-element
-// application kernels).
+// the simulator: per-element application kernels (apps::parallel_map) and
+// the row-parallel vector adds (arith/vector_unit.hpp). The serving
+// runtime does not use it; its batch executor runs serially
+// (serve/executor.hpp).
 //
 // APIM's modeled concurrency (tiles/lanes running MAGIC schedules at once)
 // is independent of host concurrency: the pool only changes how fast the

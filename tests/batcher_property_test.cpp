@@ -3,6 +3,7 @@
 // the pending-request count stays conserved, sealed batches respect the
 // op budget (oversized requests ship alone), members keep admission
 // order, and every batch is shape-homogeneous.
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -99,9 +100,13 @@ TEST(BatcherProperty, RandomInterleavingsConserveRequests) {
           << "seed " << seed << " step " << step;
     }
 
-    // Drain: afterwards every offered request was sealed exactly once.
-    for (const ClosedBatch& b : batcher.close_all(now))
-      check_batch(b, max_ops, now, admitted, sealed_ids);
+    // Drain by advancing to each pending close time, as the engine does:
+    // afterwards every offered request was sealed exactly once.
+    while (const auto next = batcher.next_close()) {
+      now = std::max(now, *next);
+      for (const ClosedBatch& b : batcher.close_due(now))
+        check_batch(b, max_ops, now, admitted, sealed_ids);
+    }
     EXPECT_EQ(batcher.pending_requests(), 0u) << "seed " << seed;
     EXPECT_FALSE(batcher.next_close().has_value()) << "seed " << seed;
     EXPECT_EQ(sealed_ids.size(), admitted.size()) << "seed " << seed;

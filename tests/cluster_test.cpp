@@ -252,6 +252,48 @@ TEST(ClusterServe, RejectsZeroSizedServerConfig) {
   EXPECT_THROW(cluster::Cluster(cfg, {}), std::invalid_argument);
 }
 
+/// Settings that used to be clamped, dropped or only asserted — a Release
+/// build served every request with no diagnostic — are refused at
+/// construction in every build type.
+TEST(ClusterServe, RejectsInvalidClusterConfig) {
+  const auto with = [](auto set) {
+    cluster::ClusterConfig cfg;
+    cfg.chips = 2;
+    cfg.shards = 8;
+    set(cfg);
+    return cfg;
+  };
+  using Cfg = cluster::ClusterConfig;
+  EXPECT_THROW(cluster::Cluster(with([](Cfg& c) { c.chips = 0; })),
+               std::invalid_argument);
+  EXPECT_THROW(cluster::Cluster(with([](Cfg& c) { c.shards = 0; })),
+               std::invalid_argument);
+  EXPECT_THROW(cluster::Cluster(with([](Cfg& c) {
+                 c.placement_overrides[8] = 0;  // Shard out of range.
+               })),
+               std::invalid_argument);
+  EXPECT_THROW(cluster::Cluster(with([](Cfg& c) {
+                 c.placement_overrides[0] = 2;  // Chip out of range.
+               })),
+               std::invalid_argument);
+  EXPECT_THROW(cluster::Cluster(with([](Cfg& c) {
+                 c.chip_fault_schedules[2] = {};  // Chip out of range.
+               })),
+               std::invalid_argument);
+  EXPECT_THROW(
+      cluster::Cluster(with([](Cfg& c) { c.rebalance.ewma_alpha = 0.0; })),
+      std::invalid_argument);
+  EXPECT_THROW(
+      cluster::Cluster(with([](Cfg& c) { c.rebalance.ewma_alpha = 1.5; })),
+      std::invalid_argument);
+  // The edges of the valid ranges still construct.
+  EXPECT_NO_THROW(cluster::Cluster(with([](Cfg& c) {
+    c.placement_overrides[7] = 1;
+    c.chip_fault_schedules[1] = {};
+    c.rebalance.ewma_alpha = 1.0;
+  })));
+}
+
 // -- Multi-chip serving ------------------------------------------------------
 
 /// A skewed multi-chip scenario that exercises migration: one hot tenant

@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analysis/trace_check.hpp"
 #include "serve_chaos_harness.hpp"
 #include "serve/health.hpp"
+#include "serve/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -19,6 +22,9 @@ namespace {
 using namespace apim;
 using namespace apim::serve_harness;
 namespace health = apim::serve::health;
+using serve::trace::Event;
+using serve::trace::EventKind;
+using serve::trace::EventLog;
 
 struct ThreadCountGuard {
   ~ThreadCountGuard() { util::set_thread_count(0); }
@@ -333,6 +339,232 @@ TEST(ServeChaos, HealthOnWithoutFaultsStaysHealthyAndExact) {
   }
   EXPECT_GT(out.snap.scrub_passes, 0u);  // Preventive scrub still runs.
   EXPECT_EQ(out.snap.scrub_repaired_bits, 0u);
+}
+
+// -- Rare health branches ----------------------------------------------------
+//
+// Each test drives one engine branch that the scenarios above never reach
+// and checks its effect, request conservation and a clean trace.
+
+/// Run `s` with `log` attached as its event stream.
+Outcome run_traced(Scenario s, EventLog& log) {
+  s.server.trace = &log;
+  return run_scenario(s);
+}
+
+/// small_chaos_spec()'s scenario with the health layer on and no injected
+/// faults: the probe runs below locate a scrub pass in its trace.
+Scenario fault_free_health_scenario() {
+  Scenario s = small_chaos_spec().scenario;
+  s.server.health.enabled = true;
+  return s;
+}
+
+health::DomainFaultEvent fault_event(util::Cycles at, std::size_t domain,
+                                     health::DomainFaultEvent::Kind kind) {
+  health::DomainFaultEvent e;
+  e.at = at;
+  e.domain = domain;
+  e.kind = kind;
+  return e;
+}
+
+/// A scrub pass of `domain` sealed or dispatched at cycle `at`.
+struct ScrubAt {
+  util::Cycles at = 0;
+  std::size_t domain = 0;
+};
+
+/// Index of the first event after `from` that is a scrub event of `kind`
+/// on `domain`, or events().size().
+std::size_t next_scrub_event(const EventLog& log, std::size_t from,
+                             EventKind kind, std::int64_t domain) {
+  const std::vector<Event>& ev = log.events();
+  for (std::size_t j = from + 1; j < ev.size(); ++j)
+    if (ev[j].kind == kind && ev[j].scrub && ev[j].domain == domain) return j;
+  return ev.size();
+}
+
+/// The first scrub pass sealed at some cycle t and not yet dispatched at
+/// t + 1: a kill at t + 1 finds it waiting in the scheduler.
+std::optional<ScrubAt> queued_scrub(const EventLog& log) {
+  const std::vector<Event>& ev = log.events();
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    if (ev[i].kind != EventKind::kBatchSeal || !ev[i].scrub) continue;
+    const std::size_t d =
+        next_scrub_event(log, i, EventKind::kDispatch, ev[i].domain);
+    if (d == ev.size() || ev[d].at > ev[i].at + 1)
+      return ScrubAt{ev[i].at, static_cast<std::size_t>(ev[i].domain)};
+  }
+  return std::nullopt;
+}
+
+/// The first scrub pass dispatched at some cycle t and still running at
+/// t + 1: a kill at t + 1 aborts it.
+std::optional<ScrubAt> running_scrub(const EventLog& log) {
+  const std::vector<Event>& ev = log.events();
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    if (ev[i].kind != EventKind::kDispatch || !ev[i].scrub) continue;
+    const std::size_t c =
+        next_scrub_event(log, i, EventKind::kComplete, ev[i].domain);
+    if (c < ev.size() && ev[c].at > ev[i].at + 1)
+      return ScrubAt{ev[i].at, static_cast<std::size_t>(ev[i].domain)};
+  }
+  return std::nullopt;
+}
+
+/// True when some scrub pass of `domain` was dispatched after cycle `at`.
+bool scrub_dispatched_after(const EventLog& log, util::Cycles at,
+                            std::size_t domain) {
+  for (const Event& e : log.events()) {
+    if (e.kind == EventKind::kDispatch && e.scrub && e.at > at &&
+        e.domain == static_cast<std::int64_t>(domain)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ServeChaos, ClearedDomainServesExactAgain) {
+  // Health off: the schedule still fires, so the killed domain serves
+  // corrupt values until the clear restores its fabric.
+  Scenario s = small_chaos_spec().scenario;
+  constexpr util::Cycles kKillAt = 4000;
+  constexpr util::Cycles kClearAt = 12000;
+  using Kind = health::DomainFaultEvent::Kind;
+  s.server.health.fault_schedule = {fault_event(kKillAt, 1, Kind::kKill),
+                                    fault_event(kClearAt, 1, Kind::kClear)};
+  EventLog log;
+  const Outcome out = run_traced(s, log);
+  EXPECT_EQ(check_chaos_conservation(out), "");
+  EXPECT_EQ(analysis::verify_trace(log), "");
+
+  Outcome before;
+  Outcome after;
+  for (std::size_t i = 0; i < out.responses.size(); ++i) {
+    Outcome& side = out.responses[i].dispatch >= kClearAt ? after : before;
+    side.responses.push_back(out.responses[i]);
+    side.trace.push_back(out.trace[i]);
+  }
+  EXPECT_GT(count_corruption(before).corrupted, 0u);  // The kill took.
+  const CorruptionReport rep = count_corruption(after);
+  EXPECT_GT(rep.ok, 0u);
+  EXPECT_EQ(rep.corrupted, 0u);
+}
+
+TEST(ServeChaos, KillAbortsAnInFlightScrub) {
+  const Scenario base = fault_free_health_scenario();
+  EventLog probe;
+  (void)run_traced(base, probe);
+  const std::optional<ScrubAt> scrub = running_scrub(probe);
+  ASSERT_TRUE(scrub.has_value()) << "probe run dispatched no scrub pass";
+
+  Scenario s = base;
+  s.server.health.fault_schedule = {fault_event(
+      scrub->at + 1, scrub->domain, health::DomainFaultEvent::Kind::kKill)};
+  EventLog log;
+  const Outcome out = run_traced(s, log);
+  EXPECT_EQ(check_chaos_conservation(out), "");
+  EXPECT_EQ(analysis::verify_trace(log), "");
+
+  std::size_t scrub_aborts = 0;
+  for (const Event& e : log.events()) {
+    if (e.kind == EventKind::kAbort && e.scrub &&
+        e.domain == static_cast<std::int64_t>(scrub->domain)) {
+      ++scrub_aborts;
+    }
+  }
+  EXPECT_EQ(scrub_aborts, 1u);
+  EXPECT_TRUE(out.snap.domains[scrub->domain].dead);
+}
+
+TEST(ServeChaos, RequestOutOfRelocationBudgetIsRejected) {
+  ChaosSpec spec = small_chaos_spec();
+  spec.scenario.server.health.max_relocations = 0;
+  Scenario s = spec.scenario;
+  s.server.health.enabled = true;
+  s.server.health.fault_schedule = chaos_schedule(spec);
+  EventLog log;
+  const Outcome out = run_traced(s, log);
+  EXPECT_EQ(check_chaos_conservation(out), "");
+  EXPECT_EQ(analysis::verify_trace(log), "");
+
+  EXPECT_GT(out.snap.relocation_rejects, 0u);
+  EXPECT_EQ(out.snap.relocated_requests, 0u);  // No budget to move any.
+  EXPECT_GE(out.snap.rejected, out.snap.relocation_rejects);
+  EXPECT_EQ(count_corruption(out).corrupted, 0u);
+}
+
+TEST(ServeChaos, StrandedEngineDropsAQueuedScrub) {
+  const Scenario base = fault_free_health_scenario();
+  EventLog probe;
+  (void)run_traced(base, probe);
+  const std::optional<ScrubAt> scrub = queued_scrub(probe);
+  ASSERT_TRUE(scrub.has_value()) << "probe run never queued a scrub pass";
+
+  // Every domain dies while the pass waits, so no stream can ever take it.
+  Scenario s = base;
+  s.server.health.repair_interval = 4000;
+  for (std::size_t d = 0; d < s.server.streams; ++d) {
+    s.server.health.fault_schedule.push_back(fault_event(
+        scrub->at + 1, d, health::DomainFaultEvent::Kind::kKill));
+  }
+  EventLog log;
+  const Outcome out = run_traced(s, log);  // Must terminate.
+  EXPECT_EQ(check_chaos_conservation(out), "");
+  EXPECT_EQ(analysis::verify_trace(log), "");
+
+  EXPECT_EQ(out.snap.serving_domains(), 0u);
+  EXPECT_FALSE(scrub_dispatched_after(log, scrub->at, scrub->domain));
+  EXPECT_GT(out.snap.rejected, 0u);
+}
+
+TEST(ServeChaos, StrandedEngineRejectsBlockedArrivals) {
+  Scenario s = small_chaos_spec().scenario;
+  s.server.health.enabled = true;
+  s.server.health.mode = health::DegradeMode::kBlock;
+  s.server.health.repair_interval = 4000;
+  for (std::size_t d = 0; d < s.server.streams; ++d) {
+    s.server.health.fault_schedule.push_back(
+        fault_event(8000, d, health::DomainFaultEvent::Kind::kKill));
+  }
+  EventLog log;
+  const Outcome out = run_traced(s, log);  // Must terminate.
+  EXPECT_EQ(check_chaos_conservation(out), "");
+  EXPECT_EQ(analysis::verify_trace(log), "");
+
+  // Under kBlock nothing is refused at the door, so a request rejected
+  // without ever being admitted was held back as a blocked arrival.
+  std::vector<bool> admitted(out.responses.size(), false);
+  for (const Event& e : log.events())
+    if (e.kind == EventKind::kAdmit) admitted[e.req] = true;
+  std::size_t blocked_rejects = 0;
+  for (const Event& e : log.events())
+    if (e.kind == EventKind::kReject && !admitted[e.req]) ++blocked_rejects;
+  EXPECT_GT(blocked_rejects, 0u);
+  EXPECT_EQ(out.snap.serving_domains(), 0u);
+}
+
+TEST(ServeChaos, QueuedScrubOfALostDomainIsDropped) {
+  const Scenario base = fault_free_health_scenario();
+  EventLog probe;
+  (void)run_traced(base, probe);
+  const std::optional<ScrubAt> scrub = queued_scrub(probe);
+  ASSERT_TRUE(scrub.has_value()) << "probe run never queued a scrub pass";
+
+  // Only the pass's own domain dies; the others keep serving and pick
+  // the pass up, but its target has left service.
+  Scenario s = base;
+  s.server.health.fault_schedule = {fault_event(
+      scrub->at + 1, scrub->domain, health::DomainFaultEvent::Kind::kKill)};
+  EventLog log;
+  const Outcome out = run_traced(s, log);
+  EXPECT_EQ(check_chaos_conservation(out), "");
+  EXPECT_EQ(analysis::verify_trace(log), "");
+
+  EXPECT_FALSE(scrub_dispatched_after(log, scrub->at, scrub->domain));
+  EXPECT_EQ(out.snap.serving_domains(), s.server.streams - 1);
+  EXPECT_EQ(count_corruption(out).corrupted, 0u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Memory tests of the serving engine's request lifecycle. A counting global
-// allocator tracks live and peak heap bytes, so a test can check what a
-// drained Server still holds and how much a run allocates on top of its
-// input. Its own binary: the allocator replaces operator new/delete for
-// the whole executable.
+// Memory tests of the serving engine's request lifecycle and batch
+// executor. A counting global allocator tracks live and peak heap bytes
+// and the number of allocations, so a test can check what a drained Server
+// still holds, how much a run allocates on top of its input, and how many
+// blocks one dispatch allocates. Its own binary: the allocator replaces
+// operator new/delete for the whole executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,9 +11,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "serve/executor.hpp"
 #include "serve/server.hpp"
 #include "util/thread_pool.hpp"
 
@@ -23,6 +26,7 @@ namespace {
 constexpr std::size_t kHeader = alignof(std::max_align_t);
 std::atomic<std::size_t> g_live_bytes{0};
 std::atomic<std::size_t> g_peak_bytes{0};
+std::atomic<std::size_t> g_allocations{0};
 
 }  // namespace
 
@@ -30,6 +34,7 @@ void* operator new(std::size_t size) {
   void* block = std::malloc(size + kHeader);
   if (block == nullptr) throw std::bad_alloc();
   *static_cast<std::size_t*>(block) = size;
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
   const std::size_t live =
       g_live_bytes.fetch_add(size, std::memory_order_relaxed) + size;
   std::size_t peak = g_peak_bytes.load(std::memory_order_relaxed);
@@ -152,6 +157,34 @@ TEST_F(ServeMemory, RunTracePeaksBelowItsInputOperands) {
   EXPECT_LT(peak, kOperandBytes)
       << "run_trace peaked " << peak << " bytes above its input; the "
       << "trace's operands are " << kOperandBytes << " bytes";
+}
+
+TEST_F(ServeMemory, ExecuteBatchAllocatesOnlyItsResults) {
+  // Three members of eight fault-free width-16 multiplies: one dispatch.
+  std::vector<std::vector<Operand>> operands;
+  for (std::size_t m = 0; m < 3; ++m)
+    operands.push_back(make_request(m, 8, 0).operands);
+  std::vector<std::span<const Operand>> members(operands.begin(),
+                                                operands.end());
+  BatchKey key;
+  key.width = 16;
+  const core::ApimConfig base;
+  ASSERT_TRUE(base.reliability.faults.empty());
+
+  const BatchExecution warm = execute_batch(members, key, 64, base);
+  ASSERT_EQ(warm.values.size(), 3u);
+  const std::size_t before = g_allocations.load();
+  const BatchExecution exec = execute_batch(members, key, 64, base);
+  const std::size_t allocations = g_allocations.load() - before;
+  for (std::size_t m = 0; m < 3; ++m) {
+    ASSERT_EQ(exec.values[m].size(), 8u);
+    EXPECT_EQ(exec.values[m], warm.values[m]);
+  }
+
+  // The outer values vector, one vector per member, and the per-lane cycle
+  // sums. An executor that flattens the operands and stages per-op values,
+  // per-op cycles and per-chunk stats before a thread-pool call makes 10.
+  EXPECT_LE(allocations, 5u);
 }
 
 }  // namespace

@@ -485,25 +485,6 @@ TEST(ServeMetrics, SnapshotIsInternallyConsistent) {
   EXPECT_EQ(per_app_completed, s.completed);
 }
 
-// -- Closed loop --------------------------------------------------------------
-
-TEST(ServeClosedLoop, ClientsSelfPaceAndStaySorted) {
-  ServerConfig cfg;
-  cfg.batch_window = 200;
-  Server server(cfg, {});
-  auto responses = server.run_closed_loop(
-      3, 4, /*think_cycles=*/100, [](std::size_t client, std::size_t index) {
-        return make_request("", OpKind::kMultiply, 16,
-                            {{10 * (client + 1), index + 1}});
-      });
-  ASSERT_EQ(responses.size(), 12u);
-  for (const Response& r : responses) {
-    EXPECT_EQ(r.status, RequestStatus::kOk);
-    EXPECT_GE(r.completion, r.arrival);
-  }
-  EXPECT_EQ(server.snapshot().completed, 12u);
-}
-
 // -- Configuration ------------------------------------------------------------
 
 TEST(ServeConfig, RejectsZeroSizesInEveryBuildType) {

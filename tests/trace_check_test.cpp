@@ -544,6 +544,128 @@ TEST(TraceSerialization, ParseRejectsMalformedDocuments) {
                       &error));
   EXPECT_FALSE(EventLog::parse("apim-trace v1\nevent k=admit t=0 zz=1\n",
                                &out, &error));
+
+  // Numbers: the whole token, no sign on an unsigned field, and a value
+  // that fits the field (op, policy, state_from, state_to and topology are
+  // 8-bit, chip is 32-bit). Each of these once parsed silently.
+  const struct {
+    const char* record;
+    const char* error;
+  } bad_numbers[] = {
+      {"event k=admit t=xyz", "line 2: bad value 'xyz' for key 't'"},
+      {"event k=admit t=0 req=12abc",
+       "line 2: bad value '12abc' for key 'req'"},
+      {"event k=admit t=-1", "line 2: bad value '-1' for key 't'"},
+      {"event k=admit t=0 op=300", "line 2: bad value '300' for key 'op'"},
+      {"event k=admit t=0 policy=256",
+       "line 2: bad value '256' for key 'policy'"},
+      {"event k=health t=0 state_from=256",
+       "line 2: bad value '256' for key 'state_from'"},
+      {"event k=health t=0 state_to=-1",
+       "line 2: bad value '-1' for key 'state_to'"},
+      {"event k=admit t=0 chip=4294967296",
+       "line 2: bad value '4294967296' for key 'chip'"},
+      {"event k=admit t=0 width=99999999999",
+       "line 2: bad value '99999999999' for key 'width'"},
+      {"event k=dispatch t=0 members=1,,2",
+       "line 2: bad value '1,,2' for key 'members'"},
+      {"event k=dispatch t=0 members=1,2,",
+       "line 2: bad value '1,2,' for key 'members'"},
+      {"event k=forward t=0 pj=1.5x",
+       "line 2: bad value '1.5x' for key 'pj'"},
+      {"meta streams=abc", "line 2: bad value 'abc' for key 'streams'"},
+      {"meta topology=256", "line 2: bad value '256' for key 'topology'"},
+      {"weight app=a w=+3", "line 2: bad value '+3' for key 'w'"},
+  };
+  for (const auto& c : bad_numbers) {
+    error.clear();
+    EXPECT_FALSE(EventLog::parse(std::string("apim-trace v1\n") + c.record +
+                                     "\n",
+                                 &out, &error))
+        << c.record;
+    EXPECT_EQ(error, c.error) << c.record;
+  }
+}
+
+TEST(TraceSerialization, EveryEventFieldRoundTrips) {
+  EventLog log;
+  Event e;
+  e.kind = EventKind::kDispatch;
+  e.at = 18446744073709551615ull;
+  e.chip = 2147483647;
+  e.req = -9;
+  e.app = "tenant";
+  e.domain = 3;
+  e.op = 255;
+  e.width = 4294967295u;
+  e.relax = 7;
+  e.policy = 3;
+  e.ops = 12;
+  e.members = {0, 5, 18446744073709551615ull};
+  e.amount = 4;
+  e.deficit_after = 5;
+  e.idle_reset = true;
+  e.queue_depth = 6;
+  e.capacity = 7;
+  e.state_from = 1;
+  e.state_to = 2;
+  e.dead = true;
+  e.clean = true;
+  e.offline = true;
+  e.stuck = 8;
+  e.repaired = 9;
+  e.detections = 10;
+  e.escalations = 11;
+  e.scrub = true;
+  e.from = 0;
+  e.to = 1;
+  e.hops = 2;
+  e.bits = 256;
+  e.cycles = 30;
+  e.energy_pj = 0.1;
+  e.shard = 63;
+  log.record(e);
+  const std::string text = log.serialize();
+  EventLog parsed;
+  std::string error;
+  ASSERT_TRUE(EventLog::parse(text, &parsed, &error)) << error;
+  ASSERT_EQ(parsed.events().size(), 1u);
+  const Event& p = parsed.events()[0];
+  EXPECT_EQ(p.kind, e.kind);
+  EXPECT_EQ(p.at, e.at);
+  EXPECT_EQ(p.chip, e.chip);
+  EXPECT_EQ(p.req, e.req);
+  EXPECT_EQ(p.app, e.app);
+  EXPECT_EQ(p.domain, e.domain);
+  EXPECT_EQ(p.op, e.op);
+  EXPECT_EQ(p.width, e.width);
+  EXPECT_EQ(p.relax, e.relax);
+  EXPECT_EQ(p.policy, e.policy);
+  EXPECT_EQ(p.ops, e.ops);
+  EXPECT_EQ(p.members, e.members);
+  EXPECT_EQ(p.amount, e.amount);
+  EXPECT_EQ(p.deficit_after, e.deficit_after);
+  EXPECT_EQ(p.idle_reset, e.idle_reset);
+  EXPECT_EQ(p.queue_depth, e.queue_depth);
+  EXPECT_EQ(p.capacity, e.capacity);
+  EXPECT_EQ(p.state_from, e.state_from);
+  EXPECT_EQ(p.state_to, e.state_to);
+  EXPECT_EQ(p.dead, e.dead);
+  EXPECT_EQ(p.clean, e.clean);
+  EXPECT_EQ(p.offline, e.offline);
+  EXPECT_EQ(p.stuck, e.stuck);
+  EXPECT_EQ(p.repaired, e.repaired);
+  EXPECT_EQ(p.detections, e.detections);
+  EXPECT_EQ(p.escalations, e.escalations);
+  EXPECT_EQ(p.scrub, e.scrub);
+  EXPECT_EQ(p.from, e.from);
+  EXPECT_EQ(p.to, e.to);
+  EXPECT_EQ(p.hops, e.hops);
+  EXPECT_EQ(p.bits, e.bits);
+  EXPECT_EQ(p.cycles, e.cycles);
+  EXPECT_EQ(p.energy_pj, e.energy_pj);
+  EXPECT_EQ(p.shard, e.shard);
+  EXPECT_EQ(parsed.serialize(), text);
 }
 
 }  // namespace
