@@ -12,7 +12,15 @@
 #     implementation-defined and must never feed served results or
 #     metrics. A use that is provably lookup-only may carry a
 #     `determinism-audited: <reason>` comment on the same or the
-#     immediately preceding line to be allowed.
+#     immediately preceding line to be allowed;
+#   * two seeded draws in one statement, such as
+#     `emplace_back(rng.next() & m, rng.next() & m)`: C++ leaves the order
+#     in which arguments and operands are evaluated unspecified (GCC 12
+#     evaluates arguments right to left, Clang left to right), so the
+#     drawn values would depend on the compiler. A draw is a call to
+#     .next(, .next_below(, .next_double(, .next_in(, .next_double_in(,
+#     .next_gaussian( or splitmix64(; statements are split at ';', '{' and
+#     '}'. util/rng.{hpp,cpp}, which defines the draws, is exempt.
 #
 # Matching happens on a //-comment-stripped view of each file so prose may
 # mention the banned names. Exits 1 with file:line diagnostics, 0 clean.
@@ -46,6 +54,28 @@ while IFS= read -r file; do
         }
       }
       END { exit bad }' "$file"; then
+    status=1
+  fi
+
+  # Two draws in one statement, on the comment-stripped text; reported at
+  # the line of the statement's first draw.
+  if [[ "$file" != src/util/rng.?pp ]] && ! sed 's|//.*||' "$file" | awk -v file="$file" '
+      {
+        n = split($0, parts, /[;{}]/)
+        for (i = 1; i <= n; i++) {
+          if (i > 1) draws = 0
+          hits = gsub(/\.next(_below|_double|_in|_double_in|_gaussian)?\(|splitmix64\(/, "", parts[i])
+          if (hits > 0 && draws == 0) first = NR
+          draws += hits
+          if (draws >= 2 && hits > 0 && draws - hits < 2) {
+            printf "%s:%d: error: two seeded draws in one statement " \
+                   "(evaluation order is unspecified; draw into locals)\n",
+                   file, first
+            bad = 1
+          }
+        }
+      }
+      END { exit bad }'; then
     status=1
   fi
 done < <(find src -name '*.hpp' -o -name '*.cpp' | sort)

@@ -14,16 +14,28 @@ TpchTables make_tables(const TpchConfig& cfg) {
   assert(cfg.orders > 0 && cfg.orders < 65536);
   util::Xoshiro256 rng(cfg.seed);
 
+  // Each column is built in place and allocated once (tpch.hpp).
   TpchTables t;
-  Column o_orderkey{"o_orderkey", 16, {}};
-  Column o_custkey{"o_custkey", 8, {}};
-  Column o_status{"o_status", 4, {}};
-  Column l_orderkey{"l_orderkey", 16, {}};
-  Column l_suppkey{"l_suppkey", 8, {}};
-  Column l_quantity{"l_quantity", 6, {}};
-  Column l_price{"l_price", 9, {}};
-  Column l_discount{"l_discount", 4, {}};
-  Column l_shipmode{"l_shipmode", 4, {}};
+  const auto column = [](Table& table, const char* name, unsigned width,
+                         std::size_t rows) -> std::vector<std::uint64_t>& {
+    auto& values = table.columns.emplace_back(Column{name, width, {}}).values;
+    values.reserve(rows);
+    return values;
+  };
+  const std::size_t line_rows =
+      cfg.orders * (cfg.lines_per_order_max + 1) / 2 + 64;
+  // Reserved, so the references below stay valid.
+  t.orders.columns.reserve(3);
+  auto& o_orderkey = column(t.orders, "o_orderkey", 16, cfg.orders);
+  auto& o_custkey = column(t.orders, "o_custkey", 8, cfg.orders);
+  auto& o_status = column(t.orders, "o_status", 4, cfg.orders);
+  t.lineitem.columns.reserve(6);
+  auto& l_orderkey = column(t.lineitem, "l_orderkey", 16, line_rows);
+  auto& l_suppkey = column(t.lineitem, "l_suppkey", 8, line_rows);
+  auto& l_quantity = column(t.lineitem, "l_quantity", 6, line_rows);
+  auto& l_price = column(t.lineitem, "l_price", 9, line_rows);
+  auto& l_discount = column(t.lineitem, "l_discount", 4, line_rows);
+  auto& l_shipmode = column(t.lineitem, "l_shipmode", 4, line_rows);
 
   // Customer pool smaller than the order count so grouping by customer
   // has real fan-in.
@@ -31,25 +43,19 @@ TpchTables make_tables(const TpchConfig& cfg) {
       std::min<std::uint64_t>(256, std::max<std::uint64_t>(2, cfg.orders / 3));
   for (std::size_t o = 0; o < cfg.orders; ++o) {
     const std::uint64_t orderkey = static_cast<std::uint64_t>(o) + 1;
-    o_orderkey.values.push_back(orderkey);
-    o_custkey.values.push_back(rng.next_below(customers));
-    o_status.values.push_back(rng.next_below(5));
+    o_orderkey.push_back(orderkey);
+    o_custkey.push_back(rng.next_below(customers));
+    o_status.push_back(rng.next_below(5));
     const std::uint64_t lines = rng.next_below(cfg.lines_per_order_max + 1);
     for (std::uint64_t l = 0; l < lines; ++l) {
-      l_orderkey.values.push_back(orderkey);
-      l_suppkey.values.push_back(rng.next_below(200));
-      l_quantity.values.push_back(1 + rng.next_below(50));
-      l_price.values.push_back(10 + rng.next_below(502));
-      l_discount.values.push_back(rng.next_below(11));
-      l_shipmode.values.push_back(rng.next_below(7));
+      l_orderkey.push_back(orderkey);
+      l_suppkey.push_back(rng.next_below(200));
+      l_quantity.push_back(1 + rng.next_below(50));
+      l_price.push_back(10 + rng.next_below(502));
+      l_discount.push_back(rng.next_below(11));
+      l_shipmode.push_back(rng.next_below(7));
     }
   }
-
-  t.orders.columns = {std::move(o_orderkey), std::move(o_custkey),
-                      std::move(o_status)};
-  t.lineitem.columns = {std::move(l_orderkey), std::move(l_suppkey),
-                        std::move(l_quantity), std::move(l_price),
-                        std::move(l_discount), std::move(l_shipmode)};
   assert(t.orders.well_formed() && t.lineitem.well_formed());
   return t;
 }

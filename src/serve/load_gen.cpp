@@ -23,11 +23,9 @@ std::vector<Request> make_open_loop_trace(const LoadGenConfig& cfg) {
     // the log argument stays positive.
     clock += -std::log(1.0 - rng.next_double()) * mean_gap_cycles;
 
-    Request r;
+    Request& r = trace.emplace_back();
     r.arrival = static_cast<util::Cycles>(clock);
-    r.app = cfg.apps.empty()
-                ? std::string{}
-                : cfg.apps[rng.next_below(cfg.apps.size())];
+    if (!cfg.apps.empty()) r.app = cfg.apps[rng.next_below(cfg.apps.size())];
     r.op = rng.next_double() < cfg.add_fraction ? OpKind::kVectorAdd
                                                 : OpKind::kMultiply;
     r.width = cfg.width;
@@ -39,11 +37,11 @@ std::vector<Request> make_open_loop_trace(const LoadGenConfig& cfg) {
         (cfg.max_ops > cfg.min_ops
              ? rng.next_below(cfg.max_ops - cfg.min_ops + 1)
              : 0);
-    r.operands.reserve(ops);
-    for (std::size_t j = 0; j < ops; ++j)
-      r.operands.emplace_back(rng.next() & operand_mask,
-                              rng.next() & operand_mask);
-    trace.push_back(std::move(r));
+    r.operands.resize(ops);
+    for (auto& [first, second] : r.operands) {
+      second = rng.next() & operand_mask;  // Drawn first (load_gen.hpp).
+      first = rng.next() & operand_mask;
+    }
   }
   return trace;
 }

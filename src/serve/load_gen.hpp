@@ -39,6 +39,12 @@ struct LoadGenConfig {
 };
 
 /// Generate an open-loop trace: requests sorted by arrival cycle.
+///
+/// Draw order, one draw per statement so that no compiler can reorder it:
+/// per request, (1) the interarrival gap, (2) the app index if `apps` is
+/// non-empty, (3) the op kind, (4) the op count if max_ops > min_ops, then
+/// (5) for each operand pair its `second` operand and then its `first`,
+/// the order earlier builds drew in, so their traces still hold.
 [[nodiscard]] std::vector<Request> make_open_loop_trace(
     const LoadGenConfig& cfg);
 

@@ -6,45 +6,9 @@
 
 namespace apim::util {
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  state += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
-}
-
-std::uint64_t Xoshiro256::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Xoshiro256::next_below(std::uint64_t bound) noexcept {
-  assert(bound > 0);
-  // Rejection sampling: discard the biased tail of the 64-bit range.
-  const std::uint64_t threshold = -bound % bound;
-  for (;;) {
-    const std::uint64_t r = next();
-    if (r >= threshold) return r % bound;
-  }
 }
 
 std::int64_t Xoshiro256::next_in(std::int64_t lo, std::int64_t hi) noexcept {
@@ -54,11 +18,6 @@ std::int64_t Xoshiro256::next_in(std::int64_t lo, std::int64_t hi) noexcept {
   // span == 0 means the full 64-bit range [INT64_MIN, INT64_MAX].
   const std::uint64_t r = (span == 0) ? next() : next_below(span);
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + r);
-}
-
-double Xoshiro256::next_double() noexcept {
-  // 53 top bits -> [0,1) with full double precision.
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Xoshiro256::next_double_in(double lo, double hi) noexcept {

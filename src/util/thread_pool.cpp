@@ -14,10 +14,11 @@ namespace apim::util {
 
 namespace {
 
-/// Set while the current thread is executing chunks as a pool worker, so a
-/// nested parallel_for degrades to an inline serial loop instead of
-/// deadlocking on the pool it is already servicing.
-thread_local bool t_in_worker = false;
+/// Set while the current thread runs chunks, on a pool worker or on a
+/// caller inside its own parallel_for, so a nested parallel_for degrades
+/// to an inline serial loop instead of deadlocking on the pool it is
+/// already servicing.
+thread_local bool t_running_chunks = false;
 
 std::mutex g_config_mutex;
 std::size_t g_thread_override = 0;  // 0 = use env / hardware default.
@@ -96,7 +97,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-  t_in_worker = true;
+  t_running_chunks = true;
   std::uint64_t seen_seq = 0;
   for (;;) {
     std::shared_ptr<Job> job;
@@ -147,7 +148,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 
   // Chunk boundaries are identical on every path below; only WHO executes
   // a chunk varies, and the determinism contract makes that irrelevant.
-  if (workers_count_ == 0 || chunks == 1 || t_in_worker) {
+  if (workers_count_ == 0 || chunks == 1 || t_running_chunks) {
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t lo = begin + c * grain;
       fn(lo, std::min(lo + grain, end));
@@ -169,7 +170,9 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   }
   impl_->work_cv.notify_all();
 
-  run_chunks(*job);  // The caller is an executor too.
+  t_running_chunks = true;  // The caller is an executor too.
+  run_chunks(*job);
+  t_running_chunks = false;
 
   std::exception_ptr error;
   {

@@ -56,8 +56,9 @@ class ThreadPool {
   /// Execute `fn` over [begin, end) in chunks of `grain` indices. Chunk
   /// boundaries are `begin + k*grain` regardless of thread count. Blocks
   /// until every chunk has run. The first exception thrown by `fn` is
-  /// rethrown here (remaining chunks are abandoned). Calls from inside a
-  /// pool worker run inline (serially) to avoid deadlock.
+  /// rethrown here (remaining chunks are abandoned). A call made from
+  /// inside a chunk, on a worker or on the calling thread, runs inline
+  /// (serially) to avoid deadlock.
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const RangeFn& fn);
 

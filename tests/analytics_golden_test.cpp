@@ -136,6 +136,47 @@ TEST(AnalyticsGolden, FixedSeedResults) {
   }
 }
 
+/// FNV-1a over both tables: each column's name, width, row count and
+/// values, in column order.
+std::uint64_t tables_digest(const TpchTables& t) {
+  Digest d;
+  for (const Table* table : {&t.orders, &t.lineitem}) {
+    d.add(table->columns.size());
+    for (const apim::analytics::Column& c : table->columns) {
+      d.add(c.name.size());
+      for (const char ch : c.name) d.add(static_cast<unsigned char>(ch));
+      d.add(c.width);
+      d.add(c.values.size());
+      for (const std::uint64_t v : c.values) d.add(v);
+    }
+  }
+  return d.value();
+}
+
+// The generated tables themselves, at the benchmark's seed and at its
+// smoke and full sizes: any change to a draw, its order or a column
+// fails here before it reaches a query result.
+TEST(AnalyticsGolden, TablesDigestIsPinned) {
+  struct TablesGolden {
+    std::size_t orders;
+    std::uint64_t lineitem_rows;
+    std::uint64_t digest;
+  };
+  constexpr TablesGolden kTables[] = {
+      {1024, 2984, 13919638301458495717ull},
+      {16384, 49261, 9163806637401333374ull},
+  };
+  for (const TablesGolden& g : kTables) {
+    TpchConfig cfg;
+    cfg.orders = g.orders;
+    cfg.seed = 2017;
+    const TpchTables t = apim::analytics::make_tables(cfg);
+    EXPECT_EQ(t.orders.rows(), g.orders);
+    EXPECT_EQ(t.lineitem.rows(), g.lineitem_rows) << "orders " << g.orders;
+    EXPECT_EQ(tables_digest(t), g.digest) << "orders " << g.orders;
+  }
+}
+
 // -- Metamorphic: row-permutation invariance ---------------------------------
 
 Table permute_rows(const Table& in, apim::util::Xoshiro256& rng) {

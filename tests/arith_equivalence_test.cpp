@@ -481,9 +481,11 @@ TEST(WordModelDigest, WordFaStage) {
     util::Xoshiro256 rng(10000 + width);
     Fnv1a h;
     for (int t = 0; t < kDigestTrials; ++t) {
-      const FaWordResult r =
-          word_fa_stage(draw(rng, t, width), draw(rng, t + 1, width),
-                        draw(rng, t + 3, width), width, kDigestEnergy);
+      // Drawn last operand first: the order the digests were pinned in.
+      const std::uint64_t c = draw(rng, t + 3, width);
+      const std::uint64_t b = draw(rng, t + 1, width);
+      const std::uint64_t a = draw(rng, t, width);
+      const FaWordResult r = word_fa_stage(a, b, c, width, kDigestEnergy);
       h.mix(r.sum);
       h.mix(r.carry);
       h.mix(r.nor_energy_pj);

@@ -1,6 +1,7 @@
 // Load-generator tests: seeded reproducibility, Poisson arrival
 // statistics, and independence of per-tenant RNG streams (via the
 // scenario harness in tests/serve_harness.hpp).
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -40,6 +41,59 @@ void expect_identical(const Request& a, const Request& b) {
   EXPECT_EQ(a.operands, b.operands);
   EXPECT_EQ(a.arrival, b.arrival);
   EXPECT_EQ(a.deadline, b.deadline);
+}
+
+/// FNV-1a over every field of every request, in trace order.
+std::uint64_t trace_digest(const std::vector<Request>& trace) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001B3ull;
+    }
+  };
+  const auto mix_double = [&mix](double v) {
+    mix(std::bit_cast<std::uint64_t>(v));
+  };
+  mix(trace.size());
+  for (const Request& r : trace) {
+    mix(r.app.size());
+    for (const char c : r.app) mix(static_cast<unsigned char>(c));
+    mix(static_cast<std::uint64_t>(r.op));
+    mix(r.width);
+    mix(r.operands.size());
+    for (const auto& [x, y] : r.operands) {
+      mix(x);
+      mix(y);
+    }
+    mix(static_cast<std::uint64_t>(r.qos.kind));
+    mix_double(r.qos.threshold);
+    mix_double(r.qos.peak);
+    mix_double(r.qos.relative_floor);
+    mix(r.arrival);
+    mix(r.deadline);
+    mix(static_cast<std::uint64_t>(r.policy));
+  }
+  return h;
+}
+
+// The traces are pinned field by field, so a change to any draw, or to
+// the order of the draws, fails here on every compiler.
+TEST(LoadGen, TraceDigestIsPinned) {
+  EXPECT_EQ(trace_digest(serve::make_open_loop_trace(reference_config())),
+            0x2CAF2B59BB4FC831ull);
+
+  // One op per request skips the op-count draw; sixteen apps widen the
+  // app draw.
+  LoadGenConfig one_op = reference_config();
+  one_op.min_ops = 1;
+  one_op.max_ops = 1;
+  one_op.apps.clear();
+  for (char c = 'a'; c < 'a' + 16; ++c) one_op.apps.emplace_back(3, c);
+  one_op.policy = reliability::ReliabilityPolicy::kDetectAndRepair;
+  one_op.qos = quality::QosSpec::image();
+  EXPECT_EQ(trace_digest(serve::make_open_loop_trace(one_op)),
+            0xFE5E0601DC7B2FFFull);
 }
 
 TEST(LoadGen, SameSeedSameTrace) {

@@ -7,11 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -99,6 +104,40 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
         });
   });
   EXPECT_EQ(inner_total.load(), 80u);
+
+  // The same pool nested in itself. The two outer chunks wait for each
+  // other, so each of the two executors runs one: the calling thread's
+  // nested call must run inline as well as the worker's. The call runs on
+  // a driver thread under a watchdog, so a deadlock fails the test instead
+  // of hanging it.
+  const ThreadCountGuard guard;
+  util::set_thread_count(2);
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> nested_total{0};
+  std::atomic<bool> caller_nested{false};
+  std::promise<void> done;
+  std::thread driver([&] {
+    const std::thread::id caller = std::this_thread::get_id();
+    util::ThreadPool& global = util::ThreadPool::global();
+    global.parallel_for(0, 2, 1, [&](std::size_t, std::size_t) {
+      started.fetch_add(1);
+      while (started.load() < 2) std::this_thread::yield();
+      global.parallel_for(0, 4, 1, [&](std::size_t lo, std::size_t hi) {
+        nested_total.fetch_add(hi - lo);
+      });
+      if (std::this_thread::get_id() == caller) caller_nested = true;
+    });
+    done.set_value();
+  });
+  if (done.get_future().wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "a nested parallel_for on the calling thread deadlocked";
+    std::fflush(nullptr);
+    std::_Exit(1);  // The driver is stuck holding the pool; end the process.
+  }
+  driver.join();
+  EXPECT_EQ(nested_total.load(), 8u);
+  EXPECT_TRUE(caller_nested.load());
 }
 
 TEST(ThreadPool, SingleThreadPoolRunsSerially) {

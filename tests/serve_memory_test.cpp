@@ -1,9 +1,10 @@
 // Memory tests of the serving engine's request lifecycle and batch
-// executor. A counting global allocator tracks live and peak heap bytes
-// and the number of allocations, so a test can check what a drained Server
-// still holds, how much a run allocates on top of its input, and how many
-// blocks one dispatch allocates. Its own binary: the allocator replaces
-// operator new/delete for the whole executable.
+// executor, and of the TPC-H table generator. A counting global allocator
+// tracks live and peak heap bytes and the number of allocations, so a test
+// can check what a drained Server still holds, how much a run allocates on
+// top of its input, and how many blocks one dispatch or one make_tables
+// call allocates. Its own binary: the allocator replaces operator
+// new/delete for the whole executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "analytics/tpch.hpp"
 #include "serve/executor.hpp"
 #include "serve/server.hpp"
 #include "util/thread_pool.hpp"
@@ -185,6 +187,28 @@ TEST_F(ServeMemory, ExecuteBatchAllocatesOnlyItsResults) {
   // sums. An executor that flattens the operands and stages per-op values,
   // per-op cycles and per-chunk stats before a thread-pool call makes 10.
   EXPECT_LE(allocations, 5u);
+}
+
+// The analytics-tpch benchmark's set-up is two make_tables calls at this
+// size; each column is built inside its table and allocated once.
+TEST(AnalyticsMemory, MakeTablesAllocatesEachColumnOnce) {
+  analytics::TpchConfig cfg;
+  cfg.orders = 16384;
+  cfg.seed = 2017;
+  const std::size_t before = g_allocations.load();
+  const analytics::TpchTables t = analytics::make_tables(cfg);
+  const std::size_t allocations = g_allocations.load() - before;
+
+  // Nine columns and the two tables' column vectors. Columns that grow by
+  // doubling and are then copied into the tables make 158.
+  EXPECT_LE(allocations, 11u);
+  for (const analytics::Table* table : {&t.orders, &t.lineitem}) {
+    for (const analytics::Column& c : table->columns) {
+      EXPECT_LE(c.values.capacity() * 5, c.values.size() * 6)
+          << c.name << ": capacity " << c.values.capacity() << " for "
+          << c.values.size() << " rows";
+    }
+  }
 }
 
 }  // namespace
