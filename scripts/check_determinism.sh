@@ -18,7 +18,7 @@
 #     in which arguments and operands are evaluated unspecified (GCC 12
 #     evaluates arguments right to left, Clang left to right), so the
 #     drawn values would depend on the compiler. A draw is a call to
-#     .next(, .next_below(, .next_double(, .next_in(, .next_double_in(,
+#     .next(, .next_below(, .next_double(, .next_double_in(,
 #     .next_gaussian( or splitmix64(; statements are split at ';', '{' and
 #     '}'. util/rng.{hpp,cpp}, which defines the draws, is exempt.
 #
@@ -64,7 +64,7 @@ while IFS= read -r file; do
         n = split($0, parts, /[;{}]/)
         for (i = 1; i <= n; i++) {
           if (i > 1) draws = 0
-          hits = gsub(/\.next(_below|_double|_in|_double_in|_gaussian)?\(|splitmix64\(/, "", parts[i])
+          hits = gsub(/\.next(_below|_double|_double_in|_gaussian)?\(|splitmix64\(/, "", parts[i])
           if (hits > 0 && draws == 0) first = NR
           draws += hits
           if (draws >= 2 && hits > 0 && draws - hits < 2) {

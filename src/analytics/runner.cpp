@@ -34,7 +34,7 @@ std::vector<std::uint64_t> Runner::run_wave(
     while (next < ops.size() && ids.size() < wave_cap) {
       const std::size_t m = std::min(per_request, ops.size() - next);
       serve::Request r;
-      r.app = force_exact ? cfg_.exact_app : cfg_.app;
+      r.app = force_exact ? kExactApp : cfg_.app;
       r.op = op;
       r.width = width;
       r.operands.assign(ops.begin() + static_cast<std::ptrdiff_t>(next),

@@ -31,6 +31,11 @@
 
 namespace apim::analytics {
 
+/// Tenant name for waves that must stay exact regardless of the QoS table:
+/// COUNT / cardinality reductions. Keep it out of the QoS table: the
+/// table's conservative fallback serves unknown apps at relax 0.
+inline constexpr const char* kExactApp = "analytics#exact";
+
 struct RunnerConfig {
   serve::ServerConfig server{};
   /// Tenant name the analytic requests run under (QoS table / DRR key).
@@ -42,10 +47,6 @@ struct RunnerConfig {
   /// with a nonzero relax level (compares/popcounts stay exact by the
   /// kernel contract; only SUM reduction adds ever approximate).
   serve::QosTable qos{};
-  /// Tenant name for waves that must stay exact regardless of the QoS
-  /// table — COUNT / cardinality reductions. Leave it unregistered: the
-  /// table's conservative fallback serves unknown apps at relax 0.
-  std::string exact_app = "analytics#exact";
 };
 
 class Runner {
@@ -60,7 +61,7 @@ class Runner {
   /// values in op order. `width` is clamped to the request range [4, 32];
   /// operands must already fit in it. Throws std::runtime_error when any
   /// request finalizes as anything other than kOk. With `force_exact` the
-  /// wave runs under `exact_app`, sidestepping any relax level configured
+  /// wave runs under kExactApp, sidestepping any relax level configured
   /// for the analytic tenant (used by COUNT reductions, whose results are
   /// cardinalities, not approximable aggregates).
   std::vector<std::uint64_t> run_wave(

@@ -15,7 +15,6 @@
 
 #include <cstddef>
 
-#include "device/energy_model.hpp"
 #include "util/units.hpp"
 
 namespace apim::baseline {
@@ -33,12 +32,6 @@ class TalatiAdder {
   /// latency ... on the size of data" the APIM paper criticises.
   [[nodiscard]] static util::Cycles multi_add_cycles(std::size_t operands,
                                                      unsigned n) noexcept;
-
-  /// Energy estimate: average serial-add energy on random data, measured
-  /// once from the shared word-level model (the design is the same MAGIC
-  /// substrate as APIM, so the per-op price list applies directly).
-  [[nodiscard]] static double multi_add_energy_pj(
-      std::size_t operands, unsigned n, const device::EnergyModel& em);
 };
 
 /// Siemon et al. [25]: fast CRS adder, one array (with private

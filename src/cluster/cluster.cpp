@@ -61,7 +61,7 @@ struct Cluster::Impl {
       m.hop_latency_cycles = cfg.interconnect.hop_latency_cycles;
       m.link_bits = cfg.interconnect.link_bits;
       m.pj_per_bit_hop = cfg.interconnect.pj_per_bit_hop;
-      m.shard_bits = cfg.shard_bits;
+      m.shard_bits = kShardBits;
     }
     servers.reserve(cfg.chips);
     for (std::size_t chip = 0; chip < cfg.chips; ++chip) {
@@ -134,11 +134,11 @@ struct Cluster::Impl {
       ri.cross = true;
       ri.fwd_hops = h;
       ri.energy_pj += pj;
-      ++cross_chip_requests;
-      cross_chip_ops += ri.ops;
-      forward_hops += h;
-      interconnect_cycles += delay;
-      interconnect_energy_pj += pj;
+      ++totals.cross_chip_requests;
+      totals.cross_chip_ops += ri.ops;
+      totals.forward_hops += h;
+      totals.interconnect_cycles += delay;
+      totals.interconnect_energy_pj += pj;
       if (cfg.trace != nullptr) {
         serve::trace::Event e =
             cev(serve::trace::EventKind::kForward, trace_now);
@@ -169,8 +169,8 @@ struct Cluster::Impl {
     ri.width = r.width;
     ri.edge_arrival = r.arrival;
     rebalancer.note_admitted(ri.shard, ri.ops);
-    ++requests;
-    total_ops += ri.ops;
+    ++totals.requests;
+    totals.total_ops += ri.ops;
     ri.addressed = placement.chip_for(ri.shard);
     const std::optional<StaleView>& sv = stale[ri.shard];
     if (sv && r.arrival < sv->until) ri.addressed = sv->old_chip;
@@ -187,7 +187,7 @@ struct Cluster::Impl {
     }
     if (shard_locked[ri.shard]) {
       ri.held = true;
-      ++held_requests;
+      ++totals.held_requests;
       held[ri.shard].push_back(idx);
       return;
     }
@@ -199,17 +199,17 @@ struct Cluster::Impl {
   void commit(const ActiveMigration& m) {
     placement.move(m.shard, m.to);
     shard_locked[m.shard] = false;
-    stale[m.shard] = StaleView{m.from, m.done_at + cfg.placement_propagation};
+    stale[m.shard] = StaleView{m.from, m.done_at + kPlacementPropagation};
     if (m.evacuation) {
-      ++evacuations;
+      ++totals.evacuations;
     } else {
-      ++migrations;
+      ++totals.migrations;
     }
-    migration_cycles += m.latency;
+    totals.migration_cycles += m.latency;
     const std::uint64_t h = hop_count(cfg.topology, cfg.chips, m.from, m.to);
-    migration_energy_pj += route_energy_pj(cfg.interconnect, h, cfg.shard_bits);
-    interconnect_energy_pj +=
-        route_energy_pj(cfg.interconnect, h, cfg.shard_bits);
+    const double pj = route_energy_pj(cfg.interconnect, h, kShardBits);
+    totals.migration_energy_pj += pj;
+    totals.interconnect_energy_pj += pj;
     if (cfg.trace != nullptr) {
       // Commits at one instant are processed shard-ascending; the trace
       // records them in that order (the commit-order invariant).
@@ -219,9 +219,9 @@ struct Cluster::Impl {
       e.from = static_cast<std::int64_t>(m.from);
       e.to = static_cast<std::int64_t>(m.to);
       e.hops = h;
-      e.bits = cfg.shard_bits;
+      e.bits = kShardBits;
       e.cycles = m.latency;
-      e.energy_pj = route_energy_pj(cfg.interconnect, h, cfg.shard_bits);
+      e.energy_pj = pj;
       cfg.trace->record(std::move(e));
     }
     for (const std::size_t idx : held[m.shard]) stage(idx, m.done_at);
@@ -239,8 +239,7 @@ struct Cluster::Impl {
     for (const MigrationDecision& d : decisions) {
       const std::uint64_t h =
           hop_count(cfg.topology, cfg.chips, d.from, d.to);
-      const util::Cycles lat =
-          route_cycles(cfg.interconnect, h, cfg.shard_bits);
+      const util::Cycles lat = route_cycles(cfg.interconnect, h, kShardBits);
       active.push_back(
           {d.shard, d.from, d.to, tick_at + lat, lat, d.evacuation});
       shard_locked[d.shard] = true;
@@ -251,7 +250,7 @@ struct Cluster::Impl {
         e.from = static_cast<std::int64_t>(d.from);
         e.to = static_cast<std::int64_t>(d.to);
         e.hops = h;
-        e.bits = cfg.shard_bits;
+        e.bits = kShardBits;
         e.cycles = lat;
         cfg.trace->record(std::move(e));
       }
@@ -277,19 +276,9 @@ struct Cluster::Impl {
   std::vector<std::vector<std::size_t>> held;
   std::vector<ActiveMigration> active;
 
-  // -- Cluster counters ------------------------------------------------------
-  std::uint64_t requests = 0;
-  std::uint64_t total_ops = 0;
-  std::uint64_t cross_chip_requests = 0;
-  std::uint64_t cross_chip_ops = 0;
-  std::uint64_t held_requests = 0;
-  std::uint64_t forward_hops = 0;
-  util::Cycles interconnect_cycles = 0;
-  double interconnect_energy_pj = 0.0;
-  std::uint64_t migrations = 0;
-  std::uint64_t evacuations = 0;
-  util::Cycles migration_cycles = 0;
-  double migration_energy_pj = 0.0;
+  /// Cluster counters, accumulated in place; snapshot() adds the per-chip
+  /// snapshots and the derived fields.
+  ClusterSnapshot totals;
 };
 
 Cluster::Cluster(ClusterConfig config, serve::QosTable table)
@@ -413,9 +402,9 @@ std::vector<ClusterResponse> Cluster::run_trace(
       cr.hops += h;
       cr.edge_completion += delay;
       cr.interconnect_energy_pj += pj;
-      im.forward_hops += h;
-      im.interconnect_cycles += delay;
-      im.interconnect_energy_pj += pj;
+      im.totals.forward_hops += h;
+      im.totals.interconnect_cycles += delay;
+      im.totals.interconnect_energy_pj += pj;
       if (im.cfg.trace != nullptr) {
         // Response legs are assembled after the event loop, in trace
         // order, stamped with the edge completion they delayed — the one
@@ -440,26 +429,13 @@ std::vector<ClusterResponse> Cluster::run_trace(
 
 ClusterSnapshot Cluster::snapshot() const {
   const Impl& im = *impl_;
-  ClusterSnapshot s;
+  ClusterSnapshot s = im.totals;
   s.chips.reserve(im.cfg.chips);
   for (const auto& srv : im.servers) s.chips.push_back(srv->snapshot());
-
-  s.requests = im.requests;
-  s.total_ops = im.total_ops;
-  s.cross_chip_requests = im.cross_chip_requests;
-  s.cross_chip_ops = im.cross_chip_ops;
-  s.held_requests = im.held_requests;
   s.cross_shard_traffic_share =
-      im.total_ops == 0 ? 0.0
-                        : static_cast<double>(im.cross_chip_ops) /
-                              static_cast<double>(im.total_ops);
-  s.forward_hops = im.forward_hops;
-  s.interconnect_cycles = im.interconnect_cycles;
-  s.interconnect_energy_pj = im.interconnect_energy_pj;
-  s.migrations = im.migrations;
-  s.evacuations = im.evacuations;
-  s.migration_cycles = im.migration_cycles;
-  s.migration_energy_pj = im.migration_energy_pj;
+      s.total_ops == 0 ? 0.0
+                       : static_cast<double>(s.cross_chip_ops) /
+                             static_cast<double>(s.total_ops);
 
   // Jain over per-chip tenant ops served (scrub passes excluded): how
   // evenly the cluster spread real work across chips.

@@ -26,9 +26,9 @@
 //  * While a shard is mid-migration its requests are held at the old home
 //    and forwarded to the new home when the move commits (the shard
 //    blocks briefly; migration is not free).
-//  * For `placement_propagation` cycles after a move commits, clients
-//    still address the old home, which forwards — so every migration also
-//    pays a tail of cross-chip request traffic.
+//  * For kPlacementPropagation cycles after a move commits, clients still
+//    address the old home, which forwards — so every migration also pays
+//    a tail of cross-chip request traffic.
 // Forwarded requests and responses, and shard moves themselves, pay
 // route_cycles/route_energy_pj; the counters surface in ClusterSnapshot
 // (cross-shard traffic share, interconnect energy, migration totals,
@@ -58,6 +58,12 @@
 
 namespace apim::cluster {
 
+/// Cycles after a migration commits during which clients still address the
+/// old home chip (stale placement view) and pay forwarding.
+inline constexpr util::Cycles kPlacementPropagation = 4000;
+/// Payload bits moved per shard migration.
+inline constexpr std::uint64_t kShardBits = 1u << 15;
+
 struct ClusterConfig {
   std::size_t chips = 4;
   /// Placement granularity: tenants hash onto this many shards. More
@@ -78,12 +84,6 @@ struct ClusterConfig {
   /// on that chip only.
   std::map<std::size_t, std::vector<serve::health::DomainFaultEvent>>
       chip_fault_schedules;
-
-  /// Cycles after a migration commits during which clients still address
-  /// the old home chip (stale placement view) and pay forwarding.
-  util::Cycles placement_propagation = 4000;
-  /// Payload bits moved per shard migration.
-  std::uint64_t shard_bits = 1u << 15;
 
   /// Seeds the consistent-hash ring.
   std::uint64_t seed = 2017;
@@ -163,7 +163,7 @@ class Cluster {
   /// `shards` is zero, a placement override names a shard or chip out of
   /// range, a chip fault schedule names a chip out of range, or the
   /// rebalancer's `ewma_alpha` lies outside (0, 1]; and whatever
-  /// serve::Server throws for `server`.
+  /// serve::Server throws for `server` with each chip's fault schedule.
   explicit Cluster(ClusterConfig config, serve::QosTable table = {});
   ~Cluster();
 

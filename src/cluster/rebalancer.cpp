@@ -74,33 +74,30 @@ std::vector<MigrationDecision> Rebalancer::tick(
 
   if (!cfg_.enabled) return out;
 
+  // One hot-shard migration per tick (evacuations above are exempt: a
+  // dead chip's shards all leave at once).
   const double mean = serving_load / static_cast<double>(serving_chips);
-  for (std::size_t n = 0; n < cfg_.max_migrations_per_tick; ++n) {
-    std::size_t hot = chips;
-    for (std::size_t c = 0; c < chips; ++c) {
-      if (!chip_serving[c]) continue;
-      if (hot == chips || chip_load[c] > chip_load[hot]) hot = c;
-    }
-    if (hot == chips || chip_load[hot] <= cfg_.imbalance_factor * mean)
-      break;
-    // Hottest movable shard on the hottest chip.
-    std::size_t pick = shards;
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (home[s] != hot || shard_locked[s] || cooldown_[s] > 0) continue;
-      if (ewma_[s] < cfg_.min_shard_load) continue;
-      if (pick == shards || ewma_[s] > ewma_[pick]) pick = s;
-    }
-    if (pick == shards) break;
-    const std::size_t to = coldest(hot);
-    if (to == chips) break;
-    // Only move if it strictly shrinks the hot/cold gap: the destination
-    // must stay below the source even after absorbing the shard.
-    if (chip_load[to] + ewma_[pick] >= chip_load[hot]) break;
-    out.push_back({pick, hot, to, false});
-    chip_load[to] += ewma_[pick];
-    chip_load[hot] -= ewma_[pick];
-    cooldown_[pick] = cfg_.cooldown_ticks;
+  std::size_t hot = chips;
+  for (std::size_t c = 0; c < chips; ++c) {
+    if (!chip_serving[c]) continue;
+    if (hot == chips || chip_load[c] > chip_load[hot]) hot = c;
   }
+  if (hot == chips || chip_load[hot] <= kImbalanceFactor * mean) return out;
+  // Hottest movable shard on the hottest chip.
+  std::size_t pick = shards;
+  for (std::size_t s = 0; s < shards; ++s) {
+    if (home[s] != hot || shard_locked[s] || cooldown_[s] > 0) continue;
+    if (ewma_[s] < kMinShardLoad) continue;
+    if (pick == shards || ewma_[s] > ewma_[pick]) pick = s;
+  }
+  if (pick == shards) return out;
+  const std::size_t to = coldest(hot);
+  // Only move if it strictly shrinks the hot/cold gap: the destination
+  // must stay below the source even after absorbing the shard.
+  if (to == chips || chip_load[to] + ewma_[pick] >= chip_load[hot])
+    return out;
+  out.push_back({pick, hot, to, false});
+  cooldown_[pick] = kCooldownTicks;
   return out;
 }
 

@@ -8,10 +8,11 @@
 //    domain quarantined, serve/health.hpp) must move regardless of load.
 //    This is how the health layer's quarantine composes with placement.
 //  * Hot-shard migrations — when the hottest serving chip carries more
-//    than `imbalance_factor` times the mean serving-chip load, its
-//    hottest movable shard migrates to the least-loaded serving chip,
-//    provided the move strictly reduces the pairwise imbalance (no
-//    ping-pong) and the shard is not in its post-migration cooldown.
+//    than kImbalanceFactor times the mean serving-chip load, its hottest
+//    movable shard migrates to the least-loaded serving chip, provided the
+//    move strictly reduces the pairwise imbalance (no ping-pong) and the
+//    shard is not in its post-migration cooldown. At most one such
+//    migration starts per tick.
 //
 // Modeled on the hot-tree migration in plasgroup/bp-forest: load is
 // tracked continuously, decisions happen at coarse ticks, and a migration
@@ -29,6 +30,14 @@
 
 namespace apim::cluster {
 
+/// Migrate only when the hottest serving chip's load exceeds this multiple
+/// of the mean serving-chip load.
+inline constexpr double kImbalanceFactor = 1.25;
+/// Shards below this EWMA (ops per interval) never migrate: noise floor.
+inline constexpr double kMinShardLoad = 1.0;
+/// Ticks a shard sits out after migrating (anti-ping-pong hysteresis).
+inline constexpr std::uint32_t kCooldownTicks = 2;
+
 struct RebalanceConfig {
   /// Master switch for load-driven migration: off = static placement (the
   /// bench baseline). Evacuations off quarantined chips still run — they
@@ -38,16 +47,6 @@ struct RebalanceConfig {
   util::Cycles interval = 25000;
   /// EWMA smoothing: weight of the newest interval's ops count.
   double ewma_alpha = 0.4;
-  /// Migrate only when max chip load exceeds this multiple of the mean
-  /// serving-chip load.
-  double imbalance_factor = 1.25;
-  /// Shards below this EWMA (ops/interval) never migrate — noise floor.
-  double min_shard_load = 1.0;
-  /// Ticks a shard sits out after migrating (anti-ping-pong hysteresis).
-  std::uint32_t cooldown_ticks = 2;
-  /// Hot-shard migrations started per tick (evacuations are exempt: a
-  /// dead chip's shards all leave at once).
-  std::size_t max_migrations_per_tick = 1;
 };
 
 struct MigrationDecision {
@@ -78,10 +77,6 @@ class Rebalancer {
   /// Per-shard load EWMA (ops per interval), indexed by shard.
   [[nodiscard]] const std::vector<double>& load() const noexcept {
     return ewma_;
-  }
-
-  [[nodiscard]] const RebalanceConfig& config() const noexcept {
-    return cfg_;
   }
 
  private:

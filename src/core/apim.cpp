@@ -1,11 +1,9 @@
 #include "core/apim.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "arith/compare_units.hpp"
 #include "arith/inmemory_units.hpp"
@@ -313,7 +311,7 @@ std::uint64_t ApimDevice::protect_result(std::uint64_t raw, std::uint64_t a,
   // Escalation ladder: re-execute on the redundant domains (whose defects
   // are independent) until a result passes its residue check. Each rung
   // pays the full op again.
-  for (unsigned d = 1; d <= rel.max_retries; ++d) {
+  for (unsigned d = 1; d <= reliability::kMaxRetries; ++d) {
     ++stats_.retries;
     stats_.cycles += exec_cycles;
     stats_.energy_ops_pj += exec_energy;
@@ -378,63 +376,6 @@ std::int64_t ApimDevice::add_wide(std::int64_t a, std::int64_t b) {
 std::int64_t ApimDevice::mac_int(std::int64_t acc, std::int64_t a,
                                  std::int64_t b) {
   return add(acc, mul_int(a, b));
-}
-
-std::int64_t ApimDevice::dot_int(std::span<const std::int64_t> a,
-                                 std::span<const std::int64_t> b) {
-  assert(a.size() == b.size());
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc = mac_int(acc, a[i], b[i]);
-  return acc;
-}
-
-std::int64_t ApimDevice::dot_fixed_tree(std::span<const std::int64_t> a,
-                                        std::span<const std::int64_t> b,
-                                        util::FixedPointFormat fmt) {
-  assert(a.size() == b.size());
-  if (a.empty()) return 0;
-
-  std::vector<std::uint64_t> positive, negative;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::int64_t p = mul(a[i], b[i], fmt);
-    if (p >= 0) {
-      if (p != 0) positive.push_back(static_cast<std::uint64_t>(p));
-    } else {
-      negative.push_back(static_cast<std::uint64_t>(-p));
-    }
-  }
-
-  const auto reduce = [&](const std::vector<std::uint64_t>& values)
-      -> std::uint64_t {
-    if (values.empty()) return 0;
-    if (values.size() == 1) return values[0];
-    const std::vector<unsigned> widths(values.size(), config_.word_bits);
-    const unsigned cap = std::min<unsigned>(
-        63, config_.word_bits +
-                util::bit_width(
-                    static_cast<std::uint64_t>(values.size()) - 1));
-    const arith::AddOutcome r =
-        arith::fast_tree_add(values, widths, cap, config_.energy);
-    stats_.additions += values.size() - 1;  // Logical adds performed.
-    stats_.cycles += r.cycles;
-    stats_.energy_ops_pj += r.energy_ops_pj;
-    return r.sum;
-  };
-
-  const std::uint64_t pos_sum = reduce(positive);
-  const std::uint64_t neg_sum = reduce(negative);
-  if (!positive.empty() && !negative.empty()) {
-    // Final signed combination: one word-serial subtraction.
-    const arith::AddOutcome fin = arith::fast_add(
-        pos_sum & low_mask(config_.word_bits),
-        neg_sum & low_mask(config_.word_bits), config_.word_bits, 0,
-        config_.energy);
-    ++stats_.additions;
-    stats_.cycles += fin.cycles;
-    stats_.energy_ops_pj += fin.energy_ops_pj;
-  }
-  return static_cast<std::int64_t>(pos_sum) -
-         static_cast<std::int64_t>(neg_sum);
 }
 
 void ApimDevice::parallel_region_end(util::Cycles begin_cycles,

@@ -120,22 +120,6 @@ class ApimDevice {
   [[nodiscard]] std::int64_t mac_int(std::int64_t acc, std::int64_t a,
                                      std::int64_t b);
 
-  /// Dot product over integer-scaled spans (serial MAC chain).
-  [[nodiscard]] std::int64_t dot_int(std::span<const std::int64_t> a,
-                                     std::span<const std::int64_t> b);
-
-  /// Dot product with the accumulation done the APIM way: all products
-  /// are generated, then reduced with the Wallace 3:2 tree (13 cycles per
-  /// stage) instead of a serial MAC chain — the same structure the
-  /// multiplier uses internally (Section 3.2 applies it to any multi-
-  /// operand addition). Products are rescaled to `fmt`; positive and
-  /// negative products reduce in separate trees and the final subtraction
-  /// is one word addition. Exact accumulation; multiplies honour the
-  /// device's approximation setting.
-  [[nodiscard]] std::int64_t dot_fixed_tree(std::span<const std::int64_t> a,
-                                            std::span<const std::int64_t> b,
-                                            util::FixedPointFormat fmt);
-
   /// Row-parallel issue window. Operations issued between the snapshot and
   /// `parallel_region_end` are declared to have shared crossbar passes
   /// across `ways` independent lanes (disjoint row groups, same schedule —

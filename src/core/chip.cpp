@@ -29,10 +29,6 @@ std::size_t ApimChip::lanes_per_stream() const noexcept {
   return geometry_.active_tiles_per_bank;
 }
 
-bool ApimChip::fits(double dataset_bytes) const noexcept {
-  return dataset_bytes <= capacity_bytes();
-}
-
 double ApimChip::total_cells() const noexcept {
   return static_cast<double>(geometry_.banks) *
          static_cast<double>(geometry_.tiles_per_bank) *

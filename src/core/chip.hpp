@@ -63,9 +63,6 @@ class ApimChip {
   /// upper bound on useful batch width per dispatch.
   [[nodiscard]] std::size_t lanes_per_stream() const noexcept;
 
-  /// Whether a dataset fits in the data blocks.
-  [[nodiscard]] bool fits(double dataset_bytes) const noexcept;
-
   /// Total memristor cells (storage + processing).
   [[nodiscard]] double total_cells() const noexcept;
 

@@ -1,10 +1,6 @@
 #include "core/quantize.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-
-#include "util/bitops.hpp"
 
 namespace apim::core {
 
@@ -29,30 +25,6 @@ std::vector<std::int64_t> quantize(std::span<const double> values,
   out.reserve(values.size());
   for (double v : values) out.push_back(util::to_fixed(v, fmt).signed_raw());
   return out;
-}
-
-std::vector<double> dequantize(std::span<const std::int64_t> raws,
-                               util::FixedPointFormat fmt) {
-  std::vector<double> out;
-  out.reserve(raws.size());
-  for (std::int64_t r : raws)
-    out.push_back(util::from_fixed(util::fixed_from_raw(r, fmt), fmt));
-  return out;
-}
-
-double quantization_error_bound(util::FixedPointFormat fmt) {
-  return 0.5 / fmt.scale();
-}
-
-double relaxation_error_bound(double typical_magnitude,
-                              util::FixedPointFormat fmt,
-                              unsigned relax_bits) {
-  assert(typical_magnitude > 0.0);
-  const double raw_magnitude = typical_magnitude * fmt.scale();
-  const double product_magnitude = raw_magnitude * raw_magnitude;
-  if (product_magnitude <= 0.0) return 1.0;
-  const double absolute = std::pow(2.0, static_cast<double>(relax_bits));
-  return std::min(1e6, absolute / product_magnitude);
 }
 
 }  // namespace apim::core

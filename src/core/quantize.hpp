@@ -29,18 +29,4 @@ namespace apim::core {
 [[nodiscard]] std::vector<std::int64_t> quantize(std::span<const double> values,
                                                  util::FixedPointFormat fmt);
 
-/// Back-conversion.
-[[nodiscard]] std::vector<double> dequantize(
-    std::span<const std::int64_t> raws, util::FixedPointFormat fmt);
-
-/// Worst-case quantization error of the format (half an LSB).
-[[nodiscard]] double quantization_error_bound(util::FixedPointFormat fmt);
-
-/// Estimated relative error a relaxed multiply adds for operands of the
-/// given typical magnitude under `relax_bits` (the 2^m bound scaled by the
-/// product magnitude; conservative).
-[[nodiscard]] double relaxation_error_bound(double typical_magnitude,
-                                            util::FixedPointFormat fmt,
-                                            unsigned relax_bits);
-
 }  // namespace apim::core

@@ -45,13 +45,4 @@ double rmse(std::span<const double> golden, std::span<const double> test) {
   return std::sqrt(mse / static_cast<double>(golden.size()));
 }
 
-double max_abs_error(std::span<const double> golden,
-                     std::span<const double> test) {
-  assert(golden.size() == test.size());
-  double worst = 0.0;
-  for (std::size_t i = 0; i < golden.size(); ++i)
-    worst = std::max(worst, std::abs(test[i] - golden[i]));
-  return worst;
-}
-
 }  // namespace apim::quality

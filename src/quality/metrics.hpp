@@ -24,8 +24,4 @@ namespace apim::quality {
 [[nodiscard]] double rmse(std::span<const double> golden,
                           std::span<const double> test);
 
-/// Largest absolute deviation.
-[[nodiscard]] double max_abs_error(std::span<const double> golden,
-                                   std::span<const double> test);
-
 }  // namespace apim::quality

@@ -90,26 +90,4 @@ RepairReport scan_and_repair(crossbar::BlockedCrossbar& xbar,
   return report;
 }
 
-std::size_t quarantine_faulty_bands(crossbar::BlockedCrossbar& xbar,
-                                    std::size_t block,
-                                    crossbar::RotatingScratchAllocator& bands,
-                                    std::size_t band_rows,
-                                    std::size_t col_begin,
-                                    std::size_t col_end,
-                                    const device::EnergyModel& em,
-                                    BistCost& cost) {
-  std::size_t quarantined = 0;
-  for (std::size_t i = 0; i < bands.band_count(); ++i) {
-    const std::size_t base = bands.band_base(i);
-    const MarchReport scan = march_scan(xbar, block, base, base + band_rows,
-                                        col_begin, col_end, em);
-    cost.merge(scan.cost);
-    if (!scan.faulty_rows.empty() && !bands.band_quarantined(i)) {
-      bands.quarantine_band(i);
-      ++quarantined;
-    }
-  }
-  return quarantined;
-}
-
 }  // namespace apim::reliability

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "crossbar/crossbar.hpp"
-#include "crossbar/scratch_allocator.hpp"
 #include "device/energy_model.hpp"
 #include "util/units.hpp"
 
@@ -73,18 +72,5 @@ RepairReport scan_and_repair(crossbar::BlockedCrossbar& xbar,
                              std::size_t row_end, std::size_t col_begin,
                              std::size_t col_end,
                              const device::EnergyModel& em);
-
-/// Scan each band of `bands` (rows [base, base + band_rows) of `block`)
-/// and quarantine the defective ones in the allocator, so subsequent
-/// scratch allocation rotates over healthy bands only. Returns the number
-/// of bands quarantined; the scan cost accumulates into `cost`.
-std::size_t quarantine_faulty_bands(crossbar::BlockedCrossbar& xbar,
-                                    std::size_t block,
-                                    crossbar::RotatingScratchAllocator& bands,
-                                    std::size_t band_rows,
-                                    std::size_t col_begin,
-                                    std::size_t col_end,
-                                    const device::EnergyModel& em,
-                                    BistCost& cost);
 
 }  // namespace apim::reliability

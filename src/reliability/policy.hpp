@@ -10,7 +10,7 @@
 //                      counted but results are not corrected.
 //  * kDetectAndRepair— residue check + escalation ladder on mismatch:
 //                      re-execute on the next redundant processing block
-//                      (domain), up to max_retries; when every domain
+//                      (domain), up to kMaxRetries; when every domain
 //                      disagrees with the residue, count an escalation and
 //                      flag the device degraded. Combined with the BIST
 //                      spare-row repair that the campaign applies before
@@ -49,14 +49,15 @@ enum class ReliabilityPolicy {
   return "?";
 }
 
+/// Redundant domains tried after the primary under kDetectAndRepair.
+inline constexpr unsigned kMaxRetries = 2;
+
 /// Per-device reliability configuration. Lives inside core::ApimConfig so
 /// device clones (apps::parallel_map workers) carry the fault state and
 /// policy with them.
 struct ReliabilityConfig {
   ReliabilityPolicy policy = ReliabilityPolicy::kOff;
   LaneFaultTable faults{};
-  /// Redundant domains tried after the primary under kDetectAndRepair.
-  unsigned max_retries = 2;
 
   /// True when the reliability layer can neither perturb results nor
   /// charge costs — the zero-overhead fast path.

@@ -36,9 +36,10 @@
 namespace apim::serve::health {
 
 /// Reserved tenant name the background scrubber dispatches under. Its DRR
-/// weight (HealthConfig::scrub_weight) is deliberately low: scrubbing
-/// steals idle capacity instead of competing with tenant SLOs.
+/// weight (kScrubWeight) is deliberately low: scrubbing steals idle
+/// capacity instead of competing with tenant SLOs.
 inline constexpr const char* kScrubTenant = "__scrub";
+inline constexpr std::uint32_t kScrubWeight = 1;
 
 enum class DomainState : std::uint8_t {
   kHealthy,
@@ -61,8 +62,13 @@ enum class DegradeMode : std::uint8_t {
   kShed,     ///< Reject what the lost capacity can no longer absorb.
   kBlock,    ///< Head-of-line block arrivals until capacity frees.
   kDegrade,  ///< Like kShed, plus suspect-domain batches execute at the
-             ///< upgraded `degrade_policy` (detect-and-repair/vote).
+             ///< upgraded kDegradePolicy.
 };
+
+/// Policy suspect-domain batches are upgraded to under kDegrade (only ever
+/// upgraded, never downgraded below what the tenant pays for).
+inline constexpr reliability::ReliabilityPolicy kDegradePolicy =
+    reliability::ReliabilityPolicy::kTripleVote;
 
 /// One scheduled fault injection, applied by the engine at virtual time
 /// `at`. The schedule fires with the health layer ON or OFF — that is the
@@ -85,10 +91,6 @@ struct HealthConfig {
   bool enabled = false;
 
   DegradeMode mode = DegradeMode::kDegrade;
-  /// Policy suspect-domain batches are upgraded to under kDegrade (only
-  /// ever upgraded, never downgraded below what the tenant pays for).
-  reliability::ReliabilityPolicy degrade_policy =
-      reliability::ReliabilityPolicy::kTripleVote;
 
   /// Residue detections (since the last scrub) that turn a domain suspect.
   std::uint64_t suspect_detections = 8;
@@ -100,12 +102,12 @@ struct HealthConfig {
   /// Preventive scrub: every `scrub_interval` cycles (0 disables) the
   /// engine enqueues one march-test BIST pass over the next serving
   /// domain, round-robin, as a `kScrubTenant` batch through the DRR
-  /// scheduler. The pass marches `scrub_rows` scratch rows x `scrub_cols`
-  /// cells on each of the domain's lanes (cost law: reliability/bist.cpp).
+  /// scheduler at weight kScrubWeight. The pass marches `scrub_rows`
+  /// scratch rows x `scrub_cols` cells on each of the domain's lanes (cost
+  /// law: reliability/bist.cpp).
   util::Cycles scrub_interval = 50000;
   std::size_t scrub_rows = 16;
   std::size_t scrub_cols = 128;
-  std::uint32_t scrub_weight = 1;
   /// Stuck bits one scrub pass can clear by spare-row remap.
   std::size_t spare_bits_per_scrub = 16;
 

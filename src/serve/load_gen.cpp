@@ -1,7 +1,7 @@
 #include "serve/load_gen.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
@@ -9,8 +9,18 @@
 namespace apim::serve {
 
 std::vector<Request> make_open_loop_trace(const LoadGenConfig& cfg) {
-  assert(cfg.rate_per_kcycle > 0.0);
-  assert(cfg.min_ops >= 1 && cfg.min_ops <= cfg.max_ops);
+  // Checked in every build type: a zero rate would cast an infinite
+  // arrival clock to util::Cycles, which is undefined behaviour.
+  if (!(std::isfinite(cfg.rate_per_kcycle) && cfg.rate_per_kcycle > 0.0)) {
+    throw std::invalid_argument(
+        "make_open_loop_trace: rate_per_kcycle must be finite and > 0");
+  }
+  if (cfg.min_ops == 0)
+    throw std::invalid_argument("make_open_loop_trace: min_ops must be >= 1");
+  if (cfg.min_ops > cfg.max_ops) {
+    throw std::invalid_argument(
+        "make_open_loop_trace: min_ops must be <= max_ops");
+  }
   util::Xoshiro256 rng(cfg.seed);
   std::vector<Request> trace;
   trace.reserve(cfg.requests);

@@ -38,7 +38,9 @@ struct LoadGenConfig {
   quality::QosSpec qos = quality::QosSpec::numeric();
 };
 
-/// Generate an open-loop trace: requests sorted by arrival cycle.
+/// Generate an open-loop trace: requests sorted by arrival cycle. Throws
+/// std::invalid_argument, in every build type, when `rate_per_kcycle` is
+/// not finite and positive, `min_ops` is 0 or `min_ops` > `max_ops`.
 ///
 /// Draw order, one draw per statement so that no compiler can reorder it:
 /// per request, (1) the interarrival gap, (2) the app index if `apps` is

@@ -166,34 +166,17 @@ class Metrics {
   std::size_t lanes_total_;
   std::size_t streams_;
 
-  std::uint64_t submitted_ = 0, rejected_ = 0, expired_ = 0, invalid_ = 0;
-  std::uint64_t escalations_ = 0;
-  std::uint64_t batches_ = 0, batched_ops_ = 0;
-  std::size_t max_batch_requests_ = 0;
-  std::size_t max_queue_depth_ = 0;
+  /// Every counter, accumulated in place; snapshot() copies it and fills
+  /// the derived fields from the state below.
+  MetricsSnapshot snap_;
   bool saw_arrival_ = false;
   util::Cycles first_arrival_ = 0;
   util::Cycles last_completion_ = 0;
   util::Cycles busy_lane_cycles_ = 0;
   util::Cycles busy_stream_cycles_ = 0;
-  double energy_pj_ = 0.0;
-  core::ExecStats device_stats_{};
   std::vector<double> latency_samples_;
   /// Sum of requests per dispatch, added in dispatch order.
   double batch_requests_sum_ = 0.0;
-  std::map<std::string, MetricsSnapshot::AppCounts> per_app_;
-
-  // -- Online health state --------------------------------------------------
-  std::vector<MetricsSnapshot::DomainSnapshot> domains_;
-  std::uint64_t scrub_passes_ = 0;
-  util::Cycles scrub_cycles_ = 0;
-  double scrub_energy_pj_ = 0.0;
-  std::uint64_t scrub_repaired_bits_ = 0;
-  std::uint64_t relocated_requests_ = 0, relocated_ops_ = 0;
-  std::uint64_t relocated_batches_ = 0, relocation_rejects_ = 0;
-  std::uint64_t degraded_batches_ = 0, degraded_ops_ = 0;
-  std::vector<MetricsSnapshot::CapacityPoint> capacity_timeline_;
-  std::size_t min_serving_domains_ = 0;
 };
 
 }  // namespace apim::serve

@@ -63,10 +63,8 @@ SchedulerConfig scheduler_config(const ServerConfig& cfg) {
   s.streams = cfg.streams;
   s.quantum_ops = cfg.batch_op_budget();
   s.weights = cfg.tenant_weights;
-  if (cfg.health.enabled) {
-    s.weights[health::kScrubTenant] =
-        std::max<std::uint32_t>(1, cfg.health.scrub_weight);
-  }
+  if (cfg.health.enabled)
+    s.weights[health::kScrubTenant] = health::kScrubWeight;
   s.trace = cfg.trace;
   s.trace_chip = cfg.trace_chip;
   return s;
@@ -360,10 +358,9 @@ class Engine {
   }
 
   /// Redundancy domains a fault table must cover: the vote needs three,
-  /// the retry ladder max_retries + 1.
-  [[nodiscard]] std::size_t fault_table_domains() const noexcept {
-    return std::max<std::size_t>(
-        3, static_cast<std::size_t>(cfg_.device.reliability.max_retries) + 1);
+  /// the retry ladder kMaxRetries + 1.
+  [[nodiscard]] static constexpr std::size_t fault_table_domains() noexcept {
+    return std::max<std::size_t>(3, reliability::kMaxRetries + 1);
   }
 
   void note_domain(std::size_t d) {
@@ -513,7 +510,6 @@ class Engine {
     while (next_fault_event_ < fault_events_.size() &&
            fault_events_[next_fault_event_].at <= now_) {
       const health::DomainFaultEvent& e = fault_events_[next_fault_event_++];
-      if (e.domain >= cfg_.streams) continue;
       using Kind = health::DomainFaultEvent::Kind;
       switch (e.kind) {
         case Kind::kSetFaults:
@@ -769,15 +765,15 @@ class Engine {
       spans.emplace_back(at(id).req.operands);
       total_ops += at(id).req.operands.size();
     }
-    // Graceful degradation: a suspect domain's traffic is upgraded to the
-    // configured reliability policy (never downgraded).
+    // Graceful degradation: a suspect domain's traffic is upgraded to
+    // kDegradePolicy (never downgraded).
     BatchKey exec_key = batch.key;
     bool degraded = false;
     if (health_on() && cfg_.health.mode == health::DegradeMode::kDegrade &&
         monitor_.state(d) == health::DomainState::kSuspect &&
         static_cast<int>(exec_key.policy) <
-            static_cast<int>(cfg_.health.degrade_policy)) {
-      exec_key.policy = cfg_.health.degrade_policy;
+            static_cast<int>(health::kDegradePolicy)) {
+      exec_key.policy = health::kDegradePolicy;
       degraded = true;
     }
     BatchExecution exec =
@@ -992,8 +988,10 @@ struct Server::Impl {
 namespace {
 
 /// Checked in every build type: execute_batch divides by
-/// lanes_per_stream, and with no stream or no queue slot requests would
-/// stay pending forever (the conservation contract).
+/// lanes_per_stream, with no stream or no queue slot requests would stay
+/// pending forever (the conservation contract), and a fault event for a
+/// domain the server does not have would be dropped, so a chaos run would
+/// inject fewer faults than configured.
 ServerConfig validated(ServerConfig cfg) {
   if (cfg.streams == 0)
     throw std::invalid_argument("Server: streams must be >= 1");
@@ -1001,6 +999,12 @@ ServerConfig validated(ServerConfig cfg) {
     throw std::invalid_argument("Server: lanes_per_stream must be >= 1");
   if (cfg.queue_capacity == 0)
     throw std::invalid_argument("Server: queue_capacity must be >= 1");
+  for (const health::DomainFaultEvent& e : cfg.health.fault_schedule) {
+    if (e.domain >= cfg.streams) {
+      throw std::invalid_argument(
+          "Server: fault schedule names a domain out of range");
+    }
+  }
   return cfg;
 }
 

@@ -129,8 +129,9 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// Throws std::invalid_argument when streams, lanes_per_stream or
-  /// queue_capacity is zero.
+  /// Throws std::invalid_argument, in every build type, when streams,
+  /// lanes_per_stream or queue_capacity is zero, or when a
+  /// `health.fault_schedule` event names a domain >= streams.
   explicit Server(ServerConfig config, QosTable table = {});
   ~Server();
 

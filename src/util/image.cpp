@@ -134,24 +134,4 @@ Image make_synthetic_image(std::size_t width, std::size_t height,
   return img;
 }
 
-Image make_gradient_image(std::size_t width, std::size_t height) {
-  Image img(width, height);
-  for (std::size_t y = 0; y < height; ++y)
-    for (std::size_t x = 0; x < width; ++x)
-      img.set(x, y,
-              to_pixel(255.0 * static_cast<double>(x + y) /
-                       static_cast<double>(width + height - 2)));
-  return img;
-}
-
-Image make_checker_image(std::size_t width, std::size_t height,
-                         std::size_t cell) {
-  assert(cell > 0);
-  Image img(width, height);
-  for (std::size_t y = 0; y < height; ++y)
-    for (std::size_t x = 0; x < width; ++x)
-      img.set(x, y, ((x / cell + y / cell) % 2 == 0) ? 220 : 35);
-  return img;
-}
-
 }  // namespace apim::util

@@ -52,11 +52,4 @@ class Image {
 [[nodiscard]] Image make_synthetic_image(std::size_t width, std::size_t height,
                                          std::uint64_t seed);
 
-/// Smooth ramp only (no edges); useful to test near-zero gradient response.
-[[nodiscard]] Image make_gradient_image(std::size_t width, std::size_t height);
-
-/// Checkerboard with the given cell size; maximal edge density.
-[[nodiscard]] Image make_checker_image(std::size_t width, std::size_t height,
-                                       std::size_t cell);
-
 }  // namespace apim::util

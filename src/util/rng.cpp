@@ -11,15 +11,6 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   for (auto& word : s_) word = splitmix64(sm);
 }
 
-std::int64_t Xoshiro256::next_in(std::int64_t lo, std::int64_t hi) noexcept {
-  assert(lo <= hi);
-  const auto span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  // span == 0 means the full 64-bit range [INT64_MIN, INT64_MAX].
-  const std::uint64_t r = (span == 0) ? next() : next_below(span);
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + r);
-}
-
 double Xoshiro256::next_double_in(double lo, double hi) noexcept {
   assert(lo <= hi);
   return lo + (hi - lo) * next_double();

@@ -50,9 +50,6 @@ class Xoshiro256 {
     }
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t next_in(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1).
   double next_double() noexcept {
     // 53 top bits -> [0,1) with full double precision.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace apim::util {
 
@@ -15,16 +14,8 @@ void RunningStats::add(double x) noexcept {
   }
   ++n_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
-
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double percentile(std::vector<double> values, double p) {
   assert(p >= 0.0 && p <= 1.0);
@@ -35,16 +26,6 @@ double percentile(std::vector<double> values, double p) {
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double geometric_mean(const std::vector<double>& values) {
-  assert(!values.empty());
-  double log_sum = 0.0;
-  for (double v : values) {
-    assert(v > 0.0);
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 }  // namespace apim::util

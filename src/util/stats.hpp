@@ -7,16 +7,13 @@
 
 namespace apim::util {
 
-/// Streaming accumulator: mean / variance via Welford, min / max, count.
+/// Streaming accumulator: running mean, min / max, sum, count.
 class RunningStats {
  public:
   void add(double x) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
@@ -24,7 +21,6 @@ class RunningStats {
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
@@ -36,8 +32,5 @@ class RunningStats {
 /// sample is every percentile, and empty input yields 0.0. Copies and
 /// sorts, so intended for offline analysis, not hot loops.
 [[nodiscard]] double percentile(std::vector<double> values, double p);
-
-/// Geometric mean; values must be positive.
-[[nodiscard]] double geometric_mean(const std::vector<double>& values);
 
 }  // namespace apim::util

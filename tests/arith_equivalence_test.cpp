@@ -6,7 +6,6 @@
 // simulation strategy").
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -19,6 +18,7 @@
 #include "arith/inmemory_units.hpp"
 #include "arith/tree_plan.hpp"
 #include "arith/word_models.hpp"
+#include "digest.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 
@@ -251,41 +251,13 @@ TEST(MultiplyEquivalenceEdge, DegenerateOperands) {
 // model's accounting regenerates them (the failure message prints the new
 // value).
 //
-// They price every op with kDigestEnergy, whose constants are literals near
-// paper_defaults(): paper_defaults() comes out of a VTEAM ODE integration
-// through std::pow, so its last bits depend on the C library, and a digest
-// over it would pin that library as well as the word models.
+// They price every op with digest::kDigestEnergy (tests/digest.hpp), whose
+// constants are literals, so the digests do not pin the C library.
 
 constexpr int kDigestTrials = 2000;
 
-constexpr device::EnergyModel kDigestEnergy{
-    .e_input_on_pj = 0.11,
-    .e_input_off_pj = 0.00011,
-    .e_switch_pj = 0.00297,
-    .e_init_pj = 0.0279,
-    .e_write_driver_pj = 0.025,
-    .e_read_pj = 0.0527,
-    .e_maj_pj = 0.2381,
-    .e_interconnect_bit_pj = 0.01,
-    .e_cycle_overhead_pj = 0.35,
-};
-
-class Fnv1a {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFFu;
-      hash_ *= 0x100000001B3ull;
-    }
-  }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  void mix(bool v) { mix(std::uint64_t{v}); }
-  void mix(unsigned v) { mix(std::uint64_t{v}); }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ull;
-};
+using digest::Fnv1a;
+using digest::kDigestEnergy;
 
 /// Operand draw for trial t: dense, sparse and very sparse words in turn,
 /// so multipliers hit the 0 / 1 / 2 partial-product shortcuts too.

@@ -9,10 +9,6 @@
 namespace apim::baseline {
 namespace {
 
-const device::EnergyModel& em() {
-  return device::EnergyModel::paper_defaults();
-}
-
 TEST(TalatiAdder, SingleAddFormula) {
   EXPECT_EQ(TalatiAdder::add_cycles(16), 193u);
   EXPECT_EQ(TalatiAdder::add_cycles(32), 385u);
@@ -27,12 +23,6 @@ TEST(TalatiAdder, MultiAddGrowsLinearly) {
   EXPECT_GT(c32, 2 * c16 - c8);  // Superlinear: widths grow too.
   EXPECT_EQ(TalatiAdder::multi_add_cycles(1, n), 0u);
   EXPECT_EQ(TalatiAdder::multi_add_cycles(0, n), 0u);
-}
-
-TEST(TalatiAdder, EnergyPositiveAndMonotone) {
-  EXPECT_GT(TalatiAdder::multi_add_energy_pj(8, 16, em()), 0.0);
-  EXPECT_GT(TalatiAdder::multi_add_energy_pj(16, 16, em()),
-            TalatiAdder::multi_add_energy_pj(8, 16, em()));
 }
 
 TEST(PcAdder, FasterThanTalatiButSlowerThanApim) {

@@ -1,13 +1,11 @@
 // Tests of the derived math functions (Newton iterations over APIM
-// multiplies/adds) and the tree-reduction dot product.
+// multiplies/adds).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <vector>
 
 #include "core/apim.hpp"
 #include "core/functions.hpp"
-#include "util/rng.hpp"
 
 namespace apim::core {
 namespace {
@@ -73,58 +71,6 @@ TEST(Functions, RelaxationDegradesGracefully) {
   ApimDevice device{cfg};
   const double got = from_q16(apim_sqrt_q16(device, to_q16(9.0)));
   EXPECT_NEAR(got, 3.0, 0.2);
-}
-
-// ------------------------------------------------------ tree dot product --
-
-TEST(TreeDot, MatchesSerialDotValue) {
-  util::Xoshiro256 rng(151);
-  ApimDevice serial_dev, tree_dev;
-  std::vector<std::int64_t> a, b;
-  // Operands small enough that every product fits the 32-bit datapath
-  // (the tree path rescales/saturates; the serial path does not).
-  for (int i = 0; i < 24; ++i) {
-    a.push_back(rng.next_in(-30000, 30000));
-    b.push_back(rng.next_in(-30000, 30000));
-  }
-  // Integer semantics: use a pure-integer format (no fraction) so both
-  // accumulations are exact and comparable.
-  const util::FixedPointFormat integer_fmt{32, 0};
-  const std::int64_t serial = serial_dev.dot_int(a, b);
-  const std::int64_t tree = tree_dev.dot_fixed_tree(a, b, integer_fmt);
-  EXPECT_EQ(tree, serial);
-}
-
-TEST(TreeDot, FasterThanSerialForLongVectors) {
-  util::Xoshiro256 rng(152);
-  ApimDevice serial_dev, tree_dev;
-  std::vector<std::int64_t> a, b;
-  for (int i = 0; i < 64; ++i) {
-    a.push_back(rng.next_in(1, 60000));
-    b.push_back(rng.next_in(1, 60000));
-  }
-  const util::FixedPointFormat integer_fmt{32, 0};
-  (void)serial_dev.dot_int(a, b);
-  (void)tree_dev.dot_fixed_tree(a, b, integer_fmt);
-  EXPECT_LT(tree_dev.stats().cycles, serial_dev.stats().cycles);
-}
-
-TEST(TreeDot, EmptyAndSingle) {
-  ApimDevice device;
-  const util::FixedPointFormat integer_fmt{32, 0};
-  const std::vector<std::int64_t> none;
-  EXPECT_EQ(device.dot_fixed_tree(none, none, integer_fmt), 0);
-  const std::vector<std::int64_t> one_a{7}, one_b{6};
-  EXPECT_EQ(device.dot_fixed_tree(one_a, one_b, integer_fmt), 42);
-}
-
-TEST(TreeDot, MixedSignsExact) {
-  ApimDevice device;
-  const util::FixedPointFormat integer_fmt{32, 0};
-  const std::vector<std::int64_t> a{10, -20, 30, -40, 5};
-  const std::vector<std::int64_t> b{1, 2, 3, 4, 5};
-  EXPECT_EQ(device.dot_fixed_tree(a, b, integer_fmt),
-            10 - 40 + 90 - 160 + 25);
 }
 
 }  // namespace

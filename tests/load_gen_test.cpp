@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -114,6 +116,41 @@ TEST(LoadGen, DifferentSeedDifferentTrace) {
     any_difference = a[i].arrival != b[i].arrival ||
                      a[i].operands != b[i].operands;
   EXPECT_TRUE(any_difference);
+}
+
+/// A zero, negative or non-finite rate, an empty op range or an inverted
+/// one is refused in every build type (a zero rate used to cast an
+/// infinite clock to util::Cycles in Release).
+TEST(LoadGen, RejectsInvalidConfig) {
+  const auto with = [](auto set) {
+    LoadGenConfig gen = reference_config();
+    set(gen);
+    return gen;
+  };
+  using Cfg = LoadGenConfig;
+  for (const double rate : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)serve::make_open_loop_trace(
+                     with([rate](Cfg& g) { g.rate_per_kcycle = rate; })),
+                 std::invalid_argument)
+        << "rate " << rate;
+  }
+  EXPECT_THROW((void)serve::make_open_loop_trace(with([](Cfg& g) {
+                 g.min_ops = 0;
+                 g.max_ops = 4;
+               })),
+               std::invalid_argument);
+  EXPECT_THROW((void)serve::make_open_loop_trace(with([](Cfg& g) {
+                 g.min_ops = 5;
+                 g.max_ops = 4;
+               })),
+               std::invalid_argument);
+  // The edges of the valid ranges still generate.
+  EXPECT_NO_THROW((void)serve::make_open_loop_trace(with([](Cfg& g) {
+    g.rate_per_kcycle = 1e-6;
+    g.min_ops = 1;
+    g.max_ops = 1;
+  })));
 }
 
 TEST(LoadGen, TraceRespectsConfiguredShapes) {

@@ -204,20 +204,6 @@ TEST(Quarantine, AllocatorSkipsQuarantinedBands) {
   for (int i = 0; i < 6; ++i) EXPECT_NE(bands.next_band(), bands.band_base(1));
 }
 
-TEST(Quarantine, BistQuarantinesTheDefectiveBandOnly) {
-  BlockedCrossbar xbar(CrossbarConfig{2, 12, 8});
-  crossbar::RotatingScratchAllocator bands(0, 12, 4);
-  xbar.block(1).inject_stuck_at(5, 3, true);  // Band 1 = rows [4, 8).
-  BistCost cost;
-  const std::size_t quarantined =
-      quarantine_faulty_bands(xbar, 1, bands, 4, 0, 8, em(), cost);
-  EXPECT_EQ(quarantined, 1u);
-  EXPECT_FALSE(bands.band_quarantined(0));
-  EXPECT_TRUE(bands.band_quarantined(1));
-  EXPECT_FALSE(bands.band_quarantined(2));
-  EXPECT_GT(cost.cycles, 0u);
-}
-
 // -------------------------------------------------------- fault table --
 
 TEST(LaneFaultTable, EmptyAndStatelessApplication) {

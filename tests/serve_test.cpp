@@ -19,6 +19,7 @@
 #include "quality/qos.hpp"
 #include "serve/batcher.hpp"
 #include "serve/executor.hpp"
+#include "serve/health.hpp"
 #include "serve/load_gen.hpp"
 #include "serve/qos_table.hpp"
 #include "serve/server.hpp"
@@ -490,7 +491,9 @@ TEST(ServeMetrics, SnapshotIsInternallyConsistent) {
 TEST(ServeConfig, RejectsZeroSizesInEveryBuildType) {
   // Each used to misbehave in Release, where the engine's asserts compile
   // out: zero lanes divide by zero on the first multiply, and zero streams
-  // or a zero blocking queue leave requests pending forever.
+  // or a zero blocking queue leave requests pending forever. A fault event
+  // for a domain the server does not have was skipped, health layer on or
+  // off, so a chaos run injected fewer faults than configured.
   const auto with = [](auto set) {
     ServerConfig cfg;
     set(cfg);
@@ -500,6 +503,17 @@ TEST(ServeConfig, RejectsZeroSizesInEveryBuildType) {
                std::invalid_argument);
   EXPECT_THROW(Server(with([](ServerConfig& c) { c.lanes_per_stream = 0; })),
                std::invalid_argument);
+  for (const bool health_on : {false, true}) {
+    EXPECT_THROW(Server(with([&](ServerConfig& c) {
+                   c.health.enabled = health_on;
+                   serve::health::DomainFaultEvent kill;
+                   kill.domain = c.streams;
+                   kill.kind = serve::health::DomainFaultEvent::Kind::kKill;
+                   c.health.fault_schedule = {kill};
+                 })),
+                 std::invalid_argument)
+        << "health " << health_on;
+  }
   for (const AdmissionPolicy admission :
        {AdmissionPolicy::kBlock, AdmissionPolicy::kReject}) {
     EXPECT_THROW(Server(with([&](ServerConfig& c) {
@@ -508,12 +522,16 @@ TEST(ServeConfig, RejectsZeroSizesInEveryBuildType) {
                  })),
                  std::invalid_argument);
   }
-  // The smallest valid sizes serve.
+  // The smallest valid sizes serve, with a fault event on the last domain.
   Server server(with([](ServerConfig& c) {
     c.streams = 1;
     c.lanes_per_stream = 1;
     c.queue_capacity = 1;
     c.admission = AdmissionPolicy::kBlock;
+    serve::health::DomainFaultEvent clear;
+    clear.domain = 0;
+    clear.kind = serve::health::DomainFaultEvent::Kind::kClear;
+    c.health.fault_schedule = {clear};
   }));
   const std::vector<Response> responses = server.run_trace(
       {make_request("", OpKind::kMultiply, 16, {{6, 7}, {8, 9}}),
