@@ -1,13 +1,11 @@
 #include "bench_common.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
 #include "analysis/trace_check.hpp"
 #include "serve/trace.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace apim::bench {
@@ -49,29 +47,6 @@ util::JsonValue ShapeChecker::to_json() const {
     checks.append(std::move(check));
   }
   return checks;
-}
-
-std::size_t configure_threads(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strncmp(arg, "--threads=", 10) == 0) {
-      value = arg + 10;
-    } else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      value = argv[i + 1];
-    }
-    if (value) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(value, &end, 10);
-      if (end != value && parsed >= 1) {
-        util::set_thread_count(static_cast<std::size_t>(parsed));
-        break;
-      }
-      std::fprintf(stderr, "ignoring malformed --threads value '%s'\n",
-                   value);
-    }
-  }
-  return util::configured_thread_count();
 }
 
 std::string json_output_path(int argc, char** argv) {

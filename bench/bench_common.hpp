@@ -70,14 +70,6 @@ struct AppSample {
 [[nodiscard]] AppSample sample_app(const apps::Application& app,
                                    unsigned relax_bits);
 
-/// Host-parallelism knob shared by the bench binaries and examples: parses
-/// `--threads N` (or `--threads=N`) from argv and configures the global
-/// thread pool (util/thread_pool.hpp); without the flag the pool keeps its
-/// default (`APIM_THREADS` env var, else hardware concurrency). Returns
-/// the effective thread count. Results are bit-identical for every
-/// setting — the knob only changes host wall-clock time.
-std::size_t configure_threads(int argc, char** argv);
-
 /// Machine-readable output knob shared by the bench binaries: parses
 /// `--json <path>` (or `--json=path`) from argv. Returns the path, or an
 /// empty string when the flag is absent. The bench writes a JsonValue

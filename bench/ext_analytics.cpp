@@ -36,6 +36,7 @@
 #include "serve/qos_table.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -219,7 +220,7 @@ bool results_identical(const AllResults& a, const AllResults& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = apim::bench::configure_threads(argc, argv);
+  const std::size_t threads = apim::util::configure_threads(argc, argv);
   const bool smoke = apim::bench::has_flag(argc, argv, "--smoke");
   const std::string json_path = apim::bench::json_output_path(argc, argv);
 

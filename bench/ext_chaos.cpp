@@ -35,6 +35,7 @@
 #include "serve_harness.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -89,7 +90,7 @@ ServerConfig make_server() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = apim::bench::configure_threads(argc, argv);
+  const std::size_t threads = apim::util::configure_threads(argc, argv);
   const bool smoke = apim::bench::has_flag(argc, argv, "--smoke");
   const std::string json_path = apim::bench::json_output_path(argc, argv);
   const std::string trace_path = apim::bench::trace_output_path(argc, argv);

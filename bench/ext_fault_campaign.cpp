@@ -23,6 +23,7 @@
 #include "reliability/campaign.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 using namespace apim;
@@ -59,7 +60,7 @@ double mean_over_runs(const reliability::CampaignResult& r,
 
 int main(int argc, char** argv) {
   using namespace apim;
-  const std::size_t threads = bench::configure_threads(argc, argv);
+  const std::size_t threads = util::configure_threads(argc, argv);
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   const std::string json_path = bench::json_output_path(argc, argv);
 

@@ -40,6 +40,7 @@
 #include "serve_harness.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -72,7 +73,7 @@ ServerConfig make_server_config(bool batched) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = apim::bench::configure_threads(argc, argv);
+  const std::size_t threads = apim::util::configure_threads(argc, argv);
   const bool smoke = apim::bench::has_flag(argc, argv, "--smoke");
   const std::string json_path = apim::bench::json_output_path(argc, argv);
   const std::string trace_path = apim::bench::trace_output_path(argc, argv);

@@ -18,6 +18,7 @@
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -28,7 +29,7 @@ constexpr const char* kApps[] = {"Sobel", "Robert", "FFT", "DwtHaar1D"};
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = bench::configure_threads(argc, argv);
+  const std::size_t threads = util::configure_threads(argc, argv);
   std::printf(
       "=== Figure 5: exact APIM energy saving & speedup vs GPU over "
       "dataset size === (%zu host threads)\n\n",

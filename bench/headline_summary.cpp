@@ -15,6 +15,7 @@
 #include "core/tuner.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 using namespace apim;
@@ -22,7 +23,7 @@ constexpr double kOneGiB = 1024.0 * 1024 * 1024;
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::configure_threads(argc, argv);
+  util::configure_threads(argc, argv);
   const std::string json_path = bench::json_output_path(argc, argv);
   std::puts("=== Headline claims summary ===\n");
   const baseline::GpuModel gpu;

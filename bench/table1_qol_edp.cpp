@@ -19,6 +19,7 @@
 #include "core/tuner.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -36,7 +37,7 @@ struct AppResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = bench::configure_threads(argc, argv);
+  const std::size_t threads = util::configure_threads(argc, argv);
   std::puts("=== Table 1: QoL and EDP improvement vs GPU per relax level ===");
   std::printf("(reference dataset %s; QoL = normalized quality loss; paper "
               "values in parentheses; %zu host threads)\n\n",

@@ -7,8 +7,6 @@
 // and EDP side by side, then writes input/exact/approx images as PGM.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -22,14 +20,9 @@ int main(int argc, char** argv) {
 
   // Host-parallelism knob: --threads N (or the APIM_THREADS env var).
   // Purely a wall-clock knob; every reported number is bit-identical.
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0)
-      util::set_thread_count(
-          static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10)));
-  }
-
+  const std::size_t threads = util::configure_threads(argc, argv);
   std::printf("== APIM image pipeline: Sobel == (%zu host threads)\n\n",
-              util::configured_thread_count());
+              threads);
 
   auto app = apps::make_application("Sobel");
   app->generate(128 * 128, /*seed=*/42);

@@ -37,21 +37,12 @@ const char* state_name(std::uint8_t s) {
 }
 
 /// Independent recomputation of the interconnect cost law
-/// (cluster/topology.hpp): hop counts from the logged topology, latency
-/// hops * (hop_latency + ceil(bits / link_bits)), energy
+/// (cluster/topology.hpp): star hop counts (2 between distinct chips),
+/// latency hops * (hop_latency + ceil(bits / link_bits)), energy
 /// hops * bits * pj_per_bit_hop. Kept expression-identical so doubles
 /// compare bit-exactly.
-std::uint64_t expected_hops(const Meta& m, std::int64_t a, std::int64_t b) {
-  if (a == b) return 0;
-  if (m.topology == 0) return 2;  // Star: a -> switch -> b.
-  std::size_t side = 1;
-  while (side * side < m.chips) ++side;
-  const auto ax = static_cast<std::size_t>(a) % side;
-  const auto ay = static_cast<std::size_t>(a) / side;
-  const auto bx = static_cast<std::size_t>(b) % side;
-  const auto by = static_cast<std::size_t>(b) / side;
-  return static_cast<std::uint64_t>((ax > bx ? ax - bx : bx - ax) +
-                                    (ay > by ? ay - by : by - ay));
+std::uint64_t expected_hops(std::int64_t a, std::int64_t b) {
+  return a == b ? 0 : 2;  // a -> switch -> b.
 }
 
 std::uint64_t expected_route_cycles(const Meta& m, std::uint64_t hops,
@@ -441,7 +432,7 @@ class Checker {
 
   void check_route(const Event& e, bool check_energy) {
     if (meta_.chips == 0) return;  // No cluster header: nothing to recompute.
-    const std::uint64_t hops = expected_hops(meta_, e.from, e.to);
+    const std::uint64_t hops = expected_hops(e.from, e.to);
     if (e.hops != hops) {
       std::ostringstream os;
       os << serve::trace::to_string(e.kind) << " from chip " << e.from

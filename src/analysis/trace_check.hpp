@@ -49,8 +49,8 @@
 //                        repair arcs back; no dispatch or online scrub on
 //                        a quarantined domain; offline repairs only there.
 //   interconnect-charge  Every forward/response/migration leg's hops,
-//                        cycles and energy are recomputed from the logged
-//                        topology via the cost law
+//                        cycles and energy are recomputed for the star
+//                        interconnect via the cost law
 //                        hops * (hop_latency + ceil(bits / link_bits)) and
 //                        hops * bits * pj_per_bit_hop; any mismatch
 //                        (under- or over-charge) is an error.

@@ -57,7 +57,6 @@ struct Cluster::Impl {
       serve::trace::Meta& m = cfg.trace->meta;
       m.chips = cfg.chips;
       m.shards = cfg.shards;
-      m.topology = cfg.topology == Topology::kStar ? 0 : 1;
       m.hop_latency_cycles = cfg.interconnect.hop_latency_cycles;
       m.link_bits = cfg.interconnect.link_bits;
       m.pj_per_bit_hop = cfg.interconnect.pj_per_bit_hop;
@@ -125,8 +124,7 @@ struct Cluster::Impl {
     serve::Request r = std::move(reqs[idx]);
     ri.exec = placement.chip_for(ri.shard);
     if (ri.addressed != ri.exec) {
-      const std::uint64_t h =
-          hop_count(cfg.topology, cfg.chips, ri.addressed, ri.exec);
+      const std::uint64_t h = hop_count(ri.addressed, ri.exec);
       const std::uint64_t bits = payload_bits(ri.ops, ri.width);
       const util::Cycles delay = route_cycles(cfg.interconnect, h, bits);
       const double pj = route_energy_pj(cfg.interconnect, h, bits);
@@ -206,7 +204,7 @@ struct Cluster::Impl {
       ++totals.migrations;
     }
     totals.migration_cycles += m.latency;
-    const std::uint64_t h = hop_count(cfg.topology, cfg.chips, m.from, m.to);
+    const std::uint64_t h = hop_count(m.from, m.to);
     const double pj = route_energy_pj(cfg.interconnect, h, kShardBits);
     totals.migration_energy_pj += pj;
     totals.interconnect_energy_pj += pj;
@@ -237,8 +235,7 @@ struct Cluster::Impl {
     const std::vector<MigrationDecision> decisions =
         rebalancer.tick(placement.assignment(), serving, shard_locked);
     for (const MigrationDecision& d : decisions) {
-      const std::uint64_t h =
-          hop_count(cfg.topology, cfg.chips, d.from, d.to);
+      const std::uint64_t h = hop_count(d.from, d.to);
       const util::Cycles lat = route_cycles(cfg.interconnect, h, kShardBits);
       active.push_back(
           {d.shard, d.from, d.to, tick_at + lat, lat, d.evacuation});
@@ -393,8 +390,7 @@ std::vector<ClusterResponse> Cluster::run_trace(
     cr.edge_completion = cr.resp.completion;
     cr.interconnect_energy_pj = ri.energy_pj;
     if (ri.cross && cr.resp.status == serve::RequestStatus::kOk) {
-      const std::uint64_t h =
-          hop_count(im.cfg.topology, im.cfg.chips, ri.exec, ri.addressed);
+      const std::uint64_t h = hop_count(ri.exec, ri.addressed);
       const std::uint64_t bits = payload_bits(ri.ops, ri.width);
       const util::Cycles delay =
           route_cycles(im.cfg.interconnect, h, bits);

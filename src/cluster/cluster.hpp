@@ -70,7 +70,6 @@ struct ClusterConfig {
   /// shards = finer rebalancing moves.
   std::size_t shards = 64;
 
-  Topology topology = Topology::kStar;
   InterconnectConfig interconnect{};
   RebalanceConfig rebalance{};
 

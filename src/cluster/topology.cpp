@@ -1,40 +1,11 @@
 #include "cluster/topology.hpp"
 
-#include <cassert>
 #include <cstdint>
 
 namespace apim::cluster {
 
-namespace {
-
-/// Smallest side length whose square grid holds `chips` nodes.
-std::size_t mesh_side(std::size_t chips) {
-  std::size_t side = 1;
-  while (side * side < chips) ++side;
-  return side;
-}
-
-}  // namespace
-
-std::uint64_t hop_count(Topology topology, std::size_t chips, std::size_t a,
-                        std::size_t b) {
-  assert(a < chips && b < chips);
-  if (a == b) return 0;
-  switch (topology) {
-    case Topology::kStar:
-      return 2;  // a -> switch -> b.
-    case Topology::kMesh2D: {
-      const std::size_t side = mesh_side(chips);
-      const std::size_t ax = a % side;
-      const std::size_t ay = a / side;
-      const std::size_t bx = b % side;
-      const std::size_t by = b / side;
-      const std::size_t dx = ax > bx ? ax - bx : bx - ax;
-      const std::size_t dy = ay > by ? ay - by : by - ay;
-      return static_cast<std::uint64_t>(dx + dy);
-    }
-  }
-  return 2;
+std::uint64_t hop_count(std::size_t a, std::size_t b) {
+  return a == b ? 0 : 2;
 }
 
 util::Cycles route_cycles(const InterconnectConfig& cfg, std::uint64_t hops,

@@ -4,11 +4,10 @@
 // block-to-block crossbar link whose cost magic::MagicEngine already
 // charges per row moved. A cluster of chips generalizes the same idea one
 // level up: chips are nodes on a package/board fabric, and any request or
-// shard that crosses chips pays per-hop latency plus per-bit energy. Two
-// topologies cover the interesting regimes: a star (every chip one hop
-// from a central switch — uniform two-hop chip-to-chip distance, models a
-// host-attached multi-drop board like the PIM-base host driver) and a 2D
-// mesh (distance grows with Manhattan separation, models a tiled package).
+// shard that crosses chips pays per-hop latency plus per-bit energy. The
+// fabric is a star: every chip is one hop from a central switch, so any two
+// chips are two hops apart (a host-attached multi-drop board, like the
+// PIM-base host driver).
 //
 // The model is deliberately simple and fully deterministic: no contention,
 // no queuing on links. Forwarding cost in cycles is
@@ -25,11 +24,6 @@
 
 namespace apim::cluster {
 
-enum class Topology : std::uint8_t {
-  kStar,    ///< All chips hang off one switch: a != b is always 2 hops.
-  kMesh2D,  ///< Chips tiled on a ceil(sqrt(N)) grid; Manhattan distance.
-};
-
 struct InterconnectConfig {
   /// Switch/router traversal latency charged per hop.
   util::Cycles hop_latency_cycles = 24;
@@ -45,9 +39,9 @@ struct InterconnectConfig {
   double pj_per_bit_hop = 2.0;
 };
 
-/// Hop count between chips `a` and `b` (0 when equal) among `chips` nodes.
-[[nodiscard]] std::uint64_t hop_count(Topology topology, std::size_t chips,
-                                      std::size_t a, std::size_t b);
+/// Hop count between chips `a` and `b`: 0 on the same chip, else 2
+/// (a -> switch -> b).
+[[nodiscard]] std::uint64_t hop_count(std::size_t a, std::size_t b);
 
 /// Cycles to move `bits` over `hops` hops (0 when hops == 0).
 [[nodiscard]] util::Cycles route_cycles(const InterconnectConfig& cfg,

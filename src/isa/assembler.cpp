@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
+#include <limits>
 #include <map>
-#include <optional>
 #include <vector>
+
+#include "util/scan.hpp"
 
 namespace apim::isa {
 
 namespace {
-
-struct Token {
-  std::string text;
-};
 
 /// Strip comments/whitespace and split one line into mnemonic + operands
 /// (operands separated by commas).
@@ -82,24 +79,18 @@ ParsedLine parse_line(std::string_view raw, std::uint32_t line) {
 std::uint8_t parse_register(const std::string& operand, std::uint32_t line) {
   if (operand.size() < 2 || (operand[0] != 'r' && operand[0] != 'R'))
     throw AssemblyError(line, "expected register, got '" + operand + "'");
-  unsigned value = 0;
-  const auto* begin = operand.data() + 1;
-  const auto* end = operand.data() + operand.size();
-  const auto result = std::from_chars(begin, end, value);
-  if (result.ec != std::errc{} || result.ptr != end ||
-      value >= kRegisterCount)
+  std::uint8_t value = 0;
+  if (!util::scan(std::string_view(operand).substr(1), &value, 0,
+                  kRegisterCount - 1))
     throw AssemblyError(line, "bad register '" + operand + "'");
-  return static_cast<std::uint8_t>(value);
+  return value;
 }
 
 std::int64_t parse_immediate(const std::string& operand, std::uint32_t line) {
   if (operand.empty() || operand[0] != '#')
     throw AssemblyError(line, "expected immediate, got '" + operand + "'");
   std::int64_t value = 0;
-  const auto* begin = operand.data() + 1;
-  const auto* end = operand.data() + operand.size();
-  const auto result = std::from_chars(begin, end, value);
-  if (result.ec != std::errc{} || result.ptr != end)
+  if (!util::scan(std::string_view(operand).substr(1), &value))
     throw AssemblyError(line, "bad immediate '" + operand + "'");
   return value;
 }
@@ -114,22 +105,17 @@ MemOperand parse_memory(const std::string& operand, std::uint32_t line) {
   if (operand.size() < 3 || operand.front() != '[' || operand.back() != ']')
     throw AssemblyError(line, "expected memory operand, got '" + operand + "'");
   const std::string inner = trim(operand.substr(1, operand.size() - 2));
-  const auto plus = inner.find_first_of("+-");
-  MemOperand mem{};
-  if (plus == std::string::npos) {
-    mem.base = parse_register(inner, line);
-    mem.offset = 0;
-  } else {
-    mem.base = parse_register(trim(inner.substr(0, plus)), line);
-    std::int64_t magnitude = 0;
-    const std::string num = trim(inner.substr(plus + 1));
-    const auto result = std::from_chars(num.data(), num.data() + num.size(),
-                                        magnitude);
-    if (result.ec != std::errc{} || result.ptr != num.data() + num.size())
-      throw AssemblyError(line, "bad offset in '" + operand + "'");
-    mem.offset = inner[plus] == '-' ? -magnitude : magnitude;
-  }
-  return mem;
+  const auto sign = inner.find_first_of("+-");
+  if (sign == std::string::npos) return {parse_register(inner, line), 0};
+  const std::uint8_t base = parse_register(trim(inner.substr(0, sign)), line);
+  // The sign is the operator; the offset's magnitude is unsigned and fits
+  // int64, so negating it cannot overflow.
+  std::uint64_t magnitude = 0;
+  if (!util::scan(trim(inner.substr(sign + 1)), &magnitude, 0,
+                  std::numeric_limits<std::int64_t>::max()))
+    throw AssemblyError(line, "bad offset in '" + operand + "'");
+  const auto offset = static_cast<std::int64_t>(magnitude);
+  return {base, inner[sign] == '-' ? -offset : offset};
 }
 
 std::string parse_label_ref(const std::string& operand, std::uint32_t line) {

@@ -121,7 +121,6 @@ struct Meta {
   // cluster::Cluster (chips == 0 means "single server").
   std::size_t chips = 0;
   std::size_t shards = 0;
-  std::uint8_t topology = 0;  ///< 0 = star, 1 = 2D mesh.
   util::Cycles hop_latency_cycles = 0;
   std::size_t link_bits = 0;
   double pj_per_bit_hop = 0.0;
@@ -162,10 +161,10 @@ class EventLog {
   /// Doubles print with enough digits to round-trip bit-exactly.
   [[nodiscard]] std::string serialize() const;
   /// Inverse of serialize(). Returns false and sets `*error` on a malformed
-  /// document; `*out` is cleared first. Every number must be the whole
-  /// token, carry no sign on an unsigned field and fit its field; a
-  /// `members` list has no empty items. A bad number reports
-  /// "line N: bad value 'V' for key 'K'".
+  /// document; `*out` is cleared first. Numbers go through the strict
+  /// reader of util/scan.hpp: the whole token, no sign on an unsigned
+  /// field, a value that fits its field, and no empty `members` item. A bad
+  /// value reports "line N: bad value 'V' for key 'K'".
   static bool parse(const std::string& text, EventLog* out,
                     std::string* error);
 

@@ -3,12 +3,18 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#include "util/scan.hpp"
 
 namespace apim::util {
 
@@ -25,12 +31,10 @@ std::size_t g_thread_override = 0;  // 0 = use env / hardware default.
 std::unique_ptr<ThreadPool> g_pool;
 
 std::size_t default_thread_count() {
-  if (const char* env = std::getenv("APIM_THREADS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && parsed >= 1 && parsed <= 512)
-      return static_cast<std::size_t>(parsed);
-  }
+  std::size_t threads = 0;
+  if (const char* env = std::getenv("APIM_THREADS");
+      env != nullptr && scan(env, &threads, 1, kMaxThreads))
+    return threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
@@ -47,8 +51,33 @@ std::size_t configured_thread_count() {
 }
 
 void set_thread_count(std::size_t threads) {
+  if (threads > kMaxThreads)
+    throw std::invalid_argument("set_thread_count: threads above kMaxThreads");
   std::lock_guard<std::mutex> lock(g_config_mutex);
   g_thread_override = threads;
+}
+
+std::size_t configure_threads(int argc, char** argv) {
+  constexpr std::string_view kFlag = "--threads";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const char* value = nullptr;
+    if (arg == kFlag)
+      value = i + 1 < argc ? argv[++i] : "";
+    else if (arg.starts_with(kFlag) && arg[kFlag.size()] == '=')
+      value = argv[i] + kFlag.size() + 1;
+    else
+      continue;
+    std::size_t threads = 0;
+    if (!scan(value, &threads, 1, kMaxThreads)) {
+      const char* slash = std::strrchr(argv[0], '/');
+      std::fprintf(stderr, "%s: error: --threads expects 1..%zu, got '%s'\n",
+                   slash != nullptr ? slash + 1 : argv[0], kMaxThreads, value);
+      std::exit(2);
+    }
+    set_thread_count(threads);
+  }
+  return configured_thread_count();
 }
 
 // One parallel_for invocation. Shared with workers through a shared_ptr so

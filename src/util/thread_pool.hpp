@@ -23,16 +23,31 @@
 
 namespace apim::util {
 
+/// Largest host thread count that `set_thread_count`, `APIM_THREADS` and
+/// `--threads` accept.
+inline constexpr std::size_t kMaxThreads = 512;
+
 /// Number of host threads parallel work may use: the `set_thread_count`
-/// override if set, else the `APIM_THREADS` environment variable, else
-/// `std::thread::hardware_concurrency()`. Always >= 1.
+/// override if set, else the `APIM_THREADS` environment variable (read
+/// strictly, util/scan.hpp; a value outside 1..kMaxThreads is ignored),
+/// else `std::thread::hardware_concurrency()`. Always >= 1.
 [[nodiscard]] std::size_t configured_thread_count();
 
 /// Process-wide override of the host thread count (the `--threads` knob).
-/// Pass 0 to restore the default (env var / hardware concurrency). Takes
-/// effect at the next `ThreadPool::global()` call; must not be called
+/// Pass 0 to restore the default (env var / hardware concurrency). Throws
+/// std::invalid_argument above kMaxThreads, leaving the count unchanged.
+/// Takes effect at the next `ThreadPool::global()` call; must not be called
 /// while parallel work is in flight.
 void set_thread_count(std::size_t threads);
+
+/// The `--threads N` (or `--threads=N`) flag of the bench binaries and
+/// examples: reads N in 1..kMaxThreads from argv and passes it to
+/// `set_thread_count`; without the flag the pool keeps its default. A
+/// missing, malformed or out-of-range value prints
+/// "<program>: error: ..." to stderr and exits 2. Returns the effective
+/// thread count. Results are bit-identical for every setting; the knob
+/// only changes host wall-clock time.
+std::size_t configure_threads(int argc, char** argv);
 
 class ThreadPool {
  public:

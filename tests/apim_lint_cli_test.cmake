@@ -1,10 +1,9 @@
-# CLI contract test for apim_lint (and apim_sim --lint), run via ctest:
-#   cmake -DAPIM_LINT=<bin> -DAPIM_SIM=<bin> -DEXAMPLES_DIR=<dir> \
-#         -P apim_lint_cli_test.cmake
+# CLI contract test for apim_lint, run via ctest:
+#   cmake -DAPIM_LINT=<bin> -DEXAMPLES_DIR=<dir> -P apim_lint_cli_test.cmake
 #
 # Seeded defects must be flagged at the right source lines with exit 1,
 # clean kernels must exit 0, bad invocations must exit 2.
-foreach(var APIM_LINT APIM_SIM EXAMPLES_DIR)
+foreach(var APIM_LINT EXAMPLES_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "pass -D${var}=...")
   endif()
@@ -93,9 +92,13 @@ run(bad2 2 ${APIM_LINT} --memsize sixty-four ${WORK}/defects.apim)
 run(missing 1 ${APIM_LINT} ${WORK}/no_such_file.apim)
 expect_match("${missing_out}" "error \\[io\\]" "missing file")
 
-# --- apim_sim --lint reuses the same engine. ---------------------------------
-run(sim1 1 ${APIM_SIM} --lint ${WORK}/defects.apim --memsize 64)
-expect_match("${sim1_out}" "line 3: error \\[use-before-def\\]" "apim_sim lint")
-run(sim0 0 ${APIM_SIM} --lint ${EXAMPLES_DIR}/axpy.apim --memsize 64)
+# Signed, overflowing and out-of-range sizes are errors: the lint compares
+# addresses as int64, so a size above 2^63-1 would flag in-range stores.
+foreach(bad -1 +64 64x 9223372036854775808 18446744073709551616)
+  run(badsize 2 ${APIM_LINT} --memsize ${bad} ${EXAMPLES_DIR}/axpy.apim)
+  expect_match("${badsize_err}" "apim_lint: error:" "--memsize ${bad}")
+endforeach()
+run(bigsize 0 ${APIM_LINT} --werror --memsize 9223372036854775807
+  ${EXAMPLES_DIR}/axpy.apim)
 
 message(STATUS "apim_lint CLI contract holds")

@@ -39,5 +39,16 @@ run_sim(2 TRUE --relax 99)                 # out of range
 run_sim(2 TRUE --mask 40)                  # out of range
 run_sim(2 TRUE --lanes 0)                  # zero lanes
 run_sim(2 TRUE --backend gpu)              # unknown backend
+# Signed, overflowing and out-of-range numbers are errors, never wrapped.
+run_sim(2 TRUE --elements -1)
+run_sim(2 TRUE --elements 16777217)        # above the 2^24 bound
+run_sim(2 TRUE --elements +64)
+run_sim(2 TRUE --seed -1)
+run_sim(2 TRUE --seed 18446744073709551616)  # overflows uint64
+run_sim(2 TRUE --relax -1)
+run_sim(2 TRUE --mask -1)
+run_sim(2 TRUE --lanes -1)
+run_sim(2 TRUE --lint x.apim)              # apim_lint's job
+run_sim(2 TRUE --memsize 64)               # apim_lint's job
 
 message(STATUS "apim_sim CLI contract holds")

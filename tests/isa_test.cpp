@@ -92,6 +92,20 @@ TEST(Assembler, RejectsDuplicateAndUndefinedLabels) {
   EXPECT_THROW((void)assemble("jmp @nowhere\nhalt\n"), AssemblyError);
 }
 
+TEST(Assembler, RejectsBadMemoryOffsets) {
+  // The sign is the operator and the magnitude an unsigned number of at
+  // most 2^63 - 1: a second sign or a larger magnitude is an error, and
+  // negating the magnitude cannot overflow.
+  EXPECT_THROW((void)assemble("load r1, [r2--9223372036854775808]\n"),
+               AssemblyError);
+  EXPECT_THROW((void)assemble("load r1, [r2+-5]\n"), AssemblyError);
+  EXPECT_THROW((void)assemble("load r1, [r2--5]\n"), AssemblyError);
+  EXPECT_THROW((void)assemble("store r1, [r2+9223372036854775808]\n"),
+               AssemblyError);
+  EXPECT_EQ(assemble("load r1, [r2-9223372036854775807]\n").code[0].imm,
+            -9223372036854775807);
+}
+
 TEST(Assembler, RejectsOutOfRangePrecision) {
   EXPECT_THROW((void)assemble("setrelax #65\n"), AssemblyError);
   EXPECT_THROW((void)assemble("shr r1, r2, #64\n"), AssemblyError);

@@ -161,6 +161,18 @@ TEST(ThreadPool, SetThreadCountReconfiguresGlobalPool) {
   EXPECT_GE(util::configured_thread_count(), 1u);
 }
 
+TEST(ThreadPool, SetThreadCountRejectsAboveMaximum) {
+  // Only the configured count is read: no pool of that size is built.
+  const ThreadCountGuard guard;
+  util::set_thread_count(util::kMaxThreads);
+  EXPECT_EQ(util::configured_thread_count(), util::kMaxThreads);
+  util::set_thread_count(2);
+  EXPECT_THROW(util::set_thread_count(util::kMaxThreads + 1),
+               std::invalid_argument);
+  EXPECT_THROW(util::set_thread_count(~std::size_t{0}), std::invalid_argument);
+  EXPECT_EQ(util::configured_thread_count(), 2u);
+}
+
 // -------------------------------------------- bit-exactness properties --
 
 /// The thread counts the determinism properties sweep: serial, even split,

@@ -409,7 +409,6 @@ TEST(TraceCheckMutation, ReorderedSameInstantCommitsBreakCommitOrder) {
   EventLog log;
   log.meta.chips = 4;
   log.meta.shards = 8;
-  log.meta.topology = 0;
   log.meta.hop_latency_cycles = 8;
   log.meta.link_bits = 64;
   log.meta.pj_per_bit_hop = 0.1;
@@ -528,7 +527,6 @@ TEST(TraceSerialization, ClusterTraceRoundTripsBitExactly) {
   // The header round-trips too: the verifier's recomputed interconnect
   // charges depend on it.
   EXPECT_EQ(parsed.meta.chips, log.meta.chips);
-  EXPECT_EQ(parsed.meta.topology, log.meta.topology);
   EXPECT_EQ(parsed.meta.hop_latency_cycles, log.meta.hop_latency_cycles);
   EXPECT_EQ(parsed.meta.link_bits, log.meta.link_bits);
   EXPECT_EQ(parsed.meta.pj_per_bit_hop, log.meta.pj_per_bit_hop);
@@ -544,10 +542,14 @@ TEST(TraceSerialization, ParseRejectsMalformedDocuments) {
                       &error));
   EXPECT_FALSE(EventLog::parse("apim-trace v1\nevent k=admit t=0 zz=1\n",
                                &out, &error));
+  // The interconnect is a star: the header has no topology key.
+  EXPECT_FALSE(EventLog::parse("apim-trace v1\nmeta topology=0\n", &out,
+                               &error));
+  EXPECT_EQ(error, "line 2: unknown meta key 'topology'");
 
   // Numbers: the whole token, no sign on an unsigned field, and a value
-  // that fits the field (op, policy, state_from, state_to and topology are
-  // 8-bit, chip is 32-bit). Each of these once parsed silently.
+  // that fits the field (op, policy, state_from and state_to are 8-bit,
+  // chip is 32-bit). Each of these once parsed silently.
   const struct {
     const char* record;
     const char* error;
@@ -574,7 +576,7 @@ TEST(TraceSerialization, ParseRejectsMalformedDocuments) {
       {"event k=forward t=0 pj=1.5x",
        "line 2: bad value '1.5x' for key 'pj'"},
       {"meta streams=abc", "line 2: bad value 'abc' for key 'streams'"},
-      {"meta topology=256", "line 2: bad value '256' for key 'topology'"},
+      {"meta chips=-4", "line 2: bad value '-4' for key 'chips'"},
       {"weight app=a w=+3", "line 2: bad value '+3' for key 'w'"},
   };
   for (const auto& c : bad_numbers) {

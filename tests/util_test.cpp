@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "util/fixed_point.hpp"
 #include "util/image.hpp"
 #include "util/rng.hpp"
+#include "util/scan.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -225,6 +227,37 @@ TEST(Stats, PercentileSortsInputAndHandlesTies) {
 }
 
 // ----------------------------------------------------------------- units --
+
+TEST(Scan, WholeTokenNoStraySignAndRange) {
+  std::uint8_t byte = 7;
+  EXPECT_TRUE(scan("255", &byte));
+  EXPECT_EQ(byte, 255);
+  for (const char* bad : {"", "256", "-0", "+1", " 1", "1 ", "0x1", "1e2"})
+    EXPECT_FALSE(scan(bad, &byte)) << bad;
+  EXPECT_EQ(byte, 255);  // Untouched by every failure.
+  std::int64_t word = 0;
+  EXPECT_TRUE(scan("-9223372036854775808", &word));
+  EXPECT_EQ(word, INT64_MIN);
+  EXPECT_FALSE(scan("9223372036854775808", &word));
+  std::size_t threads = 0;
+  EXPECT_TRUE(scan("512", &threads, 1, 512));
+  EXPECT_FALSE(scan("513", &threads, 1, 512));
+  EXPECT_FALSE(scan("0", &threads, 1, 512));
+  EXPECT_EQ(threads, 512u);
+  bool flag = false;
+  EXPECT_TRUE(scan("2", &flag));
+  EXPECT_TRUE(flag);
+  EXPECT_FALSE(scan("-1", &flag));
+}
+
+TEST(Scan, ListRejectsEmptyAndBadItems) {
+  std::vector<std::int64_t> items;
+  EXPECT_TRUE(scan_list("1,-2,3", &items));
+  EXPECT_EQ(items, (std::vector<std::int64_t>{1, -2, 3}));
+  for (const char* bad : {"", "1,,3", "1,2,", ",1", "1,x,3"})
+    EXPECT_FALSE(scan_list(bad, &items)) << bad;
+  EXPECT_EQ(items, (std::vector<std::int64_t>{1, -2, 3}));
+}
 
 TEST(Units, CycleConversions) {
   EXPECT_DOUBLE_EQ(cycles_to_ns(10), 11.0);

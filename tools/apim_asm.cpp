@@ -16,31 +16,29 @@
 #include "analysis/isa_lint.hpp"
 #include "isa/assembler.hpp"
 #include "isa/interpreter.hpp"
+#include "util/scan.hpp"
 
 namespace {
 
 using namespace apim;
 
-std::vector<std::int64_t> parse_memory(const std::string& list) {
-  std::vector<std::int64_t> memory;
-  std::stringstream stream(list);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    memory.push_back(std::strtoll(item.c_str(), nullptr, 10));
-  }
-  return memory;
+/// Largest --memsize: the data memory is allocated up front.
+constexpr std::size_t kMaxMemoryWords = std::size_t{1} << 24;
+
+/// Consistent bad-invocation diagnostic; every such path exits 2.
+int fail_usage(const char* fmt, const char* detail) {
+  std::fprintf(stderr, "apim_asm: error: ");
+  std::fprintf(stderr, fmt, detail);
+  std::fprintf(stderr,
+               "\nusage: apim_asm KERNEL.s [--mem v0,v1,...] [--memsize N] "
+               "[--relax M] [--disasm] [--lint]\n");
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s KERNEL.s [--mem v0,v1,...] [--memsize N] "
-                 "[--relax M] [--disasm] [--lint]\n",
-                 argv[0]);
-    return 2;
-  }
+  if (argc < 2) return fail_usage("no kernel file%s", "");
 
   const std::string path = argv[1];
   std::vector<std::int64_t> memory;
@@ -50,29 +48,37 @@ int main(int argc, char** argv) {
   bool lint = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--mem" && i + 1 < argc) {
-      memory = parse_memory(argv[++i]);
-    } else if (arg == "--memsize" && i + 1 < argc) {
-      memsize = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--relax" && i + 1 < argc) {
-      relax = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+    const auto need_value = [&]() -> const char* {
+      if (i + 1 >= argc)
+        std::exit(fail_usage("option %s requires a value", arg.c_str()));
+      return argv[++i];
+    };
+    if (arg == "--mem") {
+      const char* v = need_value();
+      if (!util::scan_list(v, &memory))
+        return fail_usage("--mem expects comma-separated integers, got '%s'",
+                          v);
+    } else if (arg == "--memsize") {
+      const char* v = need_value();
+      if (!util::scan(v, &memsize, 0, kMaxMemoryWords))
+        return fail_usage("--memsize expects 0..16777216, got '%s'", v);
+    } else if (arg == "--relax") {
+      const char* v = need_value();
+      if (!util::scan(v, &relax, 0, 64))
+        return fail_usage("--relax expects 0..64, got '%s'", v);
     } else if (arg == "--disasm") {
       disasm_only = true;
     } else if (arg == "--lint") {
       lint = true;
     } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      return 2;
+      return fail_usage("unknown option '%s'", arg.c_str());
     }
   }
   if (memsize > memory.size()) memory.resize(memsize, 0);
   if (memory.empty()) memory.resize(16, 0);
 
   std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-    return 2;
-  }
+  if (!in) return fail_usage("cannot open '%s'", path.c_str());
   std::stringstream buffer;
   buffer << in.rdbuf();
 

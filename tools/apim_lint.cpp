@@ -12,16 +12,17 @@
 //
 // Exit status: 0 clean (warnings allowed unless --werror), 1 when any
 // error-severity diagnostic was produced, 2 on bad invocation.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/isa_lint.hpp"
 #include "isa/assembler.hpp"
+#include "util/scan.hpp"
 
 namespace {
 
@@ -90,11 +91,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--memsize") {
       if (i + 1 >= argc)
         return fail_usage("option %s requires a value", "--memsize");
-      char* end = nullptr;
-      const unsigned long long value = std::strtoull(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || end == argv[i])
-        return fail_usage("--memsize expects a word count, got '%s'", argv[i]);
-      options.memory_words = static_cast<std::size_t>(value);
+      // The bounds rules compare addresses as int64.
+      if (!util::scan(argv[++i], &options.memory_words, 0,
+                      std::numeric_limits<std::int64_t>::max()))
+        return fail_usage("--memsize expects 0..2^63-1 words, got '%s'",
+                          argv[i]);
     } else if (!arg.empty() && arg[0] == '-') {
       return fail_usage("unknown option '%s'", arg.c_str());
     } else {

@@ -7,23 +7,22 @@
 //   apim_sim --app FFT --mask 8 --seed 7 --csv
 //   apim_sim --app GEMM --backend bit --elements 256
 //   apim_sim --list
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include <fstream>
-#include <sstream>
-
-#include "analysis/isa_lint.hpp"
 #include "apps/app.hpp"
 #include "core/apim.hpp"
-#include "isa/assembler.hpp"
 #include "quality/qos.hpp"
+#include "util/scan.hpp"
 
 namespace {
 
 using namespace apim;
+
+/// Largest --elements: the workload's buffers are allocated up front.
+constexpr std::size_t kMaxElements = std::size_t{1} << 24;
 
 struct Options {
   std::string app = "Sobel";
@@ -35,34 +34,23 @@ struct Options {
   core::Backend backend = core::Backend::kFast;
   bool csv = false;
   bool list = false;
-  std::string lint_path;       ///< Non-empty: lint a kernel file and exit.
-  std::size_t lint_memsize = 0;
 };
 
 void usage(const char* argv0) {
   std::printf(
       "usage: %s [--app NAME] [--elements N] [--seed S] [--relax M]\n"
       "          [--mask B] [--lanes L] [--backend fast|bit] [--csv]\n"
-      "          [--lint FILE.apim [--memsize N]] [--list] [--help]\n\n"
+      "          [--list] [--help]\n\n"
       "Runs an APIM application workload and reports quality and cost.\n"
       "  --app NAME      workload (see --list; default Sobel)\n"
-      "  --elements N    input elements (default 4096)\n"
+      "  --elements N    input elements, 0..16777216 (default 4096)\n"
       "  --seed S        workload seed (default 2017)\n"
       "  --relax M       last-stage relax bits, 0..64 (default 0)\n"
       "  --mask B        first-stage mask bits, 0..32 (default 0)\n"
       "  --lanes L       parallel lanes (default: chip-derived 12288)\n"
       "  --backend X     'fast' word models or 'bit' cell-level engine\n"
-      "  --csv           emit a single CSV row instead of text\n"
-      "  --lint FILE     statically verify an .apim kernel file and exit\n"
-      "                  (exit 0 clean, 1 on any error diagnostic)\n"
-      "  --memsize N     data-memory words for --lint bounds checks\n",
+      "  --csv           emit a single CSV row instead of text\n",
       argv0);
-}
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != nullptr && end != s && *end == '\0';
 }
 
 /// Consistent bad-invocation diagnostic; every such path exits 2.
@@ -73,32 +61,7 @@ int fail_usage(const char* fmt, const char* detail) {
   return 2;
 }
 
-/// --lint mode: assemble + statically verify a kernel file, no execution.
-int run_lint(const Options& opt) {
-  std::ifstream in(opt.lint_path);
-  if (!in)
-    return fail_usage("cannot open kernel file '%s'", opt.lint_path.c_str());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-
-  analysis::Report report;
-  try {
-    const isa::Program program = isa::assemble(buffer.str());
-    report = analysis::lint_program(
-        program, analysis::LintOptions{opt.lint_memsize});
-  } catch (const isa::AssemblyError& e) {
-    report.add({analysis::Severity::kError, "parse", e.line(), -1, e.what(),
-                "fix the syntax before lint rules can run"});
-  }
-  std::fputs(report.format().c_str(), stdout);
-  std::printf("%s: %zu error(s), %zu warning(s)\n", opt.lint_path.c_str(),
-              report.count(analysis::Severity::kError),
-              report.count(analysis::Severity::kWarning));
-  return report.has_errors() ? 1 : 0;
-}
-
 int run(const Options& opt) {
-  if (!opt.lint_path.empty()) return run_lint(opt);
   if (opt.list) {
     std::puts("paper applications:");
     for (const auto& app : apps::make_all_applications())
@@ -170,7 +133,6 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    std::uint64_t value = 0;
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -182,36 +144,24 @@ int main(int argc, char** argv) {
       opt.app = need_value("--app");
     } else if (arg == "--elements") {
       const char* v = need_value("--elements");
-      if (!parse_u64(v, value))
-        return fail_usage("--elements expects a count, got '%s'", v);
-      opt.elements = value;
+      if (!util::scan(v, &opt.elements, 0, kMaxElements))
+        return fail_usage("--elements expects 0..16777216, got '%s'", v);
     } else if (arg == "--seed") {
       const char* v = need_value("--seed");
-      if (!parse_u64(v, value))
-        return fail_usage("--seed expects an integer, got '%s'", v);
-      opt.seed = value;
+      if (!util::scan(v, &opt.seed))
+        return fail_usage("--seed expects an unsigned integer, got '%s'", v);
     } else if (arg == "--relax") {
       const char* v = need_value("--relax");
-      if (!parse_u64(v, value) || value > 64)
+      if (!util::scan(v, &opt.relax, 0, 64))
         return fail_usage("--relax expects 0..64, got '%s'", v);
-      opt.relax = static_cast<unsigned>(value);
     } else if (arg == "--mask") {
       const char* v = need_value("--mask");
-      if (!parse_u64(v, value) || value > 32)
+      if (!util::scan(v, &opt.mask, 0, 32))
         return fail_usage("--mask expects 0..32, got '%s'", v);
-      opt.mask = static_cast<unsigned>(value);
-    } else if (arg == "--lint") {
-      opt.lint_path = need_value("--lint");
-    } else if (arg == "--memsize") {
-      const char* v = need_value("--memsize");
-      if (!parse_u64(v, value))
-        return fail_usage("--memsize expects a word count, got '%s'", v);
-      opt.lint_memsize = value;
     } else if (arg == "--lanes") {
       const char* v = need_value("--lanes");
-      if (!parse_u64(v, value) || value == 0)
+      if (!util::scan(v, &opt.lanes, 1, SIZE_MAX))
         return fail_usage("--lanes expects a positive count, got '%s'", v);
-      opt.lanes = value;
     } else if (arg == "--backend") {
       const char* v = need_value("--backend");
       const std::string backend = v;
