@@ -1,8 +1,10 @@
 #include "bench_common.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "analysis/trace_check.hpp"
 #include "serve/trace.hpp"
@@ -49,22 +51,42 @@ util::JsonValue ShapeChecker::to_json() const {
   return checks;
 }
 
-std::string json_output_path(int argc, char** argv) {
+namespace {
+
+/// The path of the first `flag path` or `flag=path` in argv, or `absent`
+/// when the flag is not given. A flag without a path (given last, or
+/// empty) exits 2 with "<program>: error: <flag> needs a path".
+std::string path_flag(int argc, char** argv, std::string_view flag,
+                      std::string absent) {
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--json=", 7) == 0) return arg + 7;
-    if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) return argv[i + 1];
+    const std::string_view arg = argv[i];
+    std::string_view path;
+    if (arg == flag)
+      path = i + 1 < argc ? argv[i + 1] : "";
+    else if (arg.starts_with(flag) && arg[flag.size()] == '=')
+      path = arg.substr(flag.size() + 1);
+    else
+      continue;
+    if (path.empty()) {
+      const char* slash = std::strrchr(argv[0], '/');
+      std::fprintf(stderr, "%s: error: %.*s needs a path\n",
+                   slash != nullptr ? slash + 1 : argv[0],
+                   static_cast<int>(flag.size()), flag.data());
+      std::exit(2);
+    }
+    return std::string(path);
   }
-  return {};
+  return absent;
+}
+
+}  // namespace
+
+std::string json_output_path(int argc, char** argv) {
+  return path_flag(argc, argv, "--json", {});
 }
 
 std::string trace_output_path(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--trace=", 8) == 0) return arg + 8;
-    if (std::strcmp(arg, "--trace") == 0 && i + 1 < argc) return argv[i + 1];
-  }
-  return {};
+  return path_flag(argc, argv, "--trace", {});
 }
 
 void finish_trace_capture(const std::string& path,
@@ -88,12 +110,7 @@ void finish_trace_capture(const std::string& path,
 
 std::string csv_output_path(int argc, char** argv,
                             const std::string& default_name) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--out=", 6) == 0) return arg + 6;
-    if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) return argv[i + 1];
-  }
-  return default_name;
+  return path_flag(argc, argv, "--out", default_name);
 }
 
 bool has_flag(int argc, char** argv, const char* flag) {

@@ -73,7 +73,10 @@ struct AppSample {
 /// Machine-readable output knob shared by the bench binaries: parses
 /// `--json <path>` (or `--json=path`) from argv. Returns the path, or an
 /// empty string when the flag is absent. The bench writes a JsonValue
-/// report there in addition to its human tables and CSVs.
+/// report there in addition to its human tables and CSVs. Like the other
+/// path flags below, a `--json` without a path exits 2 with
+/// "<bench>: error: --json needs a path", so benches read their path
+/// flags before any work runs.
 [[nodiscard]] std::string json_output_path(int argc, char** argv);
 
 /// Runtime-trace output knob shared by the serving-layer benches: parses

@@ -223,6 +223,8 @@ int main(int argc, char** argv) {
   const std::size_t threads = apim::util::configure_threads(argc, argv);
   const bool smoke = apim::bench::has_flag(argc, argv, "--smoke");
   const std::string json_path = apim::bench::json_output_path(argc, argv);
+  const std::string csv_path =
+      apim::bench::csv_output_path(argc, argv, "ext_analytics.csv");
 
   std::printf("Analytics: TPC-H-style queries through the serving layer\n");
   std::printf("(host threads: %zu%s)\n\n", threads, smoke ? ", smoke" : "");
@@ -350,8 +352,6 @@ int main(int argc, char** argv) {
                               "reqs", "ops", "cycles", "energy pJ",
                               "ops/kcyc"});
   text.set_title("Exact queries, kBitsliced, 4 streams x 64 lanes");
-  const std::string csv_path =
-      apim::bench::csv_output_path(argc, argv, "ext_analytics.csv");
   apim::util::CsvWriter csv(csv_path);
   csv.write_row({"query", "rows_in", "rows_out", "waves", "requests", "ops",
                  "cycles", "energy_pj", "ops_per_kcycle", "batches",

@@ -94,6 +94,8 @@ int main(int argc, char** argv) {
   const bool smoke = apim::bench::has_flag(argc, argv, "--smoke");
   const std::string json_path = apim::bench::json_output_path(argc, argv);
   const std::string trace_path = apim::bench::trace_output_path(argc, argv);
+  const std::string csv_path =
+      apim::bench::csv_output_path(argc, argv, "ext_chaos.csv");
   apim::serve::trace::EventLog trace_log;
 
   std::printf("Chaos A/B: seeded decay + mid-serve domain kill, health "
@@ -200,8 +202,6 @@ int main(int argc, char** argv) {
   apim::util::TextTable text({"run", "ok", "corrupt", "silent", "reject",
                               "reloc", "quar", "scrubs", "ops/kcyc", "p99"});
   text.set_title("Same seeded decay, health layer off vs on (kShed)");
-  const std::string csv_path =
-      apim::bench::csv_output_path(argc, argv, "ext_chaos.csv");
   apim::util::CsvWriter csv(csv_path);
   csv.write_row({"run", "ok", "corrupted", "silent", "rejected", "expired",
                  "relocated_requests", "quarantines", "readmissions",

@@ -79,6 +79,8 @@ int main(int argc, char** argv) {
   const bool smoke = apim::bench::has_flag(argc, argv, "--smoke");
   const std::string json_path = apim::bench::json_output_path(argc, argv);
   const std::string trace_path = apim::bench::trace_output_path(argc, argv);
+  const std::string csv_path =
+      apim::bench::csv_output_path(argc, argv, "ext_cluster.csv");
   apim::serve::trace::EventLog trace_log;
 
   std::printf(
@@ -137,8 +139,6 @@ int main(int argc, char** argv) {
        "x-shard share", "interconn pJ", "migr cyc"});
   text.set_title("Zipf(1.1) tenants, popular half pinned to chip 0, "
                  "4-chip star");
-  const std::string csv_path =
-      apim::bench::csv_output_path(argc, argv, "ext_cluster.csv");
   apim::util::CsvWriter csv(csv_path);
   csv.write_row({"run", "ops_per_kcycle", "p99_edge_latency_cycles",
                  "ok_share", "chip_jain", "migrations", "evacuations",

@@ -64,6 +64,8 @@ int main(int argc, char** argv) {
   const std::size_t threads = apim::util::configure_threads(argc, argv);
   const bool smoke = apim::bench::has_flag(argc, argv, "--smoke");
   const std::string json_path = apim::bench::json_output_path(argc, argv);
+  const std::string csv_path =
+      apim::bench::csv_output_path(argc, argv, "ext_fairness.csv");
 
   std::printf("Fair-share tenant scheduling: DRR vs FIFO under contention\n");
   std::printf("(host threads: %zu%s)\n\n", threads, smoke ? ", smoke" : "");
@@ -127,8 +129,6 @@ int main(int argc, char** argv) {
                               "starve cyc", "jain"});
   text.set_title("Weights 3:1, heavy offered 3x capacity, light 1.12x its "
                  "share");
-  const std::string csv_path =
-      apim::bench::csv_output_path(argc, argv, "ext_fairness.csv");
   apim::util::CsvWriter csv(csv_path);
   csv.write_row({"run", "tenant", "weight", "completed", "expired",
                  "ops_served", "served_ops_share", "p99_latency_cycles",

@@ -63,6 +63,8 @@ int main(int argc, char** argv) {
   const std::size_t threads = util::configure_threads(argc, argv);
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   const std::string json_path = bench::json_output_path(argc, argv);
+  const std::string csv_path =
+      bench::csv_output_path(argc, argv, "ext_fault_campaign.csv");
 
   std::puts("=== Extension: fault campaigns and the resilience curve ===");
   std::printf("(3 image kernels x %d fault maps per point; identical sampled "
@@ -87,8 +89,6 @@ int main(int argc, char** argv) {
   util::TextTable table({"stuck rate", "policy", "accept", "min PSNR dB",
                          "detected", "retries", "escal.", "cycle ovh",
                          "energy ovh"});
-  const std::string csv_path =
-      bench::csv_output_path(argc, argv, "ext_fault_campaign.csv");
   util::CsvWriter csv(csv_path);
   csv.write_row({"stuck_rate", "policy", "accept_fraction", "min_metric",
                  "faults_detected", "retries", "escalations",

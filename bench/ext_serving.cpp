@@ -77,6 +77,8 @@ int main(int argc, char** argv) {
   const bool smoke = apim::bench::has_flag(argc, argv, "--smoke");
   const std::string json_path = apim::bench::json_output_path(argc, argv);
   const std::string trace_path = apim::bench::trace_output_path(argc, argv);
+  const std::string csv_path =
+      apim::bench::csv_output_path(argc, argv, "ext_serving.csv");
   apim::serve::trace::EventLog trace_log;
 
   std::printf("Serving runtime: open-loop throughput-latency sweep\n");
@@ -124,8 +126,6 @@ int main(int argc, char** argv) {
                               "p99 cyc", "mean batch", "stream occ",
                               "done", "rej", "exp"});
   text.set_title("Open loop, 8-op mul requests, 4 streams x 64 lanes");
-  const std::string csv_path =
-      apim::bench::csv_output_path(argc, argv, "ext_serving.csv");
   apim::util::CsvWriter csv(csv_path);
   csv.write_row({"mode", "rate_per_kcycle", "throughput_rps",
                  "p50_latency_cycles", "p95_latency_cycles",

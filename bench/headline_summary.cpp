@@ -58,9 +58,10 @@ int main(int argc, char** argv) {
 
     // Adaptive mode.
     const core::AccuracyTuner tuner;
+    const auto golden = app->run_golden();
     const core::TunerResult tuned = tuner.tune(
         [&](unsigned m) {
-          return bench::sample_app(*app, m).acceptable ? 0.0 : 1.0;
+          return apps::evaluate_relax(*app, golden, m).acceptable ? 0.0 : 1.0;
         },
         0.5);
     const bench::AppSample approx = bench::sample_app(*app, tuned.relax_bits);

@@ -79,8 +79,9 @@ int main(int argc, char** argv) {
     // Adaptive runtime: the paper's tuner (start 32, step 4) driven by the
     // app's real QoS criterion.
     const core::AccuracyTuner tuner;
+    const auto golden = app->run_golden();
     const auto evaluate = [&](unsigned m) {
-      return bench::sample_app(*app, m).acceptable ? 0.0 : 1.0;
+      return apps::evaluate_relax(*app, golden, m).acceptable ? 0.0 : 1.0;
     };
     const core::TunerResult tuned = tuner.tune(evaluate, 0.5);
     res.tuned_m = tuned.relax_bits;

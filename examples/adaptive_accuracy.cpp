@@ -34,11 +34,7 @@ int main() {
     const core::AccuracyTuner tuner;
     const core::TunerResult tuned = tuner.tune(
         [&](unsigned m) {
-          core::ApimConfig cfg;
-          cfg.approx.relax_bits = m;
-          core::ApimDevice dev{cfg};
-          const auto eval =
-              quality::evaluate_qos(spec, golden, app->run_apim(dev));
+          const auto eval = apps::evaluate_relax(*app, golden, m);
           std::printf(" m=%u(%s)", m, eval.acceptable ? "ok" : "x");
           return eval.acceptable ? 0.0 : 1.0;
         },

@@ -45,13 +45,7 @@ int main(int argc, char** argv) {
   const core::AccuracyTuner tuner;
   const core::TunerResult tuned = tuner.tune(
       [&](unsigned m) {
-        core::ApimConfig cfg;
-        cfg.approx.relax_bits = m;
-        core::ApimDevice dev{cfg};
-        const auto out = app->run_apim(dev);
-        return quality::evaluate_qos(app->qos(), golden, out).acceptable
-                   ? 0.0
-                   : 1.0;
+        return apps::evaluate_relax(*app, golden, m).acceptable ? 0.0 : 1.0;
       },
       0.5);
   std::printf("\ntuner: chose m=%u after %zu evaluations\n", tuned.relax_bits,

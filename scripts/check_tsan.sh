@@ -28,9 +28,11 @@ cmake -B "$BUILD_DIR" -S . \
 # analytics_test's AnalyticsDifferential suites sweep host threads
 # {1,2,7}; serve_fairness_test's heavy FairShareContention suite stays
 # outside the regex below on purpose. parallel_exec_test's
-# ParallelDeterminism, DegenerateInputs and Batch suites and
-# bitsliced_equivalence_test's ExecutorBackends and BitslicedDegenerate
-# suites run serve::execute_batch across its 64-op device boundaries.
+# ValuesOnlyParallelMap case runs a values-only device's parallel_map
+# clones at {1,2,7}. Its ParallelDeterminism, DegenerateInputs and Batch
+# suites and bitsliced_equivalence_test's ExecutorBackends and
+# BitslicedDegenerate suites run serve::execute_batch across its 64-op
+# device boundaries.
 TARGETS=(parallel_exec_test bitsliced_equivalence_test vector_unit_test
   util_test apps_test serve_test serve_fairness_test serve_health_test
   cluster_test analytics_test)
@@ -39,6 +41,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 # halt_on_error makes the first race fail the test binary (and so ctest).
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R 'ThreadPool|ParallelDeterminism|DegenerateInputs|Batch|ExecutorBackends|BitslicedDegenerate|VectorAdd|VectorUnit|Serve|Cluster|Analytics'
+  -R 'ThreadPool|ParallelDeterminism|ValuesOnlyParallelMap|DegenerateInputs|Batch|ExecutorBackends|BitslicedDegenerate|VectorAdd|VectorUnit|Serve|Cluster|Analytics'
 
 echo "TSan check passed (APIM_THREADS=$APIM_THREADS)."

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,5 +67,13 @@ class Application {
 /// Extension workloads beyond the paper's six (currently: GEMM).
 [[nodiscard]] std::vector<std::unique_ptr<Application>>
 make_extension_applications();
+
+/// The tuner's probe (paper Section 4.1): run `app` (already generated) at
+/// `relax_bits` on a values-only device (core::ApimDevice::values_only) and
+/// evaluate the output against `golden` under app.qos(). The output equals
+/// a full-model run's; no cycles or energy are modeled.
+[[nodiscard]] quality::QosEvaluation evaluate_relax(
+    const Application& app, std::span<const double> golden,
+    unsigned relax_bits);
 
 }  // namespace apim::apps

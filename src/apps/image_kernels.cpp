@@ -80,22 +80,26 @@ std::vector<double> SobelApp::run_apim(core::ApimDevice& device) const {
                  << kPixelShift;
         };
         // Taps as additions (x2 = self-add), then one subtraction per axis.
-        const std::int64_t pos_x =
-            dev.add(dev.add(q(1, 0), q(1, 0)),
-                    dev.add(q(1, -1), q(1, 1)));
-        const std::int64_t neg_x =
-            dev.add(dev.add(q(-1, 0), q(-1, 0)),
-                    dev.add(q(-1, -1), q(-1, 1)));
+        // One device op per statement: the order of the ops sets the
+        // energy summation order and the op indices fault draws key off,
+        // so the source fixes it, not the compiler's argument order.
+        const std::int64_t pos_x_corners = dev.add(q(1, -1), q(1, 1));
+        const std::int64_t pos_x_mid = dev.add(q(1, 0), q(1, 0));
+        const std::int64_t pos_x = dev.add(pos_x_mid, pos_x_corners);
+        const std::int64_t neg_x_corners = dev.add(q(-1, -1), q(-1, 1));
+        const std::int64_t neg_x_mid = dev.add(q(-1, 0), q(-1, 0));
+        const std::int64_t neg_x = dev.add(neg_x_mid, neg_x_corners);
         const std::int64_t gx = dev.add(pos_x, -neg_x);
-        const std::int64_t pos_y =
-            dev.add(dev.add(q(0, 1), q(0, 1)),
-                    dev.add(q(-1, 1), q(1, 1)));
-        const std::int64_t neg_y =
-            dev.add(dev.add(q(0, -1), q(0, -1)),
-                    dev.add(q(-1, -1), q(1, -1)));
+        const std::int64_t pos_y_corners = dev.add(q(-1, 1), q(1, 1));
+        const std::int64_t pos_y_mid = dev.add(q(0, 1), q(0, 1));
+        const std::int64_t pos_y = dev.add(pos_y_mid, pos_y_corners);
+        const std::int64_t neg_y_corners = dev.add(q(-1, -1), q(1, -1));
+        const std::int64_t neg_y_mid = dev.add(q(0, -1), q(0, -1));
+        const std::int64_t neg_y = dev.add(neg_y_mid, neg_y_corners);
         const std::int64_t gy = dev.add(pos_y, -neg_y);
-        const std::int64_t energy =
-            dev.add_wide(dev.mul_int(gx, gx), dev.mul_int(gy, gy));
+        const std::int64_t gy_sq = dev.mul_int(gy, gy);
+        const std::int64_t gx_sq = dev.mul_int(gx, gx);
+        const std::int64_t energy = dev.add_wide(gx_sq, gy_sq);
         return clamp255(static_cast<double>(energy >> kSobelEnergyShift));
       });
 }
@@ -144,8 +148,9 @@ std::vector<double> RobertApp::run_apim(core::ApimDevice& device) const {
                 << kPixelShift,
             -(static_cast<std::int64_t>(img.at_clamped(ix, iy + 1))
               << kPixelShift));
-        const std::int64_t energy =
-            dev.add_wide(dev.mul_int(gx, gx), dev.mul_int(gy, gy));
+        const std::int64_t gy_sq = dev.mul_int(gy, gy);
+        const std::int64_t gx_sq = dev.mul_int(gx, gx);
+        const std::int64_t energy = dev.add_wide(gx_sq, gy_sq);
         return clamp255(static_cast<double>(energy >> kRobertEnergyShift));
       });
 }
@@ -192,9 +197,9 @@ std::vector<double> SharpenApp::run_apim(core::ApimDevice& device) const {
                      img.at_clamped(ix + dx, iy + dy))
                  << kPixelShift;
         };
-        const std::int64_t blur_sum =
-            dev.add(dev.add(qn(-1, 0), qn(1, 0)),
-                    dev.add(qn(0, -1), qn(0, 1)));
+        const std::int64_t vertical = dev.add(qn(0, -1), qn(0, 1));
+        const std::int64_t horizontal = dev.add(qn(-1, 0), qn(1, 0));
+        const std::int64_t blur_sum = dev.add(horizontal, vertical);
         const std::int64_t diff = dev.add(q, -(blur_sum >> 2));
         // Sign-magnitude multiply then >>8 rescale (truncation toward zero).
         const std::int64_t product = dev.mul_int(kSharpenAlphaQ8, diff);

@@ -15,7 +15,7 @@ std::vector<double> parallel_map(
   std::vector<core::ExecStats> chunk_stats(chunks);
   util::ThreadPool::global().parallel_for(
       0, count, kParallelMapGrain, [&](std::size_t lo, std::size_t hi) {
-        core::ApimDevice worker{device.config()};
+        core::ApimDevice worker = device.fresh_clone();
         for (std::size_t i = lo; i < hi; ++i) out[i] = fn(worker, i);
         chunk_stats[lo / kParallelMapGrain] = worker.stats();
       });

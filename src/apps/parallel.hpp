@@ -3,7 +3,8 @@
 // The six paper kernels (and GEMM) issue every multiply/add of element i
 // independently of element j, so the host can simulate elements
 // concurrently. Each fixed-size chunk of elements runs against a private
-// ApimDevice clone (same config, fresh stats); the clones' ExecStats merge
+// ApimDevice::fresh_clone (same config and mode, fresh stats, so a
+// values-only device's clones are values-only); the clones' ExecStats merge
 // into the caller's device serially in chunk order. Because the chunk
 // partition depends only on the element count — never on the thread count —
 // outputs, cycle counts and energies are bit-identical for every

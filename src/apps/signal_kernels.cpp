@@ -117,12 +117,14 @@ std::vector<double> FftApp::run_apim(core::ApimDevice& device) const {
         const Twiddle w = twiddle_q16(j, len);
         const std::size_t ai = base + j;
         const std::size_t bi = base + j + len / 2;
-        const std::int64_t t_re =
-            device.add(device.mul(w.re, re[bi], kQ16_16f),
-                       -device.mul(w.im, im[bi], kQ16_16f));
-        const std::int64_t t_im =
-            device.add(device.mul(w.re, im[bi], kQ16_16f),
-                       device.mul(w.im, re[bi], kQ16_16f));
+        // One device op per statement, in a fixed order (see
+        // SobelApp::run_apim).
+        const std::int64_t wi_im = device.mul(w.im, im[bi], kQ16_16f);
+        const std::int64_t wr_re = device.mul(w.re, re[bi], kQ16_16f);
+        const std::int64_t t_re = device.add(wr_re, -wi_im);
+        const std::int64_t wi_re = device.mul(w.im, re[bi], kQ16_16f);
+        const std::int64_t wr_im = device.mul(w.re, im[bi], kQ16_16f);
+        const std::int64_t t_im = device.add(wr_im, wi_re);
         const std::int64_t a_re = re[ai], a_im = im[ai];
         re[ai] = device.add(a_re, t_re) >> 1;
         im[ai] = device.add(a_im, t_im) >> 1;

@@ -29,6 +29,7 @@ double complement_energy_pj(std::uint64_t b, unsigned n,
 
 }  // namespace
 
+template <bool kCost>
 CompareOutcome fast_compare(std::uint64_t a, std::uint64_t b, unsigned n,
                             const device::EnergyModel& em) {
   assert(n >= 1 && n <= 64);
@@ -37,18 +38,27 @@ CompareOutcome fast_compare(std::uint64_t a, std::uint64_t b, unsigned n,
   b &= mask;
   // Comparison is always exact: relax 0, so fast_add dispatches to the
   // serial adder (12n + 1 cycles) whose carry chain carries the predicate.
-  const AddOutcome add = fast_add(a, ~b & mask, n, /*relax_m=*/0, em);
+  const AddOutcome add = fast_add<kCost>(a, ~b & mask, n, /*relax_m=*/0, em);
   CompareOutcome out;
-  // Complement pass: 1 init cycle + 1 row-parallel NOT cycle.
-  out.cycles = 2;
-  out.energy_ops_pj = complement_energy_pj(b, n, em);
-  out.cycles += add.cycles;
-  out.energy_ops_pj += add.energy_ops_pj;
+  if constexpr (kCost) {
+    // Complement pass: 1 init cycle + 1 row-parallel NOT cycle.
+    out.cycles = 2;
+    out.energy_ops_pj = complement_energy_pj(b, n, em);
+    out.cycles += add.cycles;
+    out.energy_ops_pj += add.energy_ops_pj;
+  }
   out.sum = add.sum;
   out.carry_out = add.carry_out;
   out.code = compare_code(add.sum, add.carry_out, n);
   return out;
 }
+
+template CompareOutcome fast_compare<true>(std::uint64_t, std::uint64_t,
+                                           unsigned,
+                                           const device::EnergyModel&);
+template CompareOutcome fast_compare<false>(std::uint64_t, std::uint64_t,
+                                            unsigned,
+                                            const device::EnergyModel&);
 
 void bitsliced_compare_slice(
     std::span<const std::pair<std::uint64_t, std::uint64_t>> ops, unsigned n,
@@ -80,13 +90,19 @@ PopcountOperands popcount_operands(std::uint64_t x, unsigned n) {
 
 }  // namespace
 
+template <bool kCost>
 AddOutcome fast_popcount(std::uint64_t x, unsigned n,
                          const device::EnergyModel& em) {
   const PopcountOperands ops = popcount_operands(x, n);
-  return fast_tree_add(std::span(ops.values).first(n),
-                       std::span(ops.widths).first(n), popcount_width_cap(n),
-                       em);
+  return fast_tree_add<kCost>(std::span(ops.values).first(n),
+                              std::span(ops.widths).first(n),
+                              popcount_width_cap(n), em);
 }
+
+template AddOutcome fast_popcount<true>(std::uint64_t, unsigned,
+                                        const device::EnergyModel&);
+template AddOutcome fast_popcount<false>(std::uint64_t, unsigned,
+                                         const device::EnergyModel&);
 
 InMemoryResult inmemory_popcount(std::uint64_t x, unsigned n,
                                  const device::EnergyModel& em,

@@ -61,6 +61,8 @@ struct CompareOutcome {
 }
 
 /// Word-level three-way compare of two n-bit magnitudes (n <= 64).
+/// kCost = false computes only the value fields (word_models.hpp).
+template <bool kCost = true>
 [[nodiscard]] CompareOutcome fast_compare(std::uint64_t a, std::uint64_t b,
                                           unsigned n,
                                           const device::EnergyModel& em);
@@ -78,7 +80,9 @@ void bitsliced_compare_slice(
 }
 
 /// Word-level popcount of the low n bits of `x` (1 <= n <= 64): the n bits
-/// become n 1-bit operands of the Wallace tree-add.
+/// become n 1-bit operands of the Wallace tree-add. kCost = false computes
+/// only the value fields (word_models.hpp).
+template <bool kCost = true>
 [[nodiscard]] AddOutcome fast_popcount(std::uint64_t x, unsigned n,
                                        const device::EnergyModel& em);
 

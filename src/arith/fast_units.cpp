@@ -13,6 +13,7 @@ namespace apim::arith {
 using util::low_mask;
 using util::popcount;
 
+template <bool kCost>
 MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
                               ApproxConfig cfg,
                               const device::EnergyModel& em) {
@@ -27,8 +28,10 @@ MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
   // partials (word_ppg's accounting).
   MultiplyOutcome out;
   out.partial_count = static_cast<unsigned>(p);
-  out.cycles = ppg_cycles(static_cast<unsigned>(p));
-  out.energy_ops_pj = ppg_energy_pj(a, effective_m2, n, first_bit, em);
+  if constexpr (kCost) {
+    out.cycles = ppg_cycles(static_cast<unsigned>(p));
+    out.energy_ops_pj = ppg_energy_pj(a, effective_m2, n, first_bit, em);
+  }
   if (p == 0) {
     // All multiplier bits are zero: the (pre-cleared) product row already
     // holds the exact result; no compute is issued.
@@ -51,10 +54,12 @@ MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
       const auto j = static_cast<unsigned>(std::countr_zero(bits));
       partials[count++] = TreeAddend{a << j, n + j, /*block=*/1};
     }
-    const TreeReduceResult tree =
-        word_tree_reduce_in_place(std::span(partials, count), 2 * n, em);
-    out.cycles += tree.cycles;
-    out.energy_ops_pj += tree.energy_ops_pj;
+    const TreeReduceResult tree = word_tree_reduce_in_place<kCost>(
+        std::span(partials, count), 2 * n, em);
+    if constexpr (kCost) {
+      out.cycles += tree.cycles;
+      out.energy_ops_pj += tree.energy_ops_pj;
+    }
     out.tree_stages = tree.stages;
     x = tree.x;
     y = tree.y;
@@ -62,10 +67,12 @@ MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
 
   // Stage 3: final product generation over the full 2N bits.
   const unsigned product_width = 2 * n;
-  const WordUnitResult fin = word_final_add(
+  const WordUnitResult fin = word_final_add<kCost>(
       x, y, product_width, cfg.effective_relax(product_width), em);
-  out.cycles += fin.cycles;
-  out.energy_ops_pj += fin.energy_ops_pj;
+  if constexpr (kCost) {
+    out.cycles += fin.cycles;
+    out.energy_ops_pj += fin.energy_ops_pj;
+  }
   // The product of two n-bit numbers fits in 2n bits, so the exact carry
   // out of the final add is zero; in relaxed mode we still truncate to the
   // product width like the hardware's fixed-size product row does.
@@ -73,6 +80,14 @@ MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
   return out;
 }
 
+template MultiplyOutcome fast_multiply<true>(std::uint64_t, std::uint64_t,
+                                             unsigned, ApproxConfig,
+                                             const device::EnergyModel&);
+template MultiplyOutcome fast_multiply<false>(std::uint64_t, std::uint64_t,
+                                              unsigned, ApproxConfig,
+                                              const device::EnergyModel&);
+
+template <bool kCost>
 AddOutcome fast_tree_add(std::span<const std::uint64_t> values,
                          std::span<const unsigned> widths, unsigned width_cap,
                          const device::EnergyModel& em) {
@@ -93,19 +108,33 @@ AddOutcome fast_tree_add(std::span<const std::uint64_t> values,
     assert(widths[i] >= 1 && widths[i] <= width_cap);
     live[i] = TreeAddend{values[i], widths[i], /*block=*/1};
   }
-  const TreeReduceResult tree = word_tree_reduce_in_place(live, width_cap, em);
+  const TreeReduceResult tree =
+      word_tree_reduce_in_place<kCost>(live, width_cap, em);
   AddOutcome out;
-  out.cycles = tree.cycles;
-  out.energy_ops_pj = tree.energy_ops_pj;
+  if constexpr (kCost) {
+    out.cycles = tree.cycles;
+    out.energy_ops_pj = tree.energy_ops_pj;
+  }
   const unsigned n_final = std::max(tree.x_width, tree.y_width);
-  const WordUnitResult fin = word_serial_add(tree.x, tree.y, n_final, em);
+  const WordUnitResult fin =
+      word_serial_add<kCost>(tree.x, tree.y, n_final, em);
   out.sum = fin.value;
-  out.cycles += fin.cycles;
-  out.energy_ops_pj += fin.energy_ops_pj;
+  if constexpr (kCost) {
+    out.cycles += fin.cycles;
+    out.energy_ops_pj += fin.energy_ops_pj;
+  }
   out.carry_out = fin.carry_out;
   return out;
 }
 
+template AddOutcome fast_tree_add<true>(std::span<const std::uint64_t>,
+                                        std::span<const unsigned>, unsigned,
+                                        const device::EnergyModel&);
+template AddOutcome fast_tree_add<false>(std::span<const std::uint64_t>,
+                                         std::span<const unsigned>, unsigned,
+                                         const device::EnergyModel&);
+
+template <bool kCost>
 AddOutcome fast_add(std::uint64_t a, std::uint64_t b, unsigned n,
                     unsigned relax_m, const device::EnergyModel& em) {
   assert(n >= 1 && n <= 64);
@@ -113,9 +142,15 @@ AddOutcome fast_add(std::uint64_t a, std::uint64_t b, unsigned n,
   b &= low_mask(n);
   // The runtime issues whichever adder is faster (latency_model's policy).
   const unsigned relax = profitable_add_relax(n, relax_m);
-  const WordUnitResult r = relax == 0 ? word_serial_add(a, b, n, em)
-                                      : word_final_add(a, b, n, relax, em);
+  const WordUnitResult r = relax == 0
+                               ? word_serial_add<kCost>(a, b, n, em)
+                               : word_final_add<kCost>(a, b, n, relax, em);
   return AddOutcome{r.value, r.cycles, r.energy_ops_pj, r.carry_out};
 }
+
+template AddOutcome fast_add<true>(std::uint64_t, std::uint64_t, unsigned,
+                                   unsigned, const device::EnergyModel&);
+template AddOutcome fast_add<false>(std::uint64_t, std::uint64_t, unsigned,
+                                    unsigned, const device::EnergyModel&);
 
 }  // namespace apim::arith

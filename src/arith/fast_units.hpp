@@ -1,6 +1,7 @@
 // Composed word-level APIM units: the full multiplier and the standalone
 // adder, with cycle/energy accounting identical to the bit-level engine
-// (see word_models.hpp for the convention).
+// (see word_models.hpp for the convention and the kCost switch: with
+// kCost = false each unit computes only its value fields).
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,7 @@ struct MultiplyOutcome {
 /// Multiply two n-bit magnitudes (n <= 32) through the three-stage APIM
 /// pipeline: SA-driven partial-product generation, Wallace-tree 3:2
 /// reduction, final product generation with optional relaxation.
+template <bool kCost = true>
 [[nodiscard]] MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b,
                                             unsigned n, ApproxConfig cfg,
                                             const device::EnergyModel& em);
@@ -46,6 +48,7 @@ struct AddOutcome {
 /// stage applies (Section 3.4 — the approach works for any addition, and
 /// the adaptive runtime applies it to the application's standalone adds as
 /// well as its multiplies).
+template <bool kCost = true>
 [[nodiscard]] AddOutcome fast_add(std::uint64_t a, std::uint64_t b, unsigned n,
                                   unsigned relax_m,
                                   const device::EnergyModel& em);
@@ -54,6 +57,7 @@ struct AddOutcome {
 /// serial add of the two survivors — the word-level twin of
 /// inmemory_tree_add. `width_cap` bounds the running sum (pass
 /// n + ceil(log2(M)) for M n-bit operands).
+template <bool kCost = true>
 [[nodiscard]] AddOutcome fast_tree_add(std::span<const std::uint64_t> values,
                                        std::span<const unsigned> widths,
                                        unsigned width_cap,

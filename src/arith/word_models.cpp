@@ -79,7 +79,9 @@ const FaEnergyTable& fa_energy_table(const device::EnergyModel& em) {
 // statement of the schedule-interpreting loop is replicated per step (one
 // += of ones*on + offs*off + switches*switch, steps in schedule order), so
 // the accumulated double is the same; popcounts are exact integers, so
-// reusing them across steps cannot change it.
+// reusing them across steps cannot change it. Without kCost, charge is
+// empty and the popcounts feeding it are dead code.
+template <bool kCost>
 FaWordResult word_fa_stage(std::uint64_t a, std::uint64_t b, std::uint64_t c,
                            unsigned width, const device::EnergyModel& em) {
   assert(width >= 1 && width <= 64);
@@ -90,12 +92,14 @@ FaWordResult word_fa_stage(std::uint64_t a, std::uint64_t b, std::uint64_t c,
   const int w = static_cast<int>(width);
   FaWordResult out;
   const auto charge = [&](int ones, int arity, int result_pop) {
-    const int total_inputs = arity * w;
-    const int switches = w - result_pop;
-    out.nor_energy_pj +=
-        static_cast<double>(ones) * em.e_input_on_pj +
-        static_cast<double>(total_inputs - ones) * em.e_input_off_pj +
-        static_cast<double>(switches) * em.e_switch_pj;
+    if constexpr (kCost) {
+      const int total_inputs = arity * w;
+      const int switches = w - result_pop;
+      out.nor_energy_pj +=
+          static_cast<double>(ones) * em.e_input_on_pj +
+          static_cast<double>(total_inputs - ones) * em.e_input_off_pj +
+          static_cast<double>(switches) * em.e_switch_pj;
+    }
   };
   const int pa = popcount(a), pb = popcount(b), pc = popcount(c);
 
@@ -137,28 +141,44 @@ FaWordResult word_fa_stage(std::uint64_t a, std::uint64_t b, std::uint64_t c,
   return out;
 }
 
+// Only this file's tree reductions run the values-only stage.
+template FaWordResult word_fa_stage<true>(std::uint64_t, std::uint64_t,
+                                          std::uint64_t, unsigned,
+                                          const device::EnergyModel&);
+
+template <bool kCost>
 WordUnitResult word_serial_add(std::uint64_t a, std::uint64_t b, unsigned n,
                                const device::EnergyModel& em) {
   assert(n >= 1 && n <= 64);
-  const FaEnergyTable& tab = fa_energy_table(em);
   a &= low_mask(n);
   b &= low_mask(n);
-  // The per-bit carries are those of the binary sum: bit i of
-  // sum ^ a ^ b is the carry into bit i.
   const std::uint64_t sum = a + b;
-  const std::uint64_t carries = sum ^ a ^ b;
   WordUnitResult out;
-  // One shared initialization cycle for all 12n scratch/output cells; the
-  // initial carry is a reference cell permanently at '0' (no write needed).
-  out.cycles = serial_add_cycles(n);
-  out.energy_ops_pj = 12.0 * static_cast<double>(n) * em.e_init_pj;
-  for (unsigned i = 0; i < n; ++i)
-    out.energy_ops_pj += tab.fa[fa_triple(a, b, carries, i)];
+  if constexpr (kCost) {
+    const FaEnergyTable& tab = fa_energy_table(em);
+    // The per-bit carries are those of the binary sum: bit i of
+    // sum ^ a ^ b is the carry into bit i.
+    const std::uint64_t carries = sum ^ a ^ b;
+    // One shared initialization cycle for all 12n scratch/output cells; the
+    // initial carry is a reference cell permanently at '0' (no write
+    // needed).
+    out.cycles = serial_add_cycles(n);
+    out.energy_ops_pj = 12.0 * static_cast<double>(n) * em.e_init_pj;
+    for (unsigned i = 0; i < n; ++i)
+      out.energy_ops_pj += tab.fa[fa_triple(a, b, carries, i)];
+  }
   // For n < 64 the carry out sits in-band at bit n of the sum.
   out.value = sum;
   out.carry_out = n < 64 ? bit(sum, n) != 0 : sum < a;
   return out;
 }
+
+template WordUnitResult word_serial_add<true>(std::uint64_t, std::uint64_t,
+                                              unsigned,
+                                              const device::EnergyModel&);
+template WordUnitResult word_serial_add<false>(std::uint64_t, std::uint64_t,
+                                               unsigned,
+                                               const device::EnergyModel&);
 
 namespace {
 
@@ -166,19 +186,22 @@ namespace {
 /// statement, in the order both tree reductions share, and returns the
 /// stage result. `hops` is the sum of the three inputs' block distances to
 /// the group's scratch band.
+template <bool kCost = true>
 FaWordResult reduce_group(std::uint64_t a, std::uint64_t b, std::uint64_t c,
                           unsigned w, double hops,
                           const device::EnergyModel& em, double& energy) {
-  // Initialization of the group's 12 x w scratch/output cells.
-  energy += 12.0 * static_cast<double>(w) * em.e_init_pj;
-  // Interconnect crossings: each of A, B, C is read 4 times by the
-  // schedule; inputs may live in another block than the scratch band.
-  energy += 4.0 * static_cast<double>(w) * hops * em.e_interconnect_bit_pj;
-  // The carry word is written one column left through the barrel shifter
-  // (the "free shift" of the blocked memory).
-  energy += static_cast<double>(w) * em.e_interconnect_bit_pj;
-  const FaWordResult fa = word_fa_stage(a, b, c, w, em);
-  energy += fa.nor_energy_pj;
+  if constexpr (kCost) {
+    // Initialization of the group's 12 x w scratch/output cells.
+    energy += 12.0 * static_cast<double>(w) * em.e_init_pj;
+    // Interconnect crossings: each of A, B, C is read 4 times by the
+    // schedule; inputs may live in another block than the scratch band.
+    energy += 4.0 * static_cast<double>(w) * hops * em.e_interconnect_bit_pj;
+    // The carry word is written one column left through the barrel
+    // shifter (the "free shift" of the blocked memory).
+    energy += static_cast<double>(w) * em.e_interconnect_bit_pj;
+  }
+  const FaWordResult fa = word_fa_stage<kCost>(a, b, c, w, em);
+  if constexpr (kCost) energy += fa.nor_energy_pj;
   return fa;
 }
 
@@ -221,6 +244,7 @@ TreeReduceResult word_tree_reduce(std::span<const std::uint64_t> values,
   return out;
 }
 
+template <bool kCost>
 TreeReduceResult word_tree_reduce_in_place(std::span<TreeAddend> addends,
                                            unsigned width_cap,
                                            const device::EnergyModel& em) {
@@ -230,7 +254,7 @@ TreeReduceResult word_tree_reduce_in_place(std::span<TreeAddend> addends,
   std::size_t live = addends.size();
   unsigned target = 2;  // First stage toggles away from the inputs.
   while (live > 2) {
-    out.cycles += 13;  // 1 init + 12 bit-parallel NOR batches.
+    if constexpr (kCost) out.cycles += 13;  // 1 init + 12 NOR batches.
     // Group g reads entries 3g..3g+2 and writes its sum and carry to 2g and
     // 2g+1, which it has already read (g = 0) or which are spent (g > 0);
     // pass-throughs follow the outputs, as in plan_tree_reduction.
@@ -246,9 +270,9 @@ TreeReduceResult word_tree_reduce_in_place(std::span<TreeAddend> addends,
                                             static_cast<long long>(target)));
       };
       const FaWordResult fa =
-          reduce_group(in0.value, in1.value, in2.value, w,
-                       hops(in0) + hops(in1) + hops(in2), em,
-                       out.energy_ops_pj);
+          reduce_group<kCost>(in0.value, in1.value, in2.value, w,
+                              hops(in0) + hops(in1) + hops(in2), em,
+                              out.energy_ops_pj);
       addends[next++] = TreeAddend{fa.sum, w, target};
       addends[next++] = TreeAddend{fa.carry, w, target};
     }
@@ -265,6 +289,11 @@ TreeReduceResult word_tree_reduce_in_place(std::span<TreeAddend> addends,
   }
   return out;
 }
+
+template TreeReduceResult word_tree_reduce_in_place<true>(
+    std::span<TreeAddend>, unsigned, const device::EnergyModel&);
+template TreeReduceResult word_tree_reduce_in_place<false>(
+    std::span<TreeAddend>, unsigned, const device::EnergyModel&);
 
 double ppg_energy_pj(std::uint64_t m1, std::uint64_t effective_m2,
                      unsigned n, unsigned first_bit,
@@ -338,12 +367,12 @@ std::uint64_t approximate_add_value(std::uint64_t x, std::uint64_t y,
   return value;
 }
 
+template <bool kCost>
 WordUnitResult word_final_add(std::uint64_t x, std::uint64_t y, unsigned width,
                               unsigned relax_m,
                               const device::EnergyModel& em) {
   assert(width >= 1 && width <= 64);
   const unsigned m = relax_m > width ? width : relax_m;
-  const FaEnergyTable& tab = fa_energy_table(em);
   x &= low_mask(width);
   y &= low_mask(width);
   // Carries are exact in both regions, so they are the binary sum's: bit i
@@ -357,31 +386,38 @@ WordUnitResult word_final_add(std::uint64_t x, std::uint64_t y, unsigned width,
   const std::uint64_t relaxed_carries = couts & low_mask(m);  // c_1..c_m.
 
   WordUnitResult out;
-  out.cycles = final_add_cycles(width, m);
-  // Relaxed low bits: exact carries from the SA majority (1 cycle) written
-  // to the next column (1 cycle); sums deferred to the invert cycle.
-  for (unsigned i = 0; i < m; ++i)
-    out.energy_ops_pj += tab.relax[bit(couts, i)];
+  if constexpr (kCost) {
+    const FaEnergyTable& tab = fa_energy_table(em);
+    out.cycles = final_add_cycles(width, m);
+    // Relaxed low bits: exact carries from the SA majority (1 cycle)
+    // written to the next column (1 cycle); sums deferred to the invert
+    // cycle.
+    for (unsigned i = 0; i < m; ++i)
+      out.energy_ops_pj += tab.relax[bit(couts, i)];
 
-  // Exact high bits: one 13-cycle MAGIC full add per bit (per-bit init is
-  // not shared here because the carry chain serializes the bits; this is
-  // the paper's 13*k accounting for the final product generation).
-  for (unsigned i = m; i < width; ++i)
-    out.energy_ops_pj += tab.fin[fa_triple(x, y, carries, i)];
+    // Exact high bits: one 13-cycle MAGIC full add per bit (per-bit init is
+    // not shared here because the carry chain serializes the bits; this is
+    // the paper's 13*k accounting for the final product generation).
+    for (unsigned i = m; i < width; ++i)
+      out.energy_ops_pj += tab.fin[fa_triple(x, y, carries, i)];
+  }
 
   // Trailing parallel invert producing all relaxed sum bits at once. The
   // carry cells sit one column left of the sum cells, so the read path goes
   // through the barrel shifter (shift -1), charged per bit.
   std::uint64_t value = sum;  // Exact bits, and the carry at bit width < 64.
   if (m > 0) {
-    out.energy_ops_pj += static_cast<double>(m) * em.e_init_pj;
-    out.energy_ops_pj += static_cast<double>(m) * em.e_interconnect_bit_pj;
-    const int ones = popcount(relaxed_carries);
-    const int zeros = static_cast<int>(m) - ones;
-    // NOT lanes: input is the stored carry, result switches where carry=1.
-    out.energy_ops_pj += static_cast<double>(ones) * em.e_input_on_pj +
-                         static_cast<double>(zeros) * em.e_input_off_pj +
-                         static_cast<double>(ones) * em.e_switch_pj;
+    if constexpr (kCost) {
+      out.energy_ops_pj += static_cast<double>(m) * em.e_init_pj;
+      out.energy_ops_pj += static_cast<double>(m) * em.e_interconnect_bit_pj;
+      const int ones = popcount(relaxed_carries);
+      const int zeros = static_cast<int>(m) - ones;
+      // NOT lanes: input is the stored carry, result switches where
+      // carry=1.
+      out.energy_ops_pj += static_cast<double>(ones) * em.e_input_on_pj +
+                           static_cast<double>(zeros) * em.e_input_off_pj +
+                           static_cast<double>(ones) * em.e_switch_pj;
+    }
     value = (value & ~low_mask(m)) | (~relaxed_carries & low_mask(m));
   }
 
@@ -390,5 +426,12 @@ WordUnitResult word_final_add(std::uint64_t x, std::uint64_t y, unsigned width,
   assert(out.value == approximate_add_value(x, y, width, relax_m));
   return out;
 }
+
+template WordUnitResult word_final_add<true>(std::uint64_t, std::uint64_t,
+                                             unsigned, unsigned,
+                                             const device::EnergyModel&);
+template WordUnitResult word_final_add<false>(std::uint64_t, std::uint64_t,
+                                              unsigned, unsigned,
+                                              const device::EnergyModel&);
 
 }  // namespace apim::arith

@@ -21,6 +21,15 @@
 // overhead, mirroring MagicEngine::stats().energy_ops_pj. Callers add
 // `cycles * EnergyModel::e_cycle_overhead_pj` for totals (see
 // total_energy_pj below).
+//
+// Values only: the units the device's ops run through (word_fa_stage,
+// word_serial_add, word_tree_reduce_in_place, word_final_add here; the
+// fast_* units of fast_units.hpp and compare_units.hpp) take a
+// `bool kCost = true` template switch. kCost = false compiles their cycle
+// and energy statements out and keeps every value statement, so the value
+// fields equal the priced call's and the costs stay zero
+// (core::ApimDevice::values_only). kCost = true is the priced model the
+// WordModelDigest tests pin.
 #pragma once
 
 #include <cstdint>
@@ -102,6 +111,7 @@ struct FaWordResult {
   std::uint64_t carry = 0;  ///< Aligned: carry into bit i+1 is bit i+1 here.
   double nor_energy_pj = 0.0;
 };
+template <bool kCost = true>
 [[nodiscard]] FaWordResult word_fa_stage(std::uint64_t a, std::uint64_t b,
                                          std::uint64_t c, unsigned width,
                                          const device::EnergyModel& em);
@@ -111,6 +121,7 @@ struct FaWordResult {
 /// Add two n-bit numbers (n <= 64) with the serial MAGIC adder: 12n+1
 /// cycles. For n < 64 the result has n+1 meaningful bits (carry out
 /// included); at n = 64 the carry is reported only via `carry_out`.
+template <bool kCost = true>
 [[nodiscard]] WordUnitResult word_serial_add(std::uint64_t a, std::uint64_t b,
                                              unsigned n,
                                              const device::EnergyModel& em);
@@ -144,6 +155,7 @@ struct TreeAddend {
 /// toggling and per-group energy statements, evaluated in place. On entry
 /// `addends` holds the initial operands (block 1); on return its first one
 /// or two entries are the survivors, also copied into the result.
+template <bool kCost = true>
 [[nodiscard]] TreeReduceResult word_tree_reduce_in_place(
     std::span<TreeAddend> addends, unsigned width_cap,
     const device::EnergyModel& em);
@@ -185,6 +197,7 @@ struct PpgResult {
 /// result includes the carry out at bit `width`; at width 64 the carry is
 /// reported only via `carry_out` (carries are exact in both regions, so
 /// the carry out is exact even under relaxation).
+template <bool kCost = true>
 [[nodiscard]] WordUnitResult word_final_add(std::uint64_t x, std::uint64_t y,
                                             unsigned width, unsigned relax_m,
                                             const device::EnergyModel& em);

@@ -27,6 +27,23 @@ ApimDevice::ApimDevice(ApimConfig config) : config_(config) {
   }
 }
 
+ApimDevice ApimDevice::values_only(ApimConfig config) {
+  if (!config.reliability.passive()) {
+    throw std::invalid_argument(
+        "ApimDevice::values_only: the reliability config must be passive "
+        "(policy off, no faults)");
+  }
+  ApimDevice device{config};
+  device.values_only_ = true;
+  return device;
+}
+
+ApimDevice ApimDevice::fresh_clone() const {
+  ApimDevice clone{config_};
+  clone.values_only_ = values_only_;
+  return clone;
+}
+
 std::uint64_t ApimDevice::clamp_magnitude(std::uint64_t m) const noexcept {
   const std::uint64_t cap = low_mask(config_.word_bits);
   return m > cap ? cap : m;
@@ -74,6 +91,9 @@ unsigned adder_relax(const ApimConfig& c) noexcept {
 struct OpKernel {
   std::uint64_t ExecStats::*counter;
   UnitOutcome (*word)(const ApimConfig&, std::uint64_t a, std::uint64_t b);
+  /// The word kernel's value alone (kCost = false): what a values-only
+  /// device returns, before the compare decode.
+  std::uint64_t (*value)(const ApimConfig&, std::uint64_t a, std::uint64_t b);
   UnitOutcome (*bit_level)(const ApimConfig&, std::uint64_t a,
                            std::uint64_t b);
   // -- Protection spec (ApimDevice::protect_result) ------------------------
@@ -102,6 +122,11 @@ constexpr OpKernel kKernels[] = {
        return unit(arith::fast_multiply(a, b, c.word_bits, c.approx,
                                         c.energy));
      },
+     .value = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
+       return arith::fast_multiply<false>(a, b, c.word_bits, c.approx,
+                                          c.energy)
+           .product;
+     },
      .bit_level = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
        return unit(arith::inmemory_multiply(a, b, c.word_bits, c.approx,
                                             c.energy));
@@ -117,6 +142,11 @@ constexpr OpKernel kKernels[] = {
      .word = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
        return unit(
            arith::fast_add(a, b, c.word_bits, adder_relax(c), c.energy));
+     },
+     .value = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
+       return arith::fast_add<false>(a, b, c.word_bits, adder_relax(c),
+                                     c.energy)
+           .sum;
      },
      .bit_level = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
        const unsigned n = c.word_bits;
@@ -137,6 +167,9 @@ constexpr OpKernel kKernels[] = {
      .word = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
        return unit(arith::fast_compare(a, b, c.word_bits, c.energy));
      },
+     .value = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
+       return arith::fast_compare<false>(a, b, c.word_bits, c.energy).sum;
+     },
      .bit_level = [](const ApimConfig& c, std::uint64_t a, std::uint64_t b) {
        return unit(arith::inmemory_compare(a, b, c.word_bits, c.energy));
      },
@@ -153,6 +186,9 @@ constexpr OpKernel kKernels[] = {
      .counter = &ExecStats::popcounts,
      .word = [](const ApimConfig& c, std::uint64_t a, std::uint64_t) {
        return unit(arith::fast_popcount(a, c.word_bits, c.energy));
+     },
+     .value = [](const ApimConfig& c, std::uint64_t a, std::uint64_t) {
+       return arith::fast_popcount<false>(a, c.word_bits, c.energy).sum;
      },
      .bit_level = [](const ApimConfig& c, std::uint64_t a, std::uint64_t) {
        return unit(arith::inmemory_popcount(a, c.word_bits, c.energy));
@@ -177,25 +213,31 @@ constexpr const OpKernel& kernel(DeviceOp op) {
 template <DeviceOp K>
 std::uint64_t ApimDevice::run_op(std::uint64_t a, std::uint64_t b) {
   constexpr const OpKernel& k = kernel(K);
-  // The word model on every backend but kBitLevel, which runs the engine.
-  const UnitOutcome r = config_.backend == Backend::kBitLevel
-                            ? k.bit_level(config_, a, b)
-                            : k.word(config_, a, b);
-  // Op index BEFORE the increment: lane assignment and transient-fault
-  // draws key off it, and it restarts per device clone, so host-parallel
-  // chunking reproduces it for every thread count (apps/parallel.hpp).
-  const std::uint64_t op_index = next_op_index();
-  ++(stats_.*k.counter);
-  stats_.partial_products += r.partial_products;
-  stats_.cycles += r.cycles;
-  stats_.energy_ops_pj += r.energy_pj;
   const unsigned n = config_.word_bits;
-  std::uint64_t value = r.value;
-  if (!config_.reliability.passive()) {
-    const auto [ra, rb] = k.residue_operands(a, b, n);
-    value = protect_result(value, ra, rb, k.out_bits(n), k.is_mul,
-                           k.exact(config_), op_index, r.cycles, r.energy_pj,
-                           k.has_residue);
+  std::uint64_t value = 0;
+  if (values_only_) {
+    // Passive reliability (values_only() checks it): nothing to protect.
+    value = k.value(config_, a, b);
+  } else {
+    // The word model on every backend but kBitLevel, which runs the engine.
+    const UnitOutcome r = config_.backend == Backend::kBitLevel
+                              ? k.bit_level(config_, a, b)
+                              : k.word(config_, a, b);
+    // Op index BEFORE the increment: lane assignment and transient-fault
+    // draws key off it, and it restarts per device clone, so host-parallel
+    // chunking reproduces it for every thread count (apps/parallel.hpp).
+    const std::uint64_t op_index = next_op_index();
+    ++(stats_.*k.counter);
+    stats_.partial_products += r.partial_products;
+    stats_.cycles += r.cycles;
+    stats_.energy_ops_pj += r.energy_pj;
+    value = r.value;
+    if (!config_.reliability.passive()) {
+      const auto [ra, rb] = k.residue_operands(a, b, n);
+      value = protect_result(value, ra, rb, k.out_bits(n), k.is_mul,
+                             k.exact(config_), op_index, r.cycles,
+                             r.energy_pj, k.has_residue);
+    }
   }
   // word_bits <= 32, so the adder carry always sits in-band at bit n.
   return k.compare_decode
@@ -354,16 +396,21 @@ std::int64_t ApimDevice::add(std::int64_t a, std::int64_t b) {
   }
   // Mixed sign: exact subtraction, charged at the adder's cost (the borrow
   // chain uses the same exact majority path; see file comment). The issued
-  // add's value is discarded; only its cost is kept.
-  const std::uint64_t mask = low_mask(config_.word_bits);
-  (void)add_magnitude(static_cast<std::uint64_t>(std::llabs(a)) & mask,
-                      static_cast<std::uint64_t>(std::llabs(b)) & mask);
+  // add's value is discarded; only its cost is kept, so a values-only
+  // device skips it.
+  if (!values_only_) {
+    const std::uint64_t mask = low_mask(config_.word_bits);
+    (void)add_magnitude(static_cast<std::uint64_t>(std::llabs(a)) & mask,
+                        static_cast<std::uint64_t>(std::llabs(b)) & mask);
+  }
   return a + b;
 }
 
 std::int64_t ApimDevice::add_wide(std::int64_t a, std::int64_t b) {
   // Two chained word additions over the low/high halves; the value is
-  // exact (the cross-word carry rides the exact majority chain).
+  // exact (the cross-word carry rides the exact majority chain), so both
+  // word additions are cost-only and a values-only device skips them.
+  if (values_only_) return a + b;
   const std::uint64_t mask = low_mask(config_.word_bits);
   const auto ma = static_cast<std::uint64_t>(std::llabs(a));
   const auto mb = static_cast<std::uint64_t>(std::llabs(b));

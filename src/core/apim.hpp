@@ -23,6 +23,13 @@
 //  * add_wide() handles double-width values (e.g. sums of 2N-bit squares)
 //    as a carry-chained pair of word additions: exact value, twice the
 //    adder cost.
+//
+// Values only: a device built by values_only() returns from every op
+// exactly the value the cost model returns, and its ops charge nothing, so
+// its stats() stay zero. The offline QoS tuner reads only outputs
+// (apps::evaluate_relax), so it tunes on one. The mode is not an
+// ApimConfig field: a config (a ServerConfig's device, a serving batch's)
+// always builds a full-model device.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +49,18 @@ enum class DeviceOp : unsigned char;
 class ApimDevice {
  public:
   explicit ApimDevice(ApimConfig config = {});
+
+  /// A values-only device (see the file comment): ops run the word
+  /// kernels' value statements alone (kCost = false, on every backend;
+  /// the engine computes the same values), with no op index, fault draw,
+  /// protection or cost-only call. Throws std::invalid_argument for a
+  /// non-passive reliability config, whose faults and checks it could not
+  /// model, and for any config the constructor rejects.
+  [[nodiscard]] static ApimDevice values_only(ApimConfig config = {});
+
+  /// Same config and mode, fresh stats: the private device
+  /// apps::parallel_map gives each chunk.
+  [[nodiscard]] ApimDevice fresh_clone() const;
 
   [[nodiscard]] const ApimConfig& config() const noexcept { return config_; }
 
@@ -233,6 +252,7 @@ class ApimDevice {
 
   ApimConfig config_;
   ExecStats stats_;
+  bool values_only_ = false;  ///< Set only by values_only().
 };
 
 }  // namespace apim::core

@@ -1,8 +1,6 @@
 #include "serve/qos_table.hpp"
 
 #include "apps/app.hpp"
-#include "core/apim.hpp"
-#include "quality/qos.hpp"
 
 namespace apim::serve {
 
@@ -18,16 +16,9 @@ QosTable build_qos_table(std::span<const std::string> apps,
     }
     app->generate(elements, seed);
     const auto golden = app->run_golden();
-    const quality::QosSpec spec = app->qos();
     const core::TunerResult tuned = tuner.tune(
-        [&](unsigned m) {
-          core::ApimConfig cfg;
-          cfg.approx.relax_bits = m;
-          core::ApimDevice device{cfg};
-          const auto output = app->run_apim(device);
-          return quality::evaluate_qos(spec, golden, output).loss;
-        },
-        spec.loss_threshold());
+        [&](unsigned m) { return apps::evaluate_relax(*app, golden, m).loss; },
+        app->qos().loss_threshold());
     table.set(name, QosTableEntry{tuned.relax_bits, tuned.error,
                                   tuned.met_qos, false});
   }

@@ -320,6 +320,31 @@ TEST(ParallelDeterminism, AppKernelAndDeviceStatsBitExact) {
   }
 }
 
+// apps::parallel_map gives each chunk a fresh_clone of the caller's
+// device, so a values-only device's workers are values-only too: outputs
+// equal the full model's and no chunk merges a cost, for every thread
+// count.
+TEST(ValuesOnlyParallelMap, ClonesKeepTheMode) {
+  const ThreadCountGuard guard;
+  auto app = apps::make_application("Sobel");
+  ASSERT_NE(app, nullptr);
+  app->generate(/*elements=*/4096, /*seed=*/77);  // Four chunks.
+  core::ApimConfig cfg;
+  cfg.approx.relax_bits = 16;
+
+  util::set_thread_count(1);
+  core::ApimDevice full{cfg};
+  const std::vector<double> ref_out = app->run_apim(full);
+  ASSERT_GT(full.stats().multiplies, 0u);
+
+  for (std::size_t threads : kThreadSweep) {
+    util::set_thread_count(threads);
+    core::ApimDevice device = core::ApimDevice::values_only(cfg);
+    EXPECT_EQ(app->run_apim(device), ref_out) << "threads=" << threads;
+    EXPECT_EQ(device.stats(), core::ExecStats{}) << "threads=" << threads;
+  }
+}
+
 TEST(ParallelDeterminism, FaultCampaignBitExact) {
   // Fault campaigns must reproduce bit for bit regardless of host
   // threads: the fault table rides in the cloned config and transient

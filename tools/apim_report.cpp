@@ -1,7 +1,8 @@
 // apim_report: prints the "datasheet" of the modeled APIM part — device
 // parameters, derived per-operation costs, chip organization, arithmetic
 // latency laws, and endurance expectations — everything a user needs to
-// sanity-check the simulator's operating point in one page.
+// sanity-check the simulator's operating point in one page. It takes no
+// arguments: any argument exits 2 with "apim_report: error:".
 #include <cstdio>
 
 #include "arith/error_model.hpp"
@@ -13,8 +14,14 @@
 #include "device/vteam.hpp"
 #include "util/units.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace apim;
+
+  if (argc > 1) {
+    std::fprintf(stderr, "apim_report: error: unexpected argument '%s'\n",
+                 argv[1]);
+    return 2;
+  }
 
   std::puts("================ APIM modeled-part datasheet ================\n");
 
