@@ -25,7 +25,7 @@ struct QosSpec {
   [[nodiscard]] static QosSpec image() {
     return QosSpec{QosKind::kPsnr, 30.0, 255.0, 1.0};
   }
-  [[nodiscard]] static QosSpec numeric() {
+  [[nodiscard]] static constexpr QosSpec numeric() {
     return QosSpec{QosKind::kRelativeError, 0.10, 1.0, 0.01};
   }
 

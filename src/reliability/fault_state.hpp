@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -64,14 +65,16 @@ class LaneFaultTable {
     return stuck_count_;
   }
 
+  /// Throw std::out_of_range, in every build type, for a lane or domain
+  /// outside the table's shape or a bit beyond a 64-bit word.
   void add_mul_stuck(std::size_t lane, std::size_t domain, unsigned bit,
                      bool value) {
-    table_[index(lane, domain)].mul_bits.push_back(StuckBit{bit, value});
+    unit(lane, domain, bit).mul_bits.push_back(StuckBit{bit, value});
     ++stuck_count_;
   }
   void add_add_stuck(std::size_t lane, std::size_t domain, unsigned bit,
                      bool value) {
-    table_[index(lane, domain)].add_bits.push_back(StuckBit{bit, value});
+    unit(lane, domain, bit).add_bits.push_back(StuckBit{bit, value});
     ++stuck_count_;
   }
 
@@ -123,7 +126,7 @@ class LaneFaultTable {
                                     std::uint64_t op_index,
                                     unsigned attempt) const {
     if (lanes_ != 0) {
-      const UnitFaults& f = table_[index(lane, domain % domains_)];
+      const UnitFaults& f = table_[lane * domains_ + domain % domains_];
       const std::vector<StuckBit>& bits = is_mul ? f.mul_bits : f.add_bits;
       for (const StuckBit& s : bits) {
         if (s.bit >= out_bits) continue;
@@ -153,9 +156,10 @@ class LaneFaultTable {
   }
 
  private:
-  [[nodiscard]] std::size_t index(std::size_t lane,
-                                  std::size_t domain) const noexcept {
-    return lane * domains_ + domain;
+  UnitFaults& unit(std::size_t lane, std::size_t domain, unsigned bit) {
+    if (lane >= lanes_ || domain >= domains_ || bit >= 64)
+      throw std::out_of_range("LaneFaultTable: stuck bit outside the table");
+    return table_[lane * domains_ + domain];
   }
 
   std::size_t lanes_ = 0;

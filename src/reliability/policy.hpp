@@ -32,7 +32,7 @@
 
 namespace apim::reliability {
 
-enum class ReliabilityPolicy {
+enum class ReliabilityPolicy : std::uint8_t {
   kOff,
   kDetectOnly,
   kDetectAndRepair,

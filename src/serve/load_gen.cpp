@@ -39,7 +39,6 @@ std::vector<Request> make_open_loop_trace(const LoadGenConfig& cfg) {
     r.op = rng.next_double() < cfg.add_fraction ? OpKind::kVectorAdd
                                                 : OpKind::kMultiply;
     r.width = cfg.width;
-    r.qos = cfg.qos;
     r.deadline = cfg.deadline;
     r.policy = cfg.policy;
     const std::size_t ops =

@@ -8,6 +8,7 @@
 //
 // Everything derives from an explicit seed through util::Xoshiro256, so a
 // trace is bit-identical across runs, platforms and host thread counts.
+// Requests name their app but carry no QoS criterion (serve/request.hpp).
 #pragma once
 
 #include <cstddef>
@@ -35,7 +36,6 @@ struct LoadGenConfig {
   /// Relative deadline applied to every request; 0 = none.
   util::Cycles deadline = 0;
   reliability::ReliabilityPolicy policy = reliability::ReliabilityPolicy::kOff;
-  quality::QosSpec qos = quality::QosSpec::numeric();
 };
 
 /// Generate an open-loop trace: requests sorted by arrival cycle. Throws

@@ -3,7 +3,8 @@
 // A request is one tenant's unit of work: a small vector of same-width
 // arithmetic ops tagged with the application it belongs to (the paper's
 // runtime detects the application and applies its tuned relax level,
-// Section 4.3), an acceptance criterion, and an optional latency deadline.
+// Section 4.3) and an optional latency deadline; the server scores every
+// completion against one QoS constant (kServedQos, serve/server.cpp).
 // All times are SIMULATED MAGIC cycles — the runtime is a discrete-event
 // model of the served chip, so latencies and deadlines live on the
 // device's clock, not the host's.
@@ -40,16 +41,6 @@ enum class RequestStatus : std::uint8_t {
   kInvalid,   ///< Malformed (width out of range, no operands).
 };
 
-[[nodiscard]] constexpr const char* to_string(OpKind op) noexcept {
-  switch (op) {
-    case OpKind::kMultiply: return "mul";
-    case OpKind::kVectorAdd: return "add";
-    case OpKind::kCompare: return "cmp";
-    case OpKind::kPopcount: return "popcnt";
-  }
-  return "?";
-}
-
 [[nodiscard]] constexpr const char* to_string(RequestStatus s) noexcept {
   switch (s) {
     case RequestStatus::kPending: return "pending";
@@ -61,40 +52,32 @@ enum class RequestStatus : std::uint8_t {
   return "?";
 }
 
+/// The engine holds one Request and one Response per staged request, so
+/// each packs its narrow fields into its last word (80 and 112 bytes).
 struct Request {
   /// Tenant application name; keys the QoS table lookup that picks the
   /// relax level ("" or an unknown name falls back to exact).
   std::string app;
-  OpKind op = OpKind::kMultiply;
-  /// Word width of every operand pair, 4..32 (ApimDevice's range).
-  unsigned width = 32;
   /// Magnitude operand pairs; values above `width` bits are clamped by the
   /// device exactly as in direct ApimDevice use.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> operands;
-  /// Acceptance criterion for THIS request's outputs, evaluated against
-  /// the host-exact golden results on completion; a miss escalates the
-  /// app to exact mode when the server is configured to.
-  quality::QosSpec qos = quality::QosSpec::numeric();
   /// Simulated arrival time, set by whoever builds the request (a trace
   /// generator or a stepping loop).
   util::Cycles arrival = 0;
   /// Relative deadline in cycles from arrival; 0 = none. A request not
   /// DISPATCHED by arrival + deadline expires without executing.
   util::Cycles deadline = 0;
+  OpKind op = OpKind::kMultiply;
   /// Fault-tolerance level this tenant pays for (reliability/policy.hpp);
   /// part of the batch shape — requests only coalesce with like policies.
   reliability::ReliabilityPolicy policy = reliability::ReliabilityPolicy::kOff;
+  /// Word width of every operand pair, 4..32 (ApimDevice's range).
+  unsigned width = 32;
 };
 
 struct Response {
   std::uint64_t id = 0;  ///< Server-assigned, dense in admission order.
-  RequestStatus status = RequestStatus::kPending;
   std::vector<std::uint64_t> values;  ///< One per operand pair (kOk only).
-  /// Relax level the ops actually ran at (0 after an escalation).
-  unsigned relax_bits = 0;
-  /// True when a QoS miss forced an exact re-execution; the latency below
-  /// then covers both passes.
-  bool escalated = false;
   quality::QosEvaluation qos{};  ///< Evaluation vs host-exact golden.
   util::Cycles arrival = 0;
   util::Cycles dispatch = 0;    ///< When the batch started executing.
@@ -108,6 +91,12 @@ struct Response {
   /// could not be verified); 0 without the health layer. The energy and
   /// latency above cover every attempt.
   std::uint64_t relocations = 0;
+  /// Relax level the ops actually ran at (0 after an escalation).
+  unsigned relax_bits = 0;
+  RequestStatus status = RequestStatus::kPending;
+  /// True when a QoS miss forced an exact re-execution; the latency above
+  /// then covers both passes.
+  bool escalated = false;
 
   /// Simulated queue-to-completion latency in cycles.
   [[nodiscard]] util::Cycles latency_cycles() const noexcept {

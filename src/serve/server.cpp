@@ -35,6 +35,11 @@ ServerConfig ServerConfig::from_chip(const core::ApimChip& chip) {
 
 namespace {
 
+/// Every completion is scored against the paper's numeric criterion,
+/// mean relative error at most 10% (Section 4.1): served values are raw
+/// op results whatever the app. Requests carry no criterion of their own.
+constexpr quality::QosSpec kServedQos = quality::QosSpec::numeric();
+
 /// Host-exact golden value of one op, for the completion-time QoS check.
 /// Operands clamp to the word width exactly as ApimDevice does.
 double golden_value(OpKind op, unsigned width, std::uint64_t a,
@@ -74,12 +79,11 @@ SchedulerConfig scheduler_config(const ServerConfig& cfg) {
 
 /// One request's full scheduler state: the engine's only copy of it.
 struct PendingReq {
-  std::uint64_t id = 0;
   Request req;  ///< Operands are freed by release_finished() once final.
   unsigned relax = 0;     ///< Current batch-shape relax level.
   bool escalated = false; ///< A QoS miss already forced an exact rerun.
   bool finalized = false;
-  Response resp;
+  Response resp;  ///< resp.id is the request's id from staging on.
 };
 
 /// The deterministic virtual-time scheduler shared by both driving modes.
@@ -149,10 +153,10 @@ class Engine {
   /// Stage `req` as an arrival at `req.arrival`; returns its id.
   std::uint64_t stage(Request req) {
     PendingReq& p = reqs_.emplace_back();
-    p.id = reqs_.size() - 1;
+    p.resp.id = reqs_.size() - 1;
     p.req = std::move(req);
-    arrivals_.emplace(p.req.arrival, p.id);
-    return p.id;
+    arrivals_.emplace(p.req.arrival, p.resp.id);
+    return p.resp.id;
   }
 
   [[nodiscard]] std::size_t queue_depth() const noexcept {
@@ -403,7 +407,6 @@ class Engine {
 
   void finalize(PendingReq& p, RequestStatus status, util::Cycles when) {
     assert(!p.finalized);
-    p.resp.id = p.id;
     p.resp.status = status;
     p.resp.arrival = p.req.arrival;
     if (p.resp.completion < when) p.resp.completion = when;
@@ -418,7 +421,7 @@ class Engine {
                                ? trace::EventKind::kExpire
                                : trace::EventKind::kInvalid);
       e.at = when;
-      e.req = static_cast<std::int64_t>(p.id);
+      e.req = static_cast<std::int64_t>(p.resp.id);
       e.app = p.req.app;
       e.ops = p.req.operands.size();
       e.relax = p.relax;
@@ -434,12 +437,13 @@ class Engine {
         break;
       case RequestStatus::kPending: break;  // Unreachable.
     }
-    finished_.push_back(p.id);
+    finished_.push_back(p.resp.id);
   }
 
   void join_batcher(PendingReq& p) {
     const BatchKey key = key_for(p.req, p.relax);
-    if (auto closed = batcher_.add(p.id, key, p.req.operands.size(), now_))
+    if (auto closed =
+            batcher_.add(p.resp.id, key, p.req.operands.size(), now_))
       enqueue_closed(std::move(*closed));
   }
 
@@ -486,7 +490,7 @@ class Engine {
       p.relax = table_.relax_for(p.req.app);
       if (trace_ != nullptr) {
         trace::Event e = tev(trace::EventKind::kAdmit);
-        e.req = static_cast<std::int64_t>(p.id);
+        e.req = static_cast<std::int64_t>(p.resp.id);
         e.app = p.req.app;
         e.op = static_cast<std::uint8_t>(p.req.op);
         e.width = p.req.width;
@@ -904,7 +908,7 @@ class Engine {
                                              p.req.operands[j].second));
           qos_test_.push_back(static_cast<double>(p.resp.values[j]));
         }
-        p.resp.qos = quality::evaluate_qos(p.req.qos, qos_golden_, qos_test_);
+        p.resp.qos = quality::evaluate_qos(kServedQos, qos_golden_, qos_test_);
         if (!p.resp.qos.acceptable && p.relax > 0 && cfg_.escalate_on_miss &&
             !p.escalated) {
           // QoS miss under approximation: pin the app to exact and rerun
@@ -915,7 +919,7 @@ class Engine {
           p.relax = 0;
           if (trace_ != nullptr) {
             trace::Event e = tev(trace::EventKind::kQosEscalate);
-            e.req = static_cast<std::int64_t>(p.id);
+            e.req = static_cast<std::int64_t>(p.resp.id);
             e.app = p.req.app;
             e.relax = p.relax;
             e.ops = p.req.operands.size();

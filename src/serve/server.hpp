@@ -91,7 +91,7 @@ struct ServerConfig {
   std::map<std::string, std::uint32_t> tenant_weights;
 
   /// Re-execute a request exactly (and pin its app to exact) when its
-  /// completed result misses its QoS spec.
+  /// completed result misses the served QoS criterion (request.hpp).
   bool escalate_on_miss = true;
 
   /// Base device configuration: energy model, backend, fault state and

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 #include "core/apim.hpp"
 #include "crossbar/crossbar.hpp"
@@ -233,6 +234,33 @@ TEST(LaneFaultTable, TransientFlipsExactlyOneBitAtRateOne) {
     // Fresh noise per attempt, same noise per replay.
     EXPECT_EQ(v, table.apply(0, 0, true, 0, 32, op, 0));
   }
+}
+
+/// A stuck bit outside the table's shape throws in every build type and
+/// leaves the table as it was (unchecked, the write on a default 0-lane
+/// table lands past its empty vector).
+TEST(LaneFaultTable, RejectsStuckBitsOutsideItsShape) {
+  LaneFaultTable empty_table;
+  EXPECT_THROW(empty_table.add_mul_stuck(0, 0, 3, true), std::out_of_range);
+  EXPECT_THROW(empty_table.add_add_stuck(0, 0, 3, true), std::out_of_range);
+  EXPECT_TRUE(empty_table.empty());
+
+  LaneFaultTable table(4, 3);
+  for (const bool mul : {true, false}) {
+    const auto add = [&](std::size_t lane, std::size_t domain, unsigned bit) {
+      if (mul) table.add_mul_stuck(lane, domain, bit, true);
+      else table.add_add_stuck(lane, domain, bit, true);
+    };
+    const std::size_t before = table.stuck_count();
+    EXPECT_THROW(add(4, 0, 0), std::out_of_range) << "lane, mul=" << mul;
+    EXPECT_THROW(add(0, 3, 0), std::out_of_range) << "domain, mul=" << mul;
+    EXPECT_THROW(add(0, 0, 64), std::out_of_range) << "bit, mul=" << mul;
+    EXPECT_EQ(table.stuck_count(), before);
+    add(3, 2, 63);  // The far corner of the shape is inside it.
+  }
+  EXPECT_EQ(table.stuck_count(), 2u);
+  EXPECT_EQ(table.apply(3, 2, true, 0, 64, 0, 0), std::uint64_t{1} << 63);
+  EXPECT_EQ(table.apply(3, 2, false, 0, 64, 0, 0), std::uint64_t{1} << 63);
 }
 
 // ------------------------------------------------------ device policies --

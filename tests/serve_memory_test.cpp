@@ -1,10 +1,10 @@
-// Memory tests of the serving engine's request lifecycle and batch
-// executor, and of the TPC-H table generator. A counting global allocator
-// tracks live and peak heap bytes and the number of allocations, so a test
-// can check what a drained Server still holds, how much a run allocates on
-// top of its input, and how many blocks one dispatch or one make_tables
-// call allocates. Its own binary: the allocator replaces operator
-// new/delete for the whole executable.
+// Memory tests of the serving engine's request records, lifecycle, batch
+// executor and load generator, and of the TPC-H table generator. A
+// counting global allocator tracks live and peak heap bytes and the number
+// of allocations, so a test can check what a drained Server still holds,
+// how much a run or a trace allocates, and how many blocks one dispatch
+// or one make_tables call allocates. Its own binary: the allocator
+// replaces operator new/delete for the whole executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,11 +13,13 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "analytics/tpch.hpp"
 #include "serve/executor.hpp"
+#include "serve/load_gen.hpp"
 #include "serve/server.hpp"
 #include "util/thread_pool.hpp"
 
@@ -159,6 +161,33 @@ TEST_F(ServeMemory, RunTracePeaksBelowItsInputOperands) {
   EXPECT_LT(peak, kOperandBytes)
       << "run_trace peaked " << peak << " bytes above its input; the "
       << "trace's operands are " << kOperandBytes << " bytes";
+}
+
+// The engine holds one Request and one Response per staged request, so
+// their padding is paid once per request. Each packs its narrow fields
+// into its last word; a Request that also carries a QoS spec takes 120.
+TEST(ServeLayout, RequestAndResponsePackTheirNarrowFields) {
+  EXPECT_LE(sizeof(Request), 80u);
+  EXPECT_LE(sizeof(Response), 112u);
+}
+
+// A one-op trace like the serve-engine benchmark's (16 tenants, width 8):
+// the record, not its operand pair, sets the footprint. One Request and
+// one 16-byte pair is 96 bytes; a 120-byte Request makes it 136.
+TEST_F(ServeMemory, OneOpTraceNeedsAtMost96BytesPerRequest) {
+  LoadGenConfig gen;
+  gen.requests = 20000;
+  gen.rate_per_kcycle = 50.0;
+  for (int t = 0; t < 16; ++t) gen.apps.push_back("t" + std::to_string(t));
+  gen.min_ops = 1;
+  gen.max_ops = 1;
+  gen.width = 8;
+  const std::size_t base = restart_peak();
+  const std::vector<Request> trace = make_open_loop_trace(gen);
+  const std::size_t peak = g_peak_bytes.load() - base;
+  ASSERT_EQ(trace.size(), gen.requests);
+  EXPECT_LE(peak, 96 * gen.requests)
+      << peak / gen.requests << " bytes per request";
 }
 
 TEST_F(ServeMemory, ExecuteBatchAllocatesOnlyItsResults) {
