@@ -197,6 +197,21 @@ TEST(AnalyticsGolden, RunnerSnapshotDigestIsPinned) {
       << "digest=" << apim::digest::of(snap);
 }
 
+// Every Response field of the same run: the Runner's server keeps each
+// staged request's response, and ids are dense from 0.
+TEST(AnalyticsGolden, RunnerResponseDigestIsPinned) {
+  RunnerConfig cfg = runner_config(apim::core::Backend::kFast);
+  cfg.server.device.energy = apim::digest::kDigestEnergy;
+  Runner runner(cfg);
+  (void)run_queries(runner, apim::analytics::make_tables(config_for(1)));
+  std::vector<apim::serve::Response> responses;
+  for (std::uint64_t id = 0; id < runner.requests(); ++id)
+    responses.push_back(runner.server().response(id));
+  constexpr std::uint64_t kDigest = 11280245908565500807ull;
+  EXPECT_EQ(apim::digest::of(responses), kDigest)
+      << "digest=" << apim::digest::of(responses);
+}
+
 // -- Metamorphic: row-permutation invariance ---------------------------------
 
 Table permute_rows(const Table& in, apim::util::Xoshiro256& rng) {

@@ -155,17 +155,15 @@ struct ClusterOutcome {
   for (std::size_t i = 0; i < a.responses.size(); ++i) {
     const cluster::ClusterResponse& x = a.responses[i];
     const cluster::ClusterResponse& y = b.responses[i];
-    const serve::Response& xr = x.resp;
-    const serve::Response& yr = y.resp;
     const bool same =
-        xr.status == yr.status && xr.values == yr.values &&
-        xr.arrival == yr.arrival && xr.completion == yr.completion &&
-        xr.energy_pj == yr.energy_pj && x.shard == y.shard &&
+        serve_harness::same_response(x.resp, y.resp) && x.shard == y.shard &&
         x.addressed_chip == y.addressed_chip && x.exec_chip == y.exec_chip &&
-        x.cross_chip == y.cross_chip && x.hops == y.hops &&
+        x.cross_chip == y.cross_chip &&
+        x.held_by_migration == y.held_by_migration && x.hops == y.hops &&
         x.edge_arrival == y.edge_arrival &&
         x.edge_completion == y.edge_completion &&
-        x.interconnect_energy_pj == y.interconnect_energy_pj;  // Bit-exact.
+        serve_harness::same_bits(x.interconnect_energy_pj,
+                                 y.interconnect_energy_pj);
     if (!same) {
       oss << "cluster response " << i << " differs (edge completion "
           << x.edge_completion << " vs " << y.edge_completion << ", chip "

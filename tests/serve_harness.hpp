@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <sstream>
@@ -216,6 +217,25 @@ struct Outcome {
   return {};
 }
 
+/// Doubles compared by bit pattern: 0.0 and -0.0 differ, a NaN equals
+/// itself.
+[[nodiscard]] inline bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Every field of two responses equal, doubles bit for bit.
+[[nodiscard]] inline bool same_response(const serve::Response& x,
+                                        const serve::Response& y) {
+  return x.id == y.id && x.values == y.values &&
+         same_bits(x.qos.loss, y.qos.loss) &&
+         x.qos.acceptable == y.qos.acceptable && x.arrival == y.arrival &&
+         x.dispatch == y.dispatch && x.completion == y.completion &&
+         x.batch_requests == y.batch_requests &&
+         same_bits(x.energy_pj, y.energy_pj) &&
+         x.relocations == y.relocations && x.relax_bits == y.relax_bits &&
+         x.status == y.status && x.escalated == y.escalated;
+}
+
 /// First difference between two outcomes, or "" when bit-identical.
 [[nodiscard]] inline std::string diff_outcomes(const Outcome& a,
                                                const Outcome& b) {
@@ -228,15 +248,7 @@ struct Outcome {
   for (std::size_t i = 0; i < a.responses.size(); ++i) {
     const serve::Response& x = a.responses[i];
     const serve::Response& y = b.responses[i];
-    const bool same = x.id == y.id && x.status == y.status &&
-                      x.values == y.values && x.relax_bits == y.relax_bits &&
-                      x.escalated == y.escalated && x.arrival == y.arrival &&
-                      x.dispatch == y.dispatch &&
-                      x.completion == y.completion &&
-                      x.batch_requests == y.batch_requests &&
-                      x.relocations == y.relocations &&
-                      x.energy_pj == y.energy_pj;  // Bit-exact.
-    if (!same) {
+    if (!same_response(x, y)) {
       oss << "response " << i << " differs (status " << to_string(x.status)
           << " vs " << to_string(y.status) << ", completion "
           << x.completion << " vs " << y.completion << ")";

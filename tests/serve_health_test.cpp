@@ -300,6 +300,20 @@ TEST(ServeChaos, DegradeSnapshotDigestIsPinned) {
       << "digest=" << digest::of(out.snap);
 }
 
+/// Every Response field of the kill-and-decay run under kShed, the mode
+/// ext_chaos and the serve-chaos benchmark run: requests relocate off the
+/// killed domain.
+TEST(ServeChaos, ShedResponseDigestIsPinned) {
+  ChaosSpec spec = small_chaos_spec();
+  spec.scenario.server.device.energy = digest::kDigestEnergy;
+  spec.scenario.server.health.mode = health::DegradeMode::kShed;
+  const Outcome out = run_chaos(spec, true);
+  EXPECT_GT(out.snap.relocated_requests, 0u);
+  constexpr std::uint64_t kDigest = 4161294732691622370ull;
+  EXPECT_EQ(digest::of(out.responses), kDigest)
+      << "digest=" << digest::of(out.responses);
+}
+
 TEST(ServeChaos, QuarantinedDomainRepairsAndReadmits) {
   ChaosSpec spec = small_chaos_spec();
   spec.stuck_rate = 0.0;  // Only the scheduled event below.

@@ -1,18 +1,23 @@
 // FNV-1a digests over every field of a serve::MetricsSnapshot and a
 // cluster::ClusterSnapshot: counters, doubles by bit pattern, the device
 // stats, per-app, per-domain and capacity-timeline entries, and the
-// per-chip snapshots of a cluster. A test that pins a run's digest fails
-// on any change to any field, which a comparison of two runs of the same
-// build cannot catch. Pinned runs price ops with digest::kDigestEnergy
-// (tests/digest.hpp). gtest-free, like the other test harnesses.
+// per-chip snapshots of a cluster. The same goes for a run's responses:
+// every serve::Response field, and a cluster::ClusterResponse's routing,
+// edge times and interconnect energy on top. A test that pins a run's
+// digest fails on any change to any field, which a comparison of two runs
+// of the same build cannot catch. Pinned runs price ops with
+// digest::kDigestEnergy (tests/digest.hpp). gtest-free, like the other
+// test harnesses.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "core/stats.hpp"
 #include "digest.hpp"
 #include "serve/metrics.hpp"
+#include "serve/request.hpp"
 
 namespace apim::digest {
 
@@ -95,6 +100,50 @@ inline void mix(Fnv1a& h, const serve::MetricsSnapshot& s) {
     h.mix(c.max_deficit_carried);
     h.mix(c.max_starvation_cycles);
   }
+}
+
+inline void mix(Fnv1a& h, const serve::Response& r) {
+  h.mix(r.id);
+  h.mix(std::uint64_t{r.values.size()});
+  for (const std::uint64_t v : r.values) h.mix(v);
+  h.mix(r.qos.loss);
+  h.mix(r.qos.acceptable);
+  h.mix(r.arrival);
+  h.mix(r.dispatch);
+  h.mix(r.completion);
+  h.mix(std::uint64_t{r.batch_requests});
+  h.mix(r.energy_pj);
+  h.mix(std::uint64_t{r.relocations});
+  h.mix(r.relax_bits);
+  h.mix(std::uint64_t{static_cast<std::uint8_t>(r.status)});
+  h.mix(r.escalated);
+}
+
+[[nodiscard]] inline std::uint64_t of(
+    const std::vector<serve::Response>& responses) {
+  Fnv1a h;
+  h.mix(std::uint64_t{responses.size()});
+  for (const serve::Response& r : responses) mix(h, r);
+  return h.value();
+}
+
+[[nodiscard]] inline std::uint64_t of(
+    const std::vector<cluster::ClusterResponse>& responses) {
+  Fnv1a h;
+  h.mix(std::uint64_t{responses.size()});
+  for (const cluster::ClusterResponse& r : responses) {
+    mix(h, r.resp);
+    h.mix(std::uint64_t{r.shard});
+    h.mix(std::uint64_t{r.addressed_chip});
+    h.mix(std::uint64_t{r.exec_chip});
+    h.mix(r.cross_chip);
+    h.mix(r.held_by_migration);
+    h.mix(r.hops);
+    h.mix(r.edge_arrival);
+    h.mix(r.edge_completion);
+    h.mix(r.interconnect_energy_pj);
+  }
+  return h.value();
 }
 
 [[nodiscard]] inline std::uint64_t of(const serve::MetricsSnapshot& s) {
