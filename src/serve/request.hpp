@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "quality/qos.hpp"
 #include "reliability/policy.hpp"
 #include "util/units.hpp"
 
@@ -52,8 +51,9 @@ enum class RequestStatus : std::uint8_t {
   return "?";
 }
 
-/// The engine holds one Request and one Response per staged request, so
-/// each packs its narrow fields into its last word (80 and 112 bytes).
+/// The engine holds one Request and one Response per staged request and
+/// nothing else per request (serve/server.cpp), so each packs its narrow
+/// fields into its last word: 80 and 96 bytes.
 struct Request {
   /// Tenant application name; keys the QoS table lookup that picks the
   /// relax level ("" or an unknown name falls back to exact).
@@ -75,27 +75,40 @@ struct Request {
   unsigned width = 32;
 };
 
+/// The completion-time QoS check of a response's values against the
+/// host-exact golden ones. The criterion is relative error, whose metric
+/// is its loss, so the loss is all a response keeps.
+struct ServedQos {
+  double loss = 0.0;  ///< Mean relative error.
+  bool acceptable = false;
+};
+
+/// While the request is in the engine, its Response is also its scheduler
+/// state: `relax_bits` is the level its next batch runs at, `escalated`
+/// marks the exact rerun a QoS miss forced, and `status` stays kPending
+/// until it finalizes.
 struct Response {
   std::uint64_t id = 0;  ///< Server-assigned, dense in admission order.
   std::vector<std::uint64_t> values;  ///< One per operand pair (kOk only).
-  quality::QosEvaluation qos{};  ///< Evaluation vs host-exact golden.
+  ServedQos qos{};  ///< Of the last pass whose values were checked.
   util::Cycles arrival = 0;
   util::Cycles dispatch = 0;    ///< When the batch started executing.
   util::Cycles completion = 0;  ///< When results were available.
-  /// Requests coalesced into the dispatching batch (1 = unbatched).
-  std::size_t batch_requests = 0;
   /// This request's share of the batch energy (proportional to op count).
   double energy_pj = 0.0;
+  /// Requests coalesced into the dispatching batch (1 = unbatched).
+  std::uint32_t batch_requests = 0;
   /// Times the health layer re-queued this request off a failing fault
   /// domain (whole-domain failure mid-flight, or a batch whose results
   /// could not be verified); 0 without the health layer. The energy and
   /// latency above cover every attempt.
-  std::uint64_t relocations = 0;
-  /// Relax level the ops actually ran at (0 after an escalation).
+  std::uint32_t relocations = 0;
+  /// Relax level the ops actually ran at (0 after an escalation, and for
+  /// every status but kOk).
   unsigned relax_bits = 0;
   RequestStatus status = RequestStatus::kPending;
   /// True when a QoS miss forced an exact re-execution; the latency above
-  /// then covers both passes.
+  /// then covers both passes. False for every status but kOk.
   bool escalated = false;
 
   /// Simulated queue-to-completion latency in cycles.

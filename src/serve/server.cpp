@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "arith/compare_units.hpp"
+#include "quality/qos.hpp"
 #include "serve/batcher.hpp"
 #include "serve/executor.hpp"
 #include "serve/scheduler.hpp"
@@ -77,13 +78,17 @@ SchedulerConfig scheduler_config(const ServerConfig& cfg) {
 
 }  // namespace
 
-/// One request's full scheduler state: the engine's only copy of it.
+/// One request's full scheduler state: the engine's only copy of it. The
+/// response carries the rest (serve/request.hpp): its id from staging on,
+/// the relax level, the escalation and, through its status, whether the
+/// request has finalized.
 struct PendingReq {
   Request req;  ///< Operands are freed by release_finished() once final.
-  unsigned relax = 0;     ///< Current batch-shape relax level.
-  bool escalated = false; ///< A QoS miss already forced an exact rerun.
-  bool finalized = false;
-  Response resp;  ///< resp.id is the request's id from staging on.
+  Response resp;
+
+  [[nodiscard]] bool finalized() const noexcept {
+    return resp.status != RequestStatus::kPending;
+  }
 };
 
 /// The deterministic virtual-time scheduler shared by both driving modes.
@@ -405,13 +410,13 @@ class Engine {
     trace_->record(std::move(e));
   }
 
+  /// `status` is terminal: anything but kPending.
   void finalize(PendingReq& p, RequestStatus status, util::Cycles when) {
-    assert(!p.finalized);
+    assert(!p.finalized() && status != RequestStatus::kPending);
     p.resp.status = status;
     p.resp.arrival = p.req.arrival;
     if (p.resp.completion < when) p.resp.completion = when;
-    p.finalized = true;
-    if (trace_ != nullptr && status != RequestStatus::kPending) {
+    if (trace_ != nullptr) {
       // The single terminal point of the request-conservation ledger:
       // exactly one serve/reject/expire/invalid event per request.
       trace::Event e = tev(status == RequestStatus::kOk ? trace::EventKind::kServe
@@ -424,7 +429,7 @@ class Engine {
       e.req = static_cast<std::int64_t>(p.resp.id);
       e.app = p.req.app;
       e.ops = p.req.operands.size();
-      e.relax = p.relax;
+      e.relax = p.resp.relax_bits;
       trace_->record(std::move(e));
     }
     switch (status) {
@@ -433,15 +438,20 @@ class Engine {
       case RequestStatus::kInvalid: metrics_.record_invalid(); break;
       case RequestStatus::kOk:
         metrics_.record_completed(p.req.app, p.req.arrival, p.resp.completion,
-                                  p.escalated, !p.resp.qos.acceptable);
+                                  p.resp.escalated, !p.resp.qos.acceptable);
         break;
       case RequestStatus::kPending: break;  // Unreachable.
+    }
+    // Only a served response reports a relax level and an escalation.
+    if (status != RequestStatus::kOk) {
+      p.resp.relax_bits = 0;
+      p.resp.escalated = false;
     }
     finished_.push_back(p.resp.id);
   }
 
   void join_batcher(PendingReq& p) {
-    const BatchKey key = key_for(p.req, p.relax);
+    const BatchKey key = key_for(p.req, p.resp.relax_bits);
     if (auto closed =
             batcher_.add(p.resp.id, key, p.req.operands.size(), now_))
       enqueue_closed(std::move(*closed));
@@ -487,14 +497,14 @@ class Engine {
         finalize(p, RequestStatus::kRejected, now_);
         continue;
       }
-      p.relax = table_.relax_for(p.req.app);
+      p.resp.relax_bits = table_.relax_for(p.req.app);
       if (trace_ != nullptr) {
         trace::Event e = tev(trace::EventKind::kAdmit);
         e.req = static_cast<std::int64_t>(p.resp.id);
         e.app = p.req.app;
         e.op = static_cast<std::uint8_t>(p.req.op);
         e.width = p.req.width;
-        e.relax = p.relax;
+        e.relax = p.resp.relax_bits;
         e.policy = static_cast<std::uint8_t>(p.req.policy);
         e.ops = p.req.operands.size();
         // Depth including this request; admission checked < capacity, so a
@@ -577,7 +587,7 @@ class Engine {
     std::size_t moved_ops = 0;
     for (const std::uint64_t id : members) {
       PendingReq& p = at(id);
-      if (p.finalized) continue;
+      if (p.finalized()) continue;
       if (p.resp.relocations >= cfg_.health.max_relocations) {
         metrics_.record_relocation_reject();
         finalize(p, RequestStatus::kRejected, now_);
@@ -664,7 +674,7 @@ class Engine {
       }
       for (const std::uint64_t id : pick->batch.members) {
         PendingReq& p = at(id);
-        if (p.finalized) continue;
+        if (p.finalized()) continue;
         finalize(p, RequestStatus::kRejected, now_);
         any = true;
       }
@@ -801,7 +811,7 @@ class Engine {
       if (!relocate) p.resp.values = std::move(exec.values[m]);
       p.resp.dispatch = now_;
       p.resp.completion = completion;
-      p.resp.batch_requests = live.size();
+      p.resp.batch_requests = static_cast<std::uint32_t>(live.size());
       // += so an escalated rerun's energy adds to the first pass.
       p.resp.energy_pj +=
           energy_per_op * static_cast<double>(p.req.operands.size());
@@ -899,7 +909,7 @@ class Engine {
 
       for (const std::uint64_t id : done.members) {
         PendingReq& p = at(id);
-        if (p.finalized) continue;  // Relocation budget ran out mid-abort.
+        if (p.finalized()) continue;  // Relocation budget ran out mid-abort.
         qos_golden_.clear();
         qos_test_.clear();
         for (std::size_t j = 0; j < p.req.operands.size(); ++j) {
@@ -908,28 +918,28 @@ class Engine {
                                              p.req.operands[j].second));
           qos_test_.push_back(static_cast<double>(p.resp.values[j]));
         }
-        p.resp.qos = quality::evaluate_qos(kServedQos, qos_golden_, qos_test_);
-        if (!p.resp.qos.acceptable && p.relax > 0 && cfg_.escalate_on_miss &&
-            !p.escalated) {
+        const quality::QosEvaluation eval =
+            quality::evaluate_qos(kServedQos, qos_golden_, qos_test_);
+        p.resp.qos = ServedQos{eval.loss, eval.acceptable};
+        if (!p.resp.qos.acceptable && p.resp.relax_bits > 0 &&
+            cfg_.escalate_on_miss && !p.resp.escalated) {
           // QoS miss under approximation: pin the app to exact and rerun
           // this request exactly, charging the extra latency to it.
-          p.escalated = true;
+          p.resp.escalated = true;
           metrics_.record_escalation();
           table_.escalate(p.req.app);
-          p.relax = 0;
+          p.resp.relax_bits = 0;
           if (trace_ != nullptr) {
             trace::Event e = tev(trace::EventKind::kQosEscalate);
             e.req = static_cast<std::int64_t>(p.resp.id);
             e.app = p.req.app;
-            e.relax = p.relax;
+            e.relax = p.resp.relax_bits;
             e.ops = p.req.operands.size();
             trace_->record(std::move(e));
           }
           join_batcher(p);
           metrics_.record_queue_depth(queue_depth());
         } else {
-          p.resp.relax_bits = p.relax;
-          p.resp.escalated = p.escalated;
           finalize(p, RequestStatus::kOk, p.resp.completion);
         }
       }
@@ -1057,7 +1067,10 @@ bool Server::step_until(util::Cycles limit) {
 util::Cycles Server::virtual_now() const { return impl_->engine.now(); }
 
 const Response& Server::response(std::uint64_t id) const {
-  return impl_->engine.at(id).resp;
+  const Engine& engine = impl_->engine;
+  if (id >= engine.next_id())
+    throw std::out_of_range("Server::response: no request has this id");
+  return engine.at(id).resp;
 }
 
 void Server::release_finished() { impl_->engine.release_finished(); }

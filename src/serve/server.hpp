@@ -24,9 +24,12 @@
 //  * run_trace        — deterministic open-loop replay of a seeded trace;
 //  * stage_request/step_until — event-by-event stepping for coordinators
 //    (the cluster, analytics waves).
-// The engine holds one record per staged request. A finalized request's
-// operands are freed in bulk by release_finished(), and its Response is
-// kept until the driver collects it.
+// The engine holds one record per staged request, its Request and its
+// Response and nothing else (80 + 96 = 176 bytes): the Response also
+// carries the request's relax level, escalation and whether it has
+// finalized (serve/request.hpp). A finalized request's operands are freed
+// in bulk by release_finished(), and its Response is kept until the
+// driver collects it.
 #pragma once
 
 #include <cstddef>
@@ -175,7 +178,8 @@ class Server {
 
   /// Response of a request staged with stage_request; meaningful once it
   /// finalized (status != kPending). run_trace moves its responses out,
-  /// so this does not cover its requests.
+  /// so this does not cover its requests. Throws std::out_of_range, in
+  /// every build type, for an id no request was staged under.
   [[nodiscard]] const Response& response(std::uint64_t id) const;
 
   /// Free the operands of every request finalized so far; their responses
