@@ -18,6 +18,7 @@
 #include "cluster/rebalancer.hpp"
 #include "cluster/topology.hpp"
 #include "cluster_harness.hpp"
+#include "serve/trace.hpp"
 #include "serve_harness.hpp"
 #include "snapshot_digest.hpp"
 #include "util/thread_pool.hpp"
@@ -449,9 +450,10 @@ TEST(ClusterHealth, QuarantinedChipEvacuatesThroughRebalancer) {
 }
 
 /// A 4-chip Zipf run whose chip 1 dies mid-serve, priced for the pinned
-/// digests (tests/snapshot_digest.hpp).
-ClusterOutcome run_zipf_chip_kill() {
+/// digests (tests/snapshot_digest.hpp), with `trace` attached if given.
+ClusterOutcome run_zipf_chip_kill(serve::trace::EventLog* trace = nullptr) {
   ClusterScenario cs = skewed_scenario(7);
+  cs.cluster.trace = trace;
   cs.cluster.server.device.energy = digest::kDigestEnergy;
   cs.cluster.server.health.enabled = true;
   cs.cluster.server.health.mode = serve::health::DegradeMode::kShed;
@@ -464,9 +466,12 @@ ClusterOutcome run_zipf_chip_kill() {
 /// Every ClusterSnapshot field of that run, every chip's MetricsSnapshot
 /// included, pinned by digest. The run reaches hot-shard migrations,
 /// evacuations and cross-chip traffic, so a refactor of how the
-/// coordinator counts any of them fails here.
+/// coordinator counts any of them fails here. Its event log is pinned
+/// stream by stream: the cluster's events and each chip's, each in
+/// emission order, whatever order the chips step in.
 TEST(ClusterHealth, ZipfChipKillSnapshotDigestIsPinned) {
-  const ClusterOutcome out = run_zipf_chip_kill();
+  serve::trace::EventLog log;
+  const ClusterOutcome out = run_zipf_chip_kill(&log);
   EXPECT_EQ(cluster_harness::check_cluster_conservation(out), "");
   EXPECT_GT(out.snap.migrations, 0u);
   EXPECT_GT(out.snap.evacuations, 0u);
@@ -474,6 +479,9 @@ TEST(ClusterHealth, ZipfChipKillSnapshotDigestIsPinned) {
   constexpr std::uint64_t kDigest = 10690257345383137147ull;
   EXPECT_EQ(digest::of(out.snap), kDigest)
       << "digest=" << digest::of(out.snap);
+  EXPECT_FALSE(log.overflowed());
+  constexpr std::uint64_t kTraceDigest = 4479855574286371537ull;
+  EXPECT_EQ(digest::of(log), kTraceDigest) << "digest=" << digest::of(log);
 }
 
 /// Every ClusterResponse field of the same run, the served Response each

@@ -3,13 +3,15 @@
 // stats, per-app, per-domain and capacity-timeline entries, and the
 // per-chip snapshots of a cluster. The same goes for a run's responses:
 // every serve::Response field, and a cluster::ClusterResponse's routing,
-// edge times and interconnect energy on top. A test that pins a run's
+// edge times and interconnect energy on top, and for a run's event log:
+// every serve::trace::Event field, stream by stream. A test that pins a run's
 // digest fails on any change to any field, which a comparison of two runs
 // of the same build cannot catch. Pinned runs price ops with
 // digest::kDigestEnergy (tests/digest.hpp). gtest-free, like the other
 // test harnesses.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "digest.hpp"
 #include "serve/metrics.hpp"
 #include "serve/request.hpp"
+#include "serve/trace.hpp"
 
 namespace apim::digest {
 
@@ -142,6 +145,68 @@ inline void mix(Fnv1a& h, const serve::Response& r) {
     h.mix(r.edge_arrival);
     h.mix(r.edge_completion);
     h.mix(r.interconnect_energy_pj);
+  }
+  return h.value();
+}
+
+inline void mix(Fnv1a& h, std::int64_t v) {
+  h.mix(static_cast<std::uint64_t>(v));
+}
+
+inline void mix(Fnv1a& h, const serve::trace::Event& e) {
+  h.mix(std::uint64_t{static_cast<std::uint8_t>(e.kind)});
+  h.mix(e.at);
+  mix(h, std::int64_t{e.chip});
+  mix(h, e.req);
+  h.mix(e.app);
+  mix(h, e.domain);
+  h.mix(std::uint64_t{e.op});
+  h.mix(e.width);
+  h.mix(e.relax);
+  h.mix(std::uint64_t{e.policy});
+  h.mix(e.ops);
+  h.mix(std::uint64_t{e.members.size()});
+  for (const std::uint64_t m : e.members) h.mix(m);
+  h.mix(e.amount);
+  h.mix(e.deficit_after);
+  h.mix(e.idle_reset);
+  h.mix(e.queue_depth);
+  h.mix(e.capacity);
+  h.mix(std::uint64_t{e.state_from});
+  h.mix(std::uint64_t{e.state_to});
+  h.mix(e.dead);
+  h.mix(e.clean);
+  h.mix(e.offline);
+  h.mix(e.stuck);
+  h.mix(e.repaired);
+  h.mix(e.detections);
+  h.mix(e.escalations);
+  h.mix(e.scrub);
+  mix(h, e.from);
+  mix(h, e.to);
+  h.mix(e.hops);
+  h.mix(e.bits);
+  h.mix(e.cycles);
+  h.mix(e.energy_pj);
+  mix(h, e.shard);
+}
+
+/// An event log taken stream by stream: the cluster-scope events (chip
+/// -1) and then each chip's, each stream in emission order. How the
+/// streams interleave in the shared log does not enter the digest, what
+/// each stream holds does.
+[[nodiscard]] inline std::uint64_t of(const serve::trace::EventLog& log) {
+  std::int32_t last_chip = -1;
+  for (const serve::trace::Event& e : log.events())
+    last_chip = std::max(last_chip, e.chip);
+  Fnv1a h;
+  for (std::int32_t chip = -1; chip <= last_chip; ++chip) {
+    std::uint64_t count = 0;
+    for (const serve::trace::Event& e : log.events()) count += e.chip == chip;
+    mix(h, std::int64_t{chip});
+    h.mix(count);
+    for (const serve::trace::Event& e : log.events())
+      if (e.chip == chip) mix(h, e);
   }
   return h.value();
 }
