@@ -11,6 +11,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "arith/compare_units.hpp"
 #include "core/apim.hpp"
 #include "crossbar/crossbar.hpp"
 #include "crossbar/scratch_allocator.hpp"
@@ -322,6 +323,30 @@ TEST(DevicePolicy, RepairRetriesOnHealthyDomainAndCorrects) {
   EXPECT_EQ(device.stats().residue_checks, 2u);
   EXPECT_EQ(device.stats().escalations, 0u);
   EXPECT_FALSE(device.degraded());
+}
+
+/// Exact results of a healthy primary domain pass their residue checks,
+/// whatever the operands: nothing is detected or retried. Compare's check
+/// is on a + ~b, which, unlike a sum or a product, is not symmetric in a
+/// and b.
+TEST(DevicePolicy, HealthyPrimaryDomainNeverDetects) {
+  core::ApimConfig cfg = small_device_config();
+  cfg.reliability.policy = ReliabilityPolicy::kDetectAndRepair;
+  cfg.reliability.faults = LaneFaultTable(1, 3);
+  cfg.reliability.faults.add_add_stuck(0, 2, 0, true);  // Non-empty table.
+  core::ApimDevice device{cfg};
+  for (std::uint64_t a = 0; a < 12; ++a) {
+    for (std::uint64_t b = 0; b < 12; ++b) {
+      EXPECT_EQ(device.mul_magnitude(a, b), a * b);
+      EXPECT_EQ(device.add_magnitude(a, b), a + b);
+      EXPECT_EQ(device.cmp_magnitude(a, b), a < b    ? arith::kCmpLt
+                                             : a == b ? arith::kCmpEq
+                                                      : arith::kCmpGt);
+    }
+  }
+  EXPECT_EQ(device.stats().residue_checks, 3u * 12u * 12u);
+  EXPECT_EQ(device.stats().faults_detected, 0u);
+  EXPECT_EQ(device.stats().retries, 0u);
 }
 
 TEST(DevicePolicy, ExhaustedLadderEscalatesAndFlagsDegraded) {
