@@ -43,13 +43,14 @@ reliability::LaneFaultTable whole_domain_failure(std::size_t lanes,
   return t;
 }
 
-HealthMonitor::HealthMonitor(std::size_t domains, const HealthConfig& cfg)
-    : cfg_(cfg), doms_(domains) {}
+HealthMonitor::HealthMonitor(std::size_t domains, const HealthConfig& cfg,
+                             const core::ApimConfig& device)
+    : cfg_(cfg), doms_(domains, Domain{.device = device}) {}
 
 std::size_t HealthMonitor::serving_count() const noexcept {
   std::size_t n = 0;
   for (const Domain& d : doms_)
-    if (d.state != DomainState::kQuarantined) ++n;
+    if (d.serving()) ++n;
   return n;
 }
 

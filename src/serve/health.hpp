@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/config.hpp"
 #include "device/energy_model.hpp"
 #include "reliability/fault_state.hpp"
 #include "reliability/policy.hpp"
@@ -153,20 +154,48 @@ ScrubReport scrub_domain(reliability::LaneFaultTable& faults, bool dead,
 [[nodiscard]] reliability::LaneFaultTable whole_domain_failure(
     std::size_t lanes, std::size_t domains);
 
-/// The per-domain state machine. Owned and driven by the engine; all
-/// methods are deterministic functions of the call sequence.
+/// One fault domain's record: the state machine's fields and everything
+/// else the engine keeps per stream, in one place.
+struct Domain {
+  DomainState state = DomainState::kHealthy;
+  bool dead = false;  ///< Whole-domain failure: never scrubs clean.
+  bool busy = false;  ///< A batch or scrub pass holds the stream.
+  bool scrub_queued = false;  ///< A scrub pass is queued or in flight.
+  unsigned repair_attempts = 0;
+  unsigned clean_streak = 0;
+  std::uint64_t detections_since_scrub = 0;
+  util::Cycles repair_at = 0;  ///< Next off-line re-test; 0 = none.
+  /// What the domain's dispatches run with: the server's base config
+  /// carrying the domain's own fault table, which the fault schedule and
+  /// scrub repairs update in place (domains decay independently).
+  core::ApimConfig device{};
+
+  /// A domain serves traffic unless quarantined.
+  [[nodiscard]] bool serving() const noexcept {
+    return state != DomainState::kQuarantined;
+  }
+};
+
+/// The fault domains of one server, one record each, and the state
+/// machine over them. Owned and driven by the engine, which keeps it in
+/// every mode: with the health layer off nothing feeds the machine, so
+/// every domain stays kHealthy. All methods are deterministic functions of
+/// the call sequence.
 class HealthMonitor {
  public:
   HealthMonitor() = default;
-  HealthMonitor(std::size_t domains, const HealthConfig& cfg);
+  /// `domains` records, each dispatching with `device`.
+  HealthMonitor(std::size_t domains, const HealthConfig& cfg,
+                const core::ApimConfig& device = {});
 
   [[nodiscard]] std::size_t domains() const noexcept { return doms_.size(); }
+  [[nodiscard]] Domain& domain(std::size_t d) { return doms_[d]; }
+  [[nodiscard]] const Domain& domain(std::size_t d) const { return doms_[d]; }
   [[nodiscard]] DomainState state(std::size_t d) const {
     return doms_[d].state;
   }
-  /// A domain serves traffic unless quarantined.
   [[nodiscard]] bool serving(std::size_t d) const {
-    return doms_[d].state != DomainState::kQuarantined;
+    return doms_[d].serving();
   }
   [[nodiscard]] std::size_t serving_count() const noexcept;
 
@@ -196,14 +225,6 @@ class HealthMonitor {
   }
 
  private:
-  struct Domain {
-    DomainState state = DomainState::kHealthy;
-    bool dead = false;
-    std::uint64_t detections_since_scrub = 0;
-    unsigned repair_attempts = 0;
-    unsigned clean_streak = 0;
-  };
-
   HealthConfig cfg_{};
   std::vector<Domain> doms_;
 };
