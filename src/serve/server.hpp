@@ -152,12 +152,13 @@ class Server {
 
   // -- Incremental stepping (cluster coordination) -------------------------
   //
-  // A coordinator that interleaves several virtual-time servers (one per
-  // chip, src/cluster/) drives each engine event by event instead of
-  // calling run_trace: stage arrivals as they become known, advance every
-  // chip to the global minimum event time, repeat. Driving a single
-  // server this way reproduces run_trace bit-exactly — step_until uses
-  // the same event-selection code as run_to_completion.
+  // A coordinator that drives several virtual-time servers (one per chip,
+  // src/cluster/) stages arrivals as they become known and steps each
+  // engine only as far as it needs to read it, instead of calling
+  // run_trace. Staging reads no engine state and a staged request waits
+  // for its arrival cycle, so an engine may lag the coordinator's clock.
+  // Driving a single server this way reproduces run_trace bit-exactly —
+  // step_until uses the same event-selection code as run_to_completion.
 
   /// Stage one open-loop request (arrival cycle set by the caller) without
   /// running the engine. Returns the request's dense id for response().
