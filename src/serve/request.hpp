@@ -89,8 +89,10 @@ struct ServedQos {
 /// until it finalizes.
 struct Response {
   std::uint64_t id = 0;  ///< Server-assigned, dense in admission order.
-  std::vector<std::uint64_t> values;  ///< One per operand pair (kOk only).
-  ServedQos qos{};  ///< Of the last pass whose values were checked.
+  /// One per operand pair; empty for every status but kOk.
+  std::vector<std::uint64_t> values;
+  /// Of the served values; the default for every status but kOk.
+  ServedQos qos{};
   util::Cycles arrival = 0;
   util::Cycles dispatch = 0;    ///< When the batch started executing.
   util::Cycles completion = 0;  ///< When results were available.

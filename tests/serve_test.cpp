@@ -459,6 +459,33 @@ TEST(ServeQos, EscalationCanBeDisabled) {
   EXPECT_EQ(server.snapshot().escalations, 0u);
 }
 
+/// A request whose exact rerun expires was never served: like every
+/// status but kOk, its response carries no values and no QoS verdict, not
+/// those of its approximate first pass.
+TEST(ServeQos, ExpiredRerunCarriesNoValuesOrVerdict) {
+  const auto operands = find_qos_missing_operands();
+  ASSERT_TRUE(operands.has_value());
+  QosTable table;
+  table.set("sloppy", QosTableEntry{kSloppyRelax, 0.0, true, false});
+  ServerConfig cfg;
+  cfg.batch_window = 300;
+  Server server(cfg, table);
+  // The first pass completes after cycle 300 and misses the spec; its
+  // rerun's batch closes after the 500-cycle deadline and expires.
+  const std::vector<Response> responses = server.run_trace({make_request(
+      "sloppy", OpKind::kMultiply, kSloppyWidth,
+      {{operands->first, operands->second}}, 0, /*deadline=*/500)});
+  ASSERT_EQ(responses.size(), 1u);
+  const Response& r = responses[0];
+  EXPECT_EQ(server.snapshot().escalations, 1u);
+  EXPECT_EQ(r.status, RequestStatus::kExpired);
+  EXPECT_TRUE(r.values.empty());
+  EXPECT_EQ(r.qos.loss, 0.0);
+  EXPECT_FALSE(r.qos.acceptable);
+  EXPECT_FALSE(r.escalated);
+  EXPECT_EQ(r.relax_bits, 0u);
+}
+
 /// Every Response field of a run that escalates, expires and rejects,
 /// pinned by digest (tests/snapshot_digest.hpp). Some escalated reruns
 /// then expire, so the pin also covers what a request that was escalated
@@ -510,7 +537,7 @@ TEST(ServeQos, RunTraceResponseDigestIsPinned) {
   EXPECT_GT(snap.escalations, served_escalated);
   EXPECT_GT(snap.expired, 0u);
   EXPECT_GT(snap.rejected, 0u);
-  constexpr std::uint64_t kDigest = 9732984058275609735ull;
+  constexpr std::uint64_t kDigest = 17837410632186903168ull;
   EXPECT_EQ(digest::of(responses), kDigest)
       << "digest=" << digest::of(responses);
 }
