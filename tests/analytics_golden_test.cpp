@@ -192,7 +192,7 @@ TEST(AnalyticsGolden, RunnerSnapshotDigestIsPinned) {
   (void)run_queries(runner, apim::analytics::make_tables(config_for(1)));
   const apim::serve::MetricsSnapshot snap = runner.snapshot();
   EXPECT_EQ(snap.per_app.count("analytics#exact"), 1u);
-  constexpr std::uint64_t kDigest = 4823080648356955778ull;
+  constexpr std::uint64_t kDigest = 6240104365041565961ull;
   EXPECT_EQ(apim::digest::of(snap), kDigest)
       << "digest=" << apim::digest::of(snap);
 }
@@ -207,7 +207,7 @@ TEST(AnalyticsGolden, RunnerResponseDigestIsPinned) {
   std::vector<apim::serve::Response> responses;
   for (std::uint64_t id = 0; id < runner.requests(); ++id)
     responses.push_back(runner.server().response(id));
-  constexpr std::uint64_t kDigest = 11280245908565500807ull;
+  constexpr std::uint64_t kDigest = 16702705702982855401ull;
   EXPECT_EQ(apim::digest::of(responses), kDigest)
       << "digest=" << apim::digest::of(responses);
 }

@@ -1,11 +1,16 @@
 // FNV-1a over 64-bit words, and the energy model the pinned-digest tests
 // price ops with. gtest-free, like the other test harnesses.
 //
-// kDigestEnergy's constants are literals near
+// kDigestEnergy prices ops with literals, not with
 // device::EnergyModel::paper_defaults(): paper_defaults() comes out of a
 // VTEAM ODE integration through std::pow, so its last bits depend on the C
 // library, and a digest over it would pin that library as well as the
-// models under test.
+// models under test. The literals are distinct small integers: every
+// energy a pinned run forms is then an integer count times an integer
+// price, summed exactly below 2^53, so a pin holds whatever order a
+// model adds its terms in and moves only when an event count (or a
+// value or a cycle) does. Distinct primes keep the event classes apart:
+// charging an event to the wrong class changes the sum.
 #pragma once
 
 #include <bit>
@@ -17,15 +22,15 @@
 namespace apim::digest {
 
 inline constexpr device::EnergyModel kDigestEnergy{
-    .e_input_on_pj = 0.11,
-    .e_input_off_pj = 0.00011,
-    .e_switch_pj = 0.00297,
-    .e_init_pj = 0.0279,
-    .e_write_driver_pj = 0.025,
-    .e_read_pj = 0.0527,
-    .e_maj_pj = 0.2381,
-    .e_interconnect_bit_pj = 0.01,
-    .e_cycle_overhead_pj = 0.35,
+    .e_input_on_pj = 5.0,
+    .e_input_off_pj = 1.0,
+    .e_switch_pj = 3.0,
+    .e_init_pj = 7.0,
+    .e_write_driver_pj = 11.0,
+    .e_read_pj = 13.0,
+    .e_maj_pj = 17.0,
+    .e_interconnect_bit_pj = 19.0,
+    .e_cycle_overhead_pj = 23.0,
 };
 
 class Fnv1a {

@@ -537,7 +537,7 @@ TEST(ServeQos, RunTraceResponseDigestIsPinned) {
   EXPECT_GT(snap.escalations, served_escalated);
   EXPECT_GT(snap.expired, 0u);
   EXPECT_GT(snap.rejected, 0u);
-  constexpr std::uint64_t kDigest = 17837410632186903168ull;
+  constexpr std::uint64_t kDigest = 1681451711105936902ull;
   EXPECT_EQ(digest::of(responses), kDigest)
       << "digest=" << digest::of(responses);
 }

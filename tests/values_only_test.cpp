@@ -2,9 +2,10 @@
 //
 // FullModelPin pins, by FNV-1a digest (tests/digest.hpp), the tuned table
 // serve::build_qos_table produces for every registered app and each app's
-// full-model outputs and ExecStats at three relax settings. Energies are
-// priced with the literal kDigestEnergy, so the pins do not depend on the
-// C library's pow.
+// full-model outputs and ExecStats at three relax settings and, on a
+// device with a fixed stuck-bit table under kDetectAndRepair, once more.
+// Energies are priced with the literal kDigestEnergy, so the pins do not
+// depend on the C library's pow.
 //
 // ValuesOnly checks core::ApimDevice::values_only, the device the tuner
 // runs on: every op's value equals the full model's (word model and, spot
@@ -74,10 +75,10 @@ TEST(FullModelPin, QosTableDigestIsPinned) {
 
 TEST(FullModelPin, AppExecStatsDigestIsPinned) {
   const std::uint64_t expected[] = {
-      14666360470908240952ull, 56206501903512964ull,
-      16034967299293332550ull, 11769100269054085857ull,
-      667381537691130143ull,   16162672752504960243ull,
-      4706722601738763594ull};
+      4356206194262554329ull, 15019641807088368160ull,
+      5368366926168763083ull, 4672588658956443284ull,
+      9305555556857888247ull,   12990754205609994608ull,
+      6597827388208066651ull};
   for (std::size_t a = 0; a < kApps.size(); ++a) {
     Fnv1a h;
     for (const std::size_t elements : kSizes) {
@@ -94,6 +95,37 @@ TEST(FullModelPin, AppExecStatsDigestIsPinned) {
     }
     EXPECT_EQ(h.value(), expected[a])
         << kApps[a] << " digest=" << h.value();
+  }
+}
+
+// The same apps on a faulty device under the repair ladder (one lane is
+// stuck on its first retry domain too, so some ops retry twice). Which op a
+// stuck bit corrupts, and so where retries land, follows the op indices,
+// so this pin holds each app's device-op order even where reordering two
+// ops leaves the energy sum unchanged.
+TEST(FullModelPin, FaultTableExecStatsDigestIsPinned) {
+  const std::uint64_t expected[] = {
+      11680948384757017534ull, 10526495183855319165ull,
+      12818293126898399553ull, 4273571478972926160ull,
+      17152789738517865775ull, 6331064062655787710ull,
+      3783828640231414986ull};
+  core::ApimConfig cfg;
+  cfg.energy = digest::kDigestEnergy;
+  cfg.reliability.policy = reliability::ReliabilityPolicy::kDetectAndRepair;
+  cfg.reliability.faults = reliability::LaneFaultTable(4, 3);
+  cfg.reliability.faults.add_mul_stuck(0, 0, 5, true);
+  cfg.reliability.faults.add_mul_stuck(3, 0, 9, false);
+  cfg.reliability.faults.add_mul_stuck(3, 1, 9, false);
+  cfg.reliability.faults.add_add_stuck(1, 0, 2, true);
+  for (std::size_t a = 0; a < kApps.size(); ++a) {
+    auto app = apps::make_application(kApps[a]);
+    app->generate(kSizes[0], kSeed);
+    core::ApimDevice device{cfg};
+    Fnv1a h;
+    for (const double v : app->run_apim(device)) h.mix(v);
+    mix_stats(h, device.stats());
+    EXPECT_GT(device.stats().retries, 0u) << kApps[a];
+    EXPECT_EQ(h.value(), expected[a]) << kApps[a] << " digest=" << h.value();
   }
 }
 
