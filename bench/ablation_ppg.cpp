@@ -54,9 +54,9 @@ int main() {
     for (int t = 0; t < 200; ++t) {
       const std::uint64_t m1 = rng.next() & util::low_mask(n);
       const std::uint64_t m2 = rng.next() & util::low_mask(n);
-      const arith::PpgResult r = arith::word_ppg(m1, m2, n, 0, em);
+      const arith::PpgResult r = arith::word_ppg(m1, m2, n, 0);
       sa_cycles.add(static_cast<double>(r.cycles));
-      sa_energy.add(r.energy_ops_pj);
+      sa_energy.add(em.energy_pj(r.energy));
     }
     const double cycle_gain =
         static_cast<double>(naive_ppg_cycles(n)) / sa_cycles.mean();

@@ -47,11 +47,11 @@ int main() {
     table.add_row({std::to_string(n), std::to_string(magic_r.cycles),
                    std::to_string(imply_r.cycles),
                    util::format_factor(ratio, 2),
-                   util::format_double(magic_r.energy_ops_pj, 1),
+                   util::format_double(em.energy_pj(magic_r.energy), 1),
                    util::format_double(imply_r.energy_ops_pj, 1)});
     csv.write_row({std::to_string(n), std::to_string(magic_r.cycles),
                    std::to_string(imply_r.cycles),
-                   util::format_double(magic_r.energy_ops_pj, 2),
+                   util::format_double(em.energy_pj(magic_r.energy), 2),
                    util::format_double(imply_r.energy_ops_pj, 2)});
   }
   std::fputs(table.render().c_str(), stdout);

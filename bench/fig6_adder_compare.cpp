@@ -64,8 +64,7 @@ Row measure(unsigned n) {
   {
     const arith::TreePlan plan =
         arith::plan_tree_reduction(widths, cap, 1, 2);
-    const arith::TreeReduceResult tree =
-        arith::word_tree_reduce(values, plan, em);
+    const arith::TreeReduceResult tree = arith::word_tree_reduce(values, plan);
     const std::uint64_t approx =
         arith::approximate_add_value(tree.x, tree.y, final_width, relax);
     row.apim_error_percent =

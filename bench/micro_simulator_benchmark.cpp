@@ -69,7 +69,7 @@ void BM_WordSerialAdd(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         arith::word_serial_add(rng.next() & util::low_mask(32),
-                               rng.next() & util::low_mask(32), 32, em()));
+                               rng.next() & util::low_mask(32), 32));
   }
 }
 BENCHMARK(BM_WordSerialAdd);

@@ -32,7 +32,7 @@ int main() {
                 n, static_cast<unsigned long long>(r.value),
                 static_cast<unsigned long long>(r.cycles),
                 static_cast<unsigned long long>(arith::serial_add_cycles(n)),
-                r.energy_ops_pj);
+                em.energy_pj(r.energy));
   }
 
   // Carry-save 3:2 stage: width-independent latency.

@@ -81,8 +81,9 @@ std::vector<double> SobelApp::run_apim(core::ApimDevice& device) const {
         };
         // Taps as additions (x2 = self-add), then one subtraction per axis.
         // One device op per statement: the order of the ops sets the
-        // energy summation order and the op indices fault draws key off,
-        // so the source fixes it, not the compiler's argument order.
+        // order ExecStats sums their energies in and the op indices fault
+        // draws key off, so the source fixes it, not the compiler's
+        // argument order.
         const std::int64_t pos_x_corners = dev.add(q(1, -1), q(1, 1));
         const std::int64_t pos_x_mid = dev.add(q(1, 0), q(1, 0));
         const std::int64_t pos_x = dev.add(pos_x_mid, pos_x_corners);

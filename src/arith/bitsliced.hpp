@@ -2,7 +2,7 @@
 //
 // Each slice function is a per-lane loop over fast_multiply or fast_add
 // (bitsliced_compare_slice, in compare_units.hpp, over fast_compare), so
-// out[i] is the scalar word-model result for ops[i], energy doubles
+// out[i] is the scalar word-model result for ops[i], event counts
 // included. On the host the word models beat evaluating 64 transposed
 // lanes at once, so no device path calls these: every core::Backend but
 // the bit-level one runs the word models directly (core/config.hpp). The

@@ -12,23 +12,6 @@ using util::bit;
 using util::low_mask;
 using util::popcount;
 
-namespace {
-
-/// Energy of the complement pass: one shared init of the n destination
-/// cells plus one row-parallel NOT of the subtrahend. NOT lanes: input is
-/// b, the result switches (1 -> 0) exactly where b is 1.
-double complement_energy_pj(std::uint64_t b, unsigned n,
-                            const device::EnergyModel& em) {
-  const int ones = popcount(b);
-  const int zeros = static_cast<int>(n) - ones;
-  return static_cast<double>(n) * em.e_init_pj +
-         static_cast<double>(ones) * em.e_input_on_pj +
-         static_cast<double>(zeros) * em.e_input_off_pj +
-         static_cast<double>(ones) * em.e_switch_pj;
-}
-
-}  // namespace
-
 template <bool kCost>
 CompareOutcome fast_compare(std::uint64_t a, std::uint64_t b, unsigned n,
                             const device::EnergyModel& em) {
@@ -41,11 +24,16 @@ CompareOutcome fast_compare(std::uint64_t a, std::uint64_t b, unsigned n,
   const AddOutcome add = fast_add<kCost>(a, ~b & mask, n, /*relax_m=*/0, em);
   CompareOutcome out;
   if constexpr (kCost) {
-    // Complement pass: 1 init cycle + 1 row-parallel NOT cycle.
-    out.cycles = 2;
-    out.energy_ops_pj = complement_energy_pj(b, n, em);
-    out.cycles += add.cycles;
-    out.energy_ops_pj += add.energy_ops_pj;
+    // Complement pass: 1 init cycle for the n destination cells + 1
+    // row-parallel NOT cycle whose input is b, switching (1 -> 0) where b
+    // is 1.
+    const auto ones = static_cast<std::uint64_t>(popcount(b));
+    out.cycles = 2 + add.cycles;
+    out.energy = add.energy;
+    out.energy.init += n;
+    out.energy.input_on += ones;
+    out.energy.input_off += n - ones;
+    out.energy.switches += ones;
   }
   out.sum = add.sum;
   out.carry_out = add.carry_out;

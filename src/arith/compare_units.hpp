@@ -16,8 +16,8 @@
 // tree-add latency/energy laws unchanged.
 //
 // Both evaluators are provided with the usual fidelity contract:
-// `inmemory_compare` (engine) vs `fast_compare` (word) agree on value and
-// cycles exactly and on energy to summation-order tolerance.
+// `inmemory_compare` (engine) vs `fast_compare` (word) agree exactly on
+// value, cycles and every micro-op event count.
 // `bitsliced_compare_slice` is a per-lane loop over `fast_compare`
 // (arith/bitsliced.hpp).
 #pragma once
@@ -46,7 +46,7 @@ struct CompareOutcome {
   std::uint64_t sum = 0;   ///< Raw a + (~b & mask) (carry in-band at bit n
                            ///< when n < 64), kept for residue protection.
   util::Cycles cycles = 0;
-  double energy_ops_pj = 0.0;
+  device::EnergyCounts energy;
   bool carry_out = false;  ///< Adder carry == (a > b), out-of-band copy.
 };
 
@@ -93,7 +93,7 @@ template <bool kCost = true>
 
 [[nodiscard]] inline double total_energy_pj(const CompareOutcome& r,
                                             const device::EnergyModel& em) {
-  return r.energy_ops_pj +
+  return em.energy_pj(r.energy) +
          static_cast<double>(r.cycles) * em.e_cycle_overhead_pj;
 }
 

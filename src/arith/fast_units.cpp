@@ -15,8 +15,7 @@ using util::popcount;
 
 template <bool kCost>
 MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
-                              ApproxConfig cfg,
-                              const device::EnergyModel& em) {
+                              ApproxConfig cfg, const device::EnergyModel&) {
   assert(n >= 1 && n <= 32);
   a &= low_mask(n);
   b &= low_mask(n);
@@ -24,13 +23,13 @@ MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
   const std::uint64_t effective_m2 = b & ~low_mask(first_bit);
   const int p = popcount(effective_m2);
 
-  // Stage 1: partial-product generation, priced without materializing the
-  // partials (word_ppg's accounting).
+  // Stage 1: partial-product generation, counted without materializing
+  // the partials (word_ppg's accounting).
   MultiplyOutcome out;
   out.partial_count = static_cast<unsigned>(p);
   if constexpr (kCost) {
     out.cycles = ppg_cycles(static_cast<unsigned>(p));
-    out.energy_ops_pj = ppg_energy_pj(a, effective_m2, n, first_bit, em);
+    out.energy = ppg_counts(a, effective_m2, n, first_bit);
   }
   if (p == 0) {
     // All multiplier bits are zero: the (pre-cleared) product row already
@@ -54,11 +53,11 @@ MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
       const auto j = static_cast<unsigned>(std::countr_zero(bits));
       partials[count++] = TreeAddend{a << j, n + j, /*block=*/1};
     }
-    const TreeReduceResult tree = word_tree_reduce_in_place<kCost>(
-        std::span(partials, count), 2 * n, em);
+    const TreeReduceResult tree =
+        word_tree_reduce_in_place<kCost>(std::span(partials, count), 2 * n);
     if constexpr (kCost) {
       out.cycles += tree.cycles;
-      out.energy_ops_pj += tree.energy_ops_pj;
+      out.energy += tree.energy;
     }
     out.tree_stages = tree.stages;
     x = tree.x;
@@ -68,10 +67,10 @@ MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
   // Stage 3: final product generation over the full 2N bits.
   const unsigned product_width = 2 * n;
   const WordUnitResult fin = word_final_add<kCost>(
-      x, y, product_width, cfg.effective_relax(product_width), em);
+      x, y, product_width, cfg.effective_relax(product_width));
   if constexpr (kCost) {
     out.cycles += fin.cycles;
-    out.energy_ops_pj += fin.energy_ops_pj;
+    out.energy += fin.energy;
   }
   // The product of two n-bit numbers fits in 2n bits, so the exact carry
   // out of the final add is zero; in relaxed mode we still truncate to the
@@ -90,10 +89,10 @@ template MultiplyOutcome fast_multiply<false>(std::uint64_t, std::uint64_t,
 template <bool kCost>
 AddOutcome fast_tree_add(std::span<const std::uint64_t> values,
                          std::span<const unsigned> widths, unsigned width_cap,
-                         const device::EnergyModel& em) {
+                         const device::EnergyModel&) {
   assert(values.size() == widths.size());
   assert(!values.empty());
-  if (values.size() == 1) return AddOutcome{values[0], 0, 0.0};
+  if (values.size() == 1) return AddOutcome{values[0], 0, {}};
 
   // Popcount-sized trees reduce in a stack buffer; longer ones (large dot
   // products) take one heap buffer.
@@ -109,19 +108,18 @@ AddOutcome fast_tree_add(std::span<const std::uint64_t> values,
     live[i] = TreeAddend{values[i], widths[i], /*block=*/1};
   }
   const TreeReduceResult tree =
-      word_tree_reduce_in_place<kCost>(live, width_cap, em);
+      word_tree_reduce_in_place<kCost>(live, width_cap);
   AddOutcome out;
   if constexpr (kCost) {
     out.cycles = tree.cycles;
-    out.energy_ops_pj = tree.energy_ops_pj;
+    out.energy = tree.energy;
   }
   const unsigned n_final = std::max(tree.x_width, tree.y_width);
-  const WordUnitResult fin =
-      word_serial_add<kCost>(tree.x, tree.y, n_final, em);
+  const WordUnitResult fin = word_serial_add<kCost>(tree.x, tree.y, n_final);
   out.sum = fin.value;
   if constexpr (kCost) {
     out.cycles += fin.cycles;
-    out.energy_ops_pj += fin.energy_ops_pj;
+    out.energy += fin.energy;
   }
   out.carry_out = fin.carry_out;
   return out;
@@ -136,16 +134,16 @@ template AddOutcome fast_tree_add<false>(std::span<const std::uint64_t>,
 
 template <bool kCost>
 AddOutcome fast_add(std::uint64_t a, std::uint64_t b, unsigned n,
-                    unsigned relax_m, const device::EnergyModel& em) {
+                    unsigned relax_m, const device::EnergyModel&) {
   assert(n >= 1 && n <= 64);
   a &= low_mask(n);
   b &= low_mask(n);
   // The runtime issues whichever adder is faster (latency_model's policy).
   const unsigned relax = profitable_add_relax(n, relax_m);
   const WordUnitResult r = relax == 0
-                               ? word_serial_add<kCost>(a, b, n, em)
-                               : word_final_add<kCost>(a, b, n, relax, em);
-  return AddOutcome{r.value, r.cycles, r.energy_ops_pj, r.carry_out};
+                               ? word_serial_add<kCost>(a, b, n)
+                               : word_final_add<kCost>(a, b, n, relax);
+  return AddOutcome{r.value, r.cycles, r.energy, r.carry_out};
 }
 
 template AddOutcome fast_add<true>(std::uint64_t, std::uint64_t, unsigned,

@@ -1,7 +1,10 @@
 // Composed word-level APIM units: the full multiplier and the standalone
-// adder, with cycle/energy accounting identical to the bit-level engine
-// (see word_models.hpp for the convention and the kCost switch: with
-// kCost = false each unit computes only its value fields).
+// adder, with cycles and micro-op event counts identical to the bit-level
+// engine's (see word_models.hpp for the convention and the kCost switch:
+// with kCost = false each unit computes only its value fields). Each unit
+// takes the caller's EnergyModel, as the engine units do, but counts
+// events without reading a price: price an outcome with
+// EnergyModel::energy_pj, or total_energy_pj below.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +21,7 @@ namespace apim::arith {
 struct MultiplyOutcome {
   std::uint64_t product = 0;  ///< 2N-bit product (approximate if configured).
   util::Cycles cycles = 0;
-  double energy_ops_pj = 0.0;
+  device::EnergyCounts energy;
   unsigned partial_count = 0;  ///< Partial products actually generated.
   unsigned tree_stages = 0;    ///< 3:2 reduction stages executed.
 };
@@ -38,7 +41,7 @@ template <bool kCost = true>
 struct AddOutcome {
   std::uint64_t sum = 0;  ///< Result; carry in-band at bit n when n < 64.
   util::Cycles cycles = 0;
-  double energy_ops_pj = 0.0;
+  device::EnergyCounts energy;
   bool carry_out = false;  ///< Carry out of bit n-1 (out-of-band copy).
 };
 
@@ -66,12 +69,12 @@ template <bool kCost = true>
 /// Total energy (pJ) including per-cycle controller overhead.
 [[nodiscard]] inline double total_energy_pj(const MultiplyOutcome& r,
                                             const device::EnergyModel& em) {
-  return r.energy_ops_pj +
+  return em.energy_pj(r.energy) +
          static_cast<double>(r.cycles) * em.e_cycle_overhead_pj;
 }
 [[nodiscard]] inline double total_energy_pj(const AddOutcome& r,
                                             const device::EnergyModel& em) {
-  return r.energy_ops_pj +
+  return em.energy_pj(r.energy) +
          static_cast<double>(r.cycles) * em.e_cycle_overhead_pj;
 }
 

@@ -26,18 +26,18 @@ class StatsDelta {
   explicit StatsDelta(const MagicEngine& engine)
       : engine_(engine),
         cycles0_(engine.stats().cycles),
-        energy0_(engine.stats().energy_ops_pj) {}
+        energy0_(engine.stats().energy) {}
 
   [[nodiscard]] InMemoryResult finish(std::uint64_t value,
                                       bool carry_out = false) const {
     return InMemoryResult{value, engine_.stats().cycles - cycles0_,
-                          engine_.stats().energy_ops_pj - energy0_, carry_out};
+                          engine_.stats().energy - energy0_, carry_out};
   }
 
  private:
   const MagicEngine& engine_;
   util::Cycles cycles0_;
-  double energy0_;
+  device::EnergyCounts energy0_;
 };
 
 /// Value + carry-out pair produced by the raw add helpers; the carry is
@@ -282,7 +282,7 @@ CsaOutcome inmemory_csa(std::uint64_t a, std::uint64_t b, std::uint64_t c,
   }
   const InMemoryResult r = delta.finish(0);
   out.cycles = r.cycles;
-  out.energy_ops_pj = r.energy_ops_pj;
+  out.energy = r.energy;
   return out;
 }
 
@@ -296,7 +296,7 @@ InMemoryResult inmemory_tree_add(std::span<const std::uint64_t> values,
 
   if (values.size() == 1) {
     // Nothing to add; free by convention (the value is already resident).
-    return InMemoryResult{values[0], 0, 0.0};
+    return InMemoryResult{values[0], 0, {}};
   }
 
   const TreePlan plan =

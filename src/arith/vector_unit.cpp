@@ -18,9 +18,7 @@ using crossbar::CellAddr;
 using crossbar::CrossbarConfig;
 
 namespace {
-/// Elements per host-pool chunk for the word-level path. Fixed so the
-/// serial energy merge visits elements in the same order for every thread
-/// count (bit-exact accounting).
+/// Elements per host-pool chunk for the word-level path.
 constexpr std::size_t kWordAddGrain = 256;
 
 /// Lanes per crossbar clone for the bit-level path. Each group of lanes
@@ -31,7 +29,7 @@ constexpr std::size_t kLaneGroup = 64;
 
 VectorAddOutcome fast_vector_add(std::span<const std::uint64_t> a,
                                  std::span<const std::uint64_t> b, unsigned n,
-                                 const device::EnergyModel& em) {
+                                 const device::EnergyModel&) {
   assert(a.size() == b.size());
   VectorAddOutcome out;
   if (a.empty()) return out;
@@ -41,14 +39,13 @@ VectorAddOutcome fast_vector_add(std::span<const std::uint64_t> a,
   util::ThreadPool::global().parallel_for(
       0, a.size(), kWordAddGrain, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t k = lo; k < hi; ++k)
-          per_lane[k] = word_serial_add(a[k], b[k], n, em);
+          per_lane[k] = word_serial_add(a[k], b[k], n);
       });
 
   out.sums.reserve(a.size());
   for (std::size_t k = 0; k < a.size(); ++k) {
     out.sums.push_back(per_lane[k].value);
-    out.energy_ops_pj += per_lane[k].energy_ops_pj;  // Energy scales;
-                                                     // cycles do not.
+    out.energy += per_lane[k].energy;  // Energy scales; cycles do not.
   }
   return out;
 }
@@ -144,8 +141,8 @@ VectorAddOutcome inmemory_vector_add(std::span<const std::uint64_t> a,
 
   // One crossbar clone per lane group, groups partitioned across the host
   // pool. Every group runs the identical 12n+1-cycle schedule, so the
-  // wall latency is one group's cycle count; energy is merged serially in
-  // group order so the total is independent of the thread count.
+  // wall latency is one group's cycle count; the groups' event counts add
+  // up.
   const std::size_t groups = (a.size() + kLaneGroup - 1) / kLaneGroup;
   std::vector<magic::EngineStats> group_stats(groups);
   out.sums.assign(a.size(), 0);
@@ -158,7 +155,7 @@ VectorAddOutcome inmemory_vector_add(std::span<const std::uint64_t> a,
   out.cycles = group_stats.front().cycles;
   for (const magic::EngineStats& s : group_stats) {
     assert(s.cycles == out.cycles);  // Same schedule in every group.
-    out.energy_ops_pj += s.energy_ops_pj;
+    out.energy += s.energy;
   }
   return out;
 }

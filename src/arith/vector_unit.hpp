@@ -22,7 +22,7 @@ namespace apim::arith {
 struct VectorAddOutcome {
   std::vector<std::uint64_t> sums;  ///< (n+1)-bit results, in order.
   util::Cycles cycles = 0;          ///< 12n+1, independent of the count.
-  double energy_ops_pj = 0.0;       ///< Scales with the count.
+  device::EnergyCounts energy;      ///< Scales with the count.
 };
 
 /// Word-level model: K exact n-bit additions in one row-parallel pass.

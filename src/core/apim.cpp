@@ -60,23 +60,23 @@ using OpPair = std::pair<std::uint64_t, std::uint64_t>;
 struct UnitOutcome {
   std::uint64_t value = 0;
   util::Cycles cycles = 0;
-  double energy_pj = 0.0;
+  device::EnergyCounts energy;
   unsigned partial_products = 0;  ///< Nonzero only for word-model multiplies.
 };
 
 UnitOutcome unit(const arith::MultiplyOutcome& r) {
-  return {r.product, r.cycles, r.energy_ops_pj, r.partial_count};
+  return {r.product, r.cycles, r.energy, r.partial_count};
 }
 UnitOutcome unit(const arith::AddOutcome& r) {
-  return {r.sum, r.cycles, r.energy_ops_pj, 0};
+  return {r.sum, r.cycles, r.energy, 0};
 }
 /// The raw complement-add sum, not the code: protection checks the sum and
 /// the table row decodes the code afterwards.
 UnitOutcome unit(const arith::CompareOutcome& r) {
-  return {r.sum, r.cycles, r.energy_ops_pj, 0};
+  return {r.sum, r.cycles, r.energy, 0};
 }
 UnitOutcome unit(const arith::InMemoryResult& r) {
-  return {r.value, r.cycles, r.energy_ops_pj, 0};
+  return {r.value, r.cycles, r.energy, 0};
 }
 
 /// The adder relax setting scales with adder width: standalone word adds
@@ -219,10 +219,12 @@ std::uint64_t ApimDevice::run_op(std::uint64_t a, std::uint64_t b) {
     // Passive reliability (values_only() checks it): nothing to protect.
     value = k.value(config_, a, b);
   } else {
-    // The word model on every backend but kBitLevel, which runs the engine.
+    // The word model on every backend but kBitLevel, which runs the engine;
+    // both count the same events, priced here once per op.
     const UnitOutcome r = config_.backend == Backend::kBitLevel
                               ? k.bit_level(config_, a, b)
                               : k.word(config_, a, b);
+    const double energy_pj = config_.energy.energy_pj(r.energy);
     // Op index BEFORE the increment: lane assignment and transient-fault
     // draws key off it, and it restarts per device clone, so host-parallel
     // chunking reproduces it for every thread count (apps/parallel.hpp).
@@ -230,13 +232,13 @@ std::uint64_t ApimDevice::run_op(std::uint64_t a, std::uint64_t b) {
     ++(stats_.*k.counter);
     stats_.partial_products += r.partial_products;
     stats_.cycles += r.cycles;
-    stats_.energy_ops_pj += r.energy_pj;
+    stats_.energy_ops_pj += energy_pj;
     value = r.value;
     if (!config_.reliability.passive()) {
       const auto [ra, rb] = k.residue_operands(a, b, n);
       value = protect_result(value, ra, rb, k.out_bits(n), k.is_mul,
-                             k.exact(config_), op_index, r.cycles,
-                             r.energy_pj, k.has_residue);
+                             k.exact(config_), op_index, r.cycles, energy_pj,
+                             k.has_residue);
     }
   }
   // word_bits <= 32, so the adder carry always sits in-band at bit n.

@@ -22,11 +22,8 @@ void MagicEngine::trace_cell(OpKind kind, CellAccess access,
 
 void MagicEngine::init_cells(std::span<const crossbar::CellAddr> cells,
                              bool overlapped) {
-  for (const auto& addr : cells) {
-    xbar_.set(addr, true);
-    stats_.energy_ops_pj += energy_.e_init_pj;
-    ++stats_.init_cells;
-  }
+  for (const auto& addr : cells) xbar_.set(addr, true);
+  stats_.energy.init += cells.size();
   if (!overlapped) ++stats_.cycles;
   trace(OpKind::kInit, static_cast<std::uint32_t>(cells.size()), overlapped);
   if (cell_trace_on())
@@ -43,28 +40,21 @@ void MagicEngine::execute_nor(const NorOp& op) {
   // physical behaviour of a stuck-at-0 cell.
   const bool dst_ready = xbar_.get(op.dst);
   assert(dst_ready || xbar_.block(op.dst.block).fault_count() > 0);
-  int ones = 0;
-  int zeros = 0;
   bool any_input_high = false;
   for (const auto& in : op.inputs) {
     const bool v = xbar_.get(in);
     any_input_high |= v;
-    v ? ++ones : ++zeros;
+    ++(v ? stats_.energy.input_on : stats_.energy.input_off);
     // Crossing blocks routes the evaluation current through the
     // configurable interconnect; charge per hop and per bit.
-    const auto hops = static_cast<std::uint64_t>(
+    stats_.energy.interconnect_bits += static_cast<std::uint64_t>(
         std::abs(static_cast<long long>(in.block) -
                  static_cast<long long>(op.dst.block)));
-    if (hops > 0) {
-      stats_.interconnect_bits += hops;
-      stats_.energy_ops_pj +=
-          static_cast<double>(hops) * energy_.e_interconnect_bit_pj;
-    }
   }
   const bool result = !any_input_high && dst_ready;
   const bool switches = dst_ready && !result;  // '1' -> '0' RESET.
   xbar_.set(op.dst, result);
-  stats_.energy_ops_pj += energy_.nor_energy_pj(ones, zeros, switches);
+  stats_.energy.switches += switches;
   ++stats_.nor_ops;
   if (cell_trace_on()) {
     // The callers charge the batch cycle after execute_nor returns, so the
@@ -104,8 +94,7 @@ bool MagicEngine::read_bit(const crossbar::CellAddr& addr) {
   const bool value = xbar_.sense_amps().read(
       xbar_.block(addr.block), xbar_.physical_row(addr.block, addr.row),
       addr.col);
-  stats_.energy_ops_pj += energy_.e_read_pj;
-  ++stats_.reads;
+  ++stats_.energy.reads;
   trace(OpKind::kRead, 1, /*overlapped=*/true);
   if (cell_trace_on())
     trace_cell(OpKind::kRead, CellAccess::kRead, addr, stats_.cycles);
@@ -122,8 +111,7 @@ bool MagicEngine::sa_majority(const crossbar::CellAddr& a,
   const bool result = xbar_.sense_amps().majority(
       xbar_.block(a.block), a.col, xbar_.physical_row(a.block, a.row),
       xbar_.physical_row(b.block, b.row), xbar_.physical_row(c.block, c.row));
-  stats_.energy_ops_pj += energy_.e_maj_pj;
-  ++stats_.majority_ops;
+  ++stats_.energy.majority;
   ++stats_.cycles;
   trace(OpKind::kMajority, 1);
   if (cell_trace_on()) {
@@ -135,9 +123,8 @@ bool MagicEngine::sa_majority(const crossbar::CellAddr& a,
 }
 
 void MagicEngine::write_bit(const crossbar::CellAddr& addr, bool value) {
-  const bool flipped = xbar_.set(addr, value);
-  stats_.energy_ops_pj += energy_.write_energy_pj(flipped);
-  ++stats_.writes;
+  stats_.energy.switches += xbar_.set(addr, value);  // True when it flips.
+  ++stats_.energy.writes;
   ++stats_.cycles;
   trace(OpKind::kWrite, 1);
   if (cell_trace_on())
@@ -148,10 +135,9 @@ void MagicEngine::write_word(const crossbar::CellAddr& start, unsigned width,
                              std::uint64_t value) {
   for (unsigned i = 0; i < width; ++i) {
     const crossbar::CellAddr addr{start.block, start.row, start.col + i};
-    const bool flipped = xbar_.set(addr, ((value >> i) & 1) != 0);
-    stats_.energy_ops_pj += energy_.write_energy_pj(flipped);
-    ++stats_.writes;
+    stats_.energy.switches += xbar_.set(addr, ((value >> i) & 1) != 0);
   }
+  stats_.energy.writes += width;
   ++stats_.cycles;
   trace(OpKind::kWrite, width);
   if (cell_trace_on())
@@ -177,13 +163,11 @@ void MagicEngine::add_idle_cycles(util::Cycles n) {
 }
 
 void MagicEngine::charge_interconnect(std::uint64_t bits) {
-  stats_.interconnect_bits += bits;
-  stats_.energy_ops_pj +=
-      static_cast<double>(bits) * energy_.e_interconnect_bit_pj;
+  stats_.energy.interconnect_bits += bits;
 }
 
 double MagicEngine::energy_pj() const noexcept {
-  return stats_.energy_ops_pj +
+  return energy_.energy_pj(stats_.energy) +
          static_cast<double>(stats_.cycles) * energy_.e_cycle_overhead_pj;
 }
 

@@ -14,10 +14,13 @@
 //    cycle and charges 1;
 //  * a data write (driver-based, not MAGIC) costs 1 cycle per issued batch.
 //
-// Energy: every micro-op is priced through device::EnergyModel; the
-// controller/decoder background cost is charged per cycle. The word-level
-// fast functional model (src/arith/fast_mult.*) replicates these counts
-// closed-form, and property tests assert exact agreement.
+// Energy: every micro-op adds to one device::EnergyCounts (NOR inputs at
+// '1' and '0', output switches and flipping writes, inits, driver writes,
+// reads, majorities, interconnect bit-hops), which energy_pj() prices
+// through device::EnergyModel together with the per-cycle
+// controller/decoder cost. The word-level models (src/arith/
+// word_models.hpp, fast_units.hpp) count the same events in closed form,
+// and property tests compare the two count vectors with ==.
 #pragma once
 
 #include <cstdint>
@@ -34,13 +37,8 @@ namespace apim::magic {
 /// Breakdown of accumulated costs, used by tests and ablation benches.
 struct EngineStats {
   util::Cycles cycles = 0;
-  double energy_ops_pj = 0.0;  ///< Micro-op energy, excluding overhead.
+  device::EnergyCounts energy;  ///< Micro-op events, excluding overhead.
   std::uint64_t nor_ops = 0;
-  std::uint64_t init_cells = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t majority_ops = 0;
-  std::uint64_t interconnect_bits = 0;
 };
 
 class MagicEngine {
@@ -100,7 +98,8 @@ class MagicEngine {
 
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   [[nodiscard]] util::Cycles cycles() const noexcept { return stats_.cycles; }
-  /// Total energy including the per-cycle controller overhead.
+  /// Total energy: the priced event counts plus the per-cycle controller
+  /// overhead.
   [[nodiscard]] double energy_pj() const noexcept;
   /// Reset counters (cell contents are preserved).
   void reset_stats() noexcept { stats_ = {}; }

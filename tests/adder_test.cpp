@@ -29,7 +29,7 @@ TEST(SerialAdd, WordModelComputesExactSums) {
     const std::uint64_t mask = util::low_mask(n);
     const std::uint64_t a = rng.next() & mask;
     const std::uint64_t b = rng.next() & mask;
-    const WordUnitResult r = word_serial_add(a, b, n, em());
+    const WordUnitResult r = word_serial_add(a, b, n);
     EXPECT_EQ(r.value, a + b) << "n=" << n;
     EXPECT_EQ(r.cycles, serial_add_cycles(n));
   }
@@ -45,7 +45,7 @@ TEST(SerialAdd, EngineComputesExactSums) {
     const InMemoryResult r = inmemory_serial_add(a, b, n, em());
     EXPECT_EQ(r.value, a + b) << "n=" << n;
     EXPECT_EQ(r.cycles, serial_add_cycles(n));
-    EXPECT_GT(r.energy_ops_pj, 0.0);
+    EXPECT_GT(em().energy_pj(r.energy), 0.0);
   }
 }
 
@@ -93,7 +93,7 @@ TEST(Csa, WiderIsNotSlowerButCostsMoreEnergy) {
   const CsaOutcome narrow = inmemory_csa(1, 2, 3, 4, em());
   const CsaOutcome wide = inmemory_csa(1, 2, 3, 48, em());
   EXPECT_EQ(narrow.cycles, wide.cycles);
-  EXPECT_GT(wide.energy_ops_pj, narrow.energy_ops_pj);
+  EXPECT_GT(em().energy_pj(wide.energy), em().energy_pj(narrow.energy));
 }
 
 // ------------------------------------------------------------- tree adder --

@@ -5,9 +5,9 @@
 // (tests/analytics_harness.hpp) bit for bit over 21 seeded table pairs —
 // uniform, Zipf-skewed, unique, all-duplicate, empty, and single-row —
 // across backends {kFast, kBitsliced, kBitLevel} and host thread counts
-// {1, 2, 7}. Kernel coverage: engine-vs-word fidelity (values/cycles
-// exact, energy to summation-order tolerance), bitsliced-vs-word
-// bit-identity (energy doubles included), and device-level protection
+// {1, 2, 7}. Kernel coverage: engine-vs-word fidelity (values, cycles
+// and energy event counts exact), bitsliced-vs-word identity (event
+// counts included), and device-level protection
 // behavior (compare exact under relax; popcount triple-voted under
 // detect policies, which have no mod-3 residue for it).
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "arith/compare_units.hpp"
 #include "arith/inmemory_units.hpp"
 #include "core/apim.hpp"
+#include "energy_counts_print.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -32,8 +33,6 @@ using apim::analytics_harness::KeyDist;
 using apim::analytics_harness::make_test_table;
 using apim::analytics_harness::runner_config;
 using apim::analytics_harness::TableSpec;
-
-constexpr double kEnergyTolPj = 1e-9;  // Pure summation-order tolerance.
 
 class ThreadCountGuard {
  public:
@@ -173,7 +172,7 @@ TEST(CompareKernel, EngineMatchesWordModel) {
     ASSERT_EQ(engine.carry_out, fast.code == apim::arith::kCmpGt);
     ASSERT_EQ(engine.cycles, fast.cycles);
     ASSERT_EQ(static_cast<apim::util::Cycles>(12 * n + 3), fast.cycles);
-    ASSERT_NEAR(engine.energy_ops_pj, fast.energy_ops_pj, kEnergyTolPj);
+    ASSERT_EQ(engine.energy, fast.energy);
     ASSERT_EQ(apim::arith::compare_code(engine.value, engine.carry_out, n),
               fast.code);
     // Semantics: the three-way code is the magnitude order.
@@ -201,7 +200,7 @@ TEST(CompareKernel, BitslicedBitIdenticalToWordModel) {
       ASSERT_EQ(out[i].code, fast.code) << "lane " << i << " n " << n;
       ASSERT_EQ(out[i].sum, fast.sum);
       ASSERT_EQ(out[i].cycles, fast.cycles);
-      ASSERT_EQ(out[i].energy_ops_pj, fast.energy_ops_pj);  // Bit-exact.
+      ASSERT_EQ(out[i].energy, fast.energy);  // Bit-exact.
       ASSERT_EQ(out[i].carry_out, fast.carry_out);
     }
   }
@@ -221,7 +220,7 @@ TEST(PopcountKernel, EngineMatchesWordModel) {
     ASSERT_EQ(fast.sum, static_cast<std::uint64_t>(std::popcount(x)));
     ASSERT_EQ(engine.value, fast.sum);
     ASSERT_EQ(engine.cycles, fast.cycles);
-    ASSERT_NEAR(engine.energy_ops_pj, fast.energy_ops_pj, kEnergyTolPj);
+    ASSERT_EQ(engine.energy, fast.energy);
   }
 }
 

@@ -1,16 +1,15 @@
 // Cross-backend equivalence gate for the batch paths and the slice shims.
 //
 // The contract under test (arith/bitsliced.hpp): every lane of a slice
-// call produces values, cycle counts AND energy doubles that are
-// bit-identical (operator==) to the scalar word-level models — which are
+// call produces values, cycle counts AND energy event counts identical
+// (operator==) to the scalar word-level models — which are
 // themselves property-tested against the bit-level MAGIC engine
 // (tests/arith_equivalence_test.cpp). The slice functions are per-lane
 // word-model loops, so the third leg holds by construction; it stays until
 // the shims retire. The gate closes the triangle three ways:
 //
-//   bit-level engine  ==  word models   (values/cycles exact, energy to
-//                                        summation-order tolerance)
-//   word models       ==  slice shims   (everything exact, incl. energy)
+//   bit-level engine  ==  word models   (values, cycles and event counts)
+//   word models       ==  slice shims   (the same)
 //
 // plus the carry-out boundary contract at widths 63/64, and the batch
 // paths: the served executor (serve::execute_batch) across backends,
@@ -32,6 +31,7 @@
 #include "arith/latency_model.hpp"
 #include "arith/word_models.hpp"
 #include "core/apim.hpp"
+#include "energy_counts_print.hpp"
 #include "reliability/fault_state.hpp"
 #include "reliability/policy.hpp"
 #include "serve/executor.hpp"
@@ -45,10 +45,6 @@ namespace {
 const device::EnergyModel& em() {
   return device::EnergyModel::paper_defaults();
 }
-
-/// Engine-vs-word energy comparisons inherit the summation-order tolerance
-/// of the existing equivalence suite; word-vs-bitsliced uses operator==.
-constexpr double kEnergyTolPj = 1e-9;
 
 struct ThreadCountGuard {
   ~ThreadCountGuard() { util::set_thread_count(0); }
@@ -122,7 +118,7 @@ TEST_P(BitslicedAddEquivalence, LanesMatchFastAddExactly) {
     ASSERT_EQ(sliced[l].sum, ref.sum) << "lane " << l;
     ASSERT_EQ(sliced[l].carry_out, ref.carry_out) << "lane " << l;
     ASSERT_EQ(sliced[l].cycles, ref.cycles) << "lane " << l;
-    ASSERT_EQ(sliced[l].energy_ops_pj, ref.energy_ops_pj)
+    ASSERT_EQ(sliced[l].energy, ref.energy)
         << "lane " << l;  // Bit-exact, not NEAR.
   }
 }
@@ -185,7 +181,7 @@ TEST_P(BitslicedMultiplyEquivalence, LanesMatchFastMultiplyExactly) {
     ASSERT_EQ(sliced[l].cycles, ref.cycles) << "lane " << l;
     ASSERT_EQ(sliced[l].partial_count, ref.partial_count) << "lane " << l;
     ASSERT_EQ(sliced[l].tree_stages, ref.tree_stages) << "lane " << l;
-    ASSERT_EQ(sliced[l].energy_ops_pj, ref.energy_ops_pj)
+    ASSERT_EQ(sliced[l].energy, ref.energy)
         << "lane " << l;  // Bit-exact, not NEAR.
   }
 }
@@ -233,16 +229,16 @@ TEST_P(ThreeWayAddGate, EngineWordAndBitslicedAgree) {
         m > 0 ? inmemory_relaxed_add(a, b, n, m, em())
               : inmemory_serial_add(a, b, n, em());
     const AddOutcome word = fast_add(a, b, n, relax_m, em());
-    // Engine vs word: values/cycles exact, energy to summation tolerance.
+    // Engine vs word: values, cycles and event counts exact.
     ASSERT_EQ(word.sum, engine.value) << "n=" << n << " lane " << l;
     ASSERT_EQ(word.carry_out, engine.carry_out) << "n=" << n << " lane " << l;
     ASSERT_EQ(word.cycles, engine.cycles);
-    ASSERT_NEAR(word.energy_ops_pj, engine.energy_ops_pj, kEnergyTolPj);
+    ASSERT_EQ(word.energy, engine.energy);
     // Word vs bitsliced: everything exact.
     ASSERT_EQ(sliced[l].sum, word.sum);
     ASSERT_EQ(sliced[l].carry_out, word.carry_out);
     ASSERT_EQ(sliced[l].cycles, word.cycles);
-    ASSERT_EQ(sliced[l].energy_ops_pj, word.energy_ops_pj);
+    ASSERT_EQ(sliced[l].energy, word.energy);
   }
 }
 
@@ -282,10 +278,10 @@ TEST(ThreeWayMultiplyGate, EngineWordAndBitslicedAgree) {
       const MultiplyOutcome word = fast_multiply(a, b, c.n, cfg, em());
       ASSERT_EQ(word.product, engine.value) << "n=" << c.n << " lane " << l;
       ASSERT_EQ(word.cycles, engine.cycles);
-      ASSERT_NEAR(word.energy_ops_pj, engine.energy_ops_pj, kEnergyTolPj);
+      ASSERT_EQ(word.energy, engine.energy);
       ASSERT_EQ(sliced[l].product, word.product);
       ASSERT_EQ(sliced[l].cycles, word.cycles);
-      ASSERT_EQ(sliced[l].energy_ops_pj, word.energy_ops_pj);
+      ASSERT_EQ(sliced[l].energy, word.energy);
     }
   }
 }
@@ -295,7 +291,7 @@ TEST(ThreeWayMultiplyGate, EngineWordAndBitslicedAgree) {
 TEST(CarryOutBoundary, Width63KeepsCarryInBandAndOutOfBand) {
   // 63-bit all-ones + all-ones: sum overflows into bit 63.
   const std::uint64_t a = util::low_mask(63), b = util::low_mask(63);
-  const WordUnitResult word = word_serial_add(a, b, 63, em());
+  const WordUnitResult word = word_serial_add(a, b, 63);
   const InMemoryResult engine = inmemory_serial_add(a, b, 63, em());
   const AddOutcome fast = fast_add(a, b, 63, 0, em());
   const std::uint64_t expect = (a + b) & ~(std::uint64_t{1} << 63);
@@ -314,7 +310,7 @@ TEST(CarryOutBoundary, Width64ReportsCarryOutOfBandOnly) {
   const std::uint64_t a = ~std::uint64_t{0};
   const std::uint64_t cases_b[] = {1, ~std::uint64_t{0}, 0x8000000000000000u};
   for (const std::uint64_t b : cases_b) {
-    const WordUnitResult word = word_serial_add(a, b, 64, em());
+    const WordUnitResult word = word_serial_add(a, b, 64);
     const InMemoryResult engine = inmemory_serial_add(a, b, 64, em());
     const AddOutcome fast = fast_add(a, b, 64, 0, em());
     const std::uint64_t truncated = a + b;  // Wraps mod 2^64.
@@ -326,7 +322,7 @@ TEST(CarryOutBoundary, Width64ReportsCarryOutOfBandOnly) {
     EXPECT_TRUE(fast.carry_out) << "b=" << b;
   }
   // No carry: out-of-band flag stays clear.
-  const WordUnitResult quiet = word_serial_add(5, 7, 64, em());
+  const WordUnitResult quiet = word_serial_add(5, 7, 64);
   EXPECT_EQ(quiet.value, 12u);
   EXPECT_FALSE(quiet.carry_out);
 }
@@ -336,13 +332,13 @@ TEST(CarryOutBoundary, Width64RelaxedAdderCarryIsExact) {
   // carry_out must be exact even with m > 0 (word_models.hpp contract).
   const std::uint64_t a = ~std::uint64_t{0}, b = ~std::uint64_t{0};
   for (const unsigned m : {1u, 8u, 32u}) {
-    const WordUnitResult word = word_final_add(a, b, 64, m, em());
+    const WordUnitResult word = word_final_add(a, b, 64, m);
     const InMemoryResult engine = inmemory_relaxed_add(a, b, 64, m, em());
     EXPECT_TRUE(word.carry_out) << "m=" << m;
     EXPECT_TRUE(engine.carry_out) << "m=" << m;
     EXPECT_EQ(word.value, engine.value) << "m=" << m;
     EXPECT_EQ(word.cycles, engine.cycles) << "m=" << m;
-    EXPECT_NEAR(word.energy_ops_pj, engine.energy_ops_pj, kEnergyTolPj);
+    EXPECT_EQ(word.energy, engine.energy);
   }
 }
 

@@ -8,6 +8,7 @@
 #include "arith/fast_units.hpp"
 #include "arith/inmemory_units.hpp"
 #include "arith/word_models.hpp"
+#include "energy_counts_print.hpp"
 #include "util/bitops.hpp"
 
 namespace apim::arith {
@@ -20,12 +21,12 @@ const device::EnergyModel& em() {
 TEST(Exhaustive, SerialAddAllPairs4Bit) {
   for (std::uint64_t a = 0; a < 16; ++a) {
     for (std::uint64_t b = 0; b < 16; ++b) {
-      const WordUnitResult fast = word_serial_add(a, b, 4, em());
+      const WordUnitResult fast = word_serial_add(a, b, 4);
       const InMemoryResult engine = inmemory_serial_add(a, b, 4, em());
       ASSERT_EQ(fast.value, a + b) << a << "+" << b;
       ASSERT_EQ(engine.value, a + b);
       ASSERT_EQ(fast.cycles, engine.cycles);
-      ASSERT_NEAR(fast.energy_ops_pj, engine.energy_ops_pj, 1e-9);
+      ASSERT_EQ(fast.energy, engine.energy);
     }
   }
 }
@@ -34,12 +35,12 @@ TEST(Exhaustive, RelaxedAddAllPairsAllRelaxSettings4Bit) {
   for (unsigned m = 0; m <= 4; ++m) {
     for (std::uint64_t a = 0; a < 16; ++a) {
       for (std::uint64_t b = 0; b < 16; ++b) {
-        const WordUnitResult fast = word_final_add(a, b, 4, m, em());
+        const WordUnitResult fast = word_final_add(a, b, 4, m);
         const InMemoryResult engine = inmemory_relaxed_add(a, b, 4, m, em());
         ASSERT_EQ(fast.value, engine.value)
             << a << "+" << b << " m=" << m;
         ASSERT_EQ(fast.cycles, engine.cycles);
-        ASSERT_NEAR(fast.energy_ops_pj, engine.energy_ops_pj, 1e-9);
+        ASSERT_EQ(fast.energy, engine.energy);
         // High bits above the relaxed region always exact.
         ASSERT_EQ(fast.value >> m, (a + b) >> m);
       }
@@ -57,7 +58,7 @@ TEST(Exhaustive, MultiplyAllPairs4BitExact) {
       ASSERT_EQ(fast.product, a * b) << a << "*" << b;
       ASSERT_EQ(engine.value, a * b) << a << "*" << b;
       ASSERT_EQ(fast.cycles, engine.cycles);
-      ASSERT_NEAR(fast.energy_ops_pj, engine.energy_ops_pj, 1e-9);
+      ASSERT_EQ(fast.energy, engine.energy);
     }
   }
 }
@@ -74,7 +75,7 @@ TEST(Exhaustive, MultiplyAllPairs4BitAllApproxConfigs) {
               << a << "*" << b << " mask=" << mask << " relax=" << relax;
           ASSERT_EQ(fast.cycles, engine.cycles)
               << a << "*" << b << " mask=" << mask << " relax=" << relax;
-          ASSERT_NEAR(fast.energy_ops_pj, engine.energy_ops_pj, 1e-9);
+          ASSERT_EQ(fast.energy, engine.energy);
           // First-stage semantic: exact product of the masked multiplier,
           // then last-stage relaxation bounded by 2^relax.
           const std::uint64_t masked = a * (b & ~util::low_mask(mask));
@@ -94,7 +95,7 @@ TEST(Exhaustive, CsaAllTriples3Bit) {
   for (std::uint64_t a = 0; a < 8; ++a)
     for (std::uint64_t b = 0; b < 8; ++b)
       for (std::uint64_t c = 0; c < 8; ++c) {
-        const FaWordResult fast = word_fa_stage(a, b, c, 3, em());
+        const FaWordResult fast = word_fa_stage(a, b, c, 3);
         const CsaOutcome engine = inmemory_csa(a, b, c, 3, em());
         ASSERT_EQ(fast.sum, engine.sum);
         ASSERT_EQ(fast.carry, engine.carry);

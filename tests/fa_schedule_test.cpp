@@ -7,6 +7,7 @@
 #include "arith/fa_schedule.hpp"
 #include "arith/inmemory_fa.hpp"
 #include "arith/word_models.hpp"
+#include "energy_counts_print.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 
@@ -56,19 +57,44 @@ TEST(FaSchedule, ReferenceMatchesArithmetic) {
 }
 
 TEST(WordFaBit, FullTruthTable) {
-  const auto& em = device::EnergyModel::paper_defaults();
   for (unsigned v = 0; v < 8; ++v) {
     const std::uint64_t a = (v >> 2) & 1, b = (v >> 1) & 1, c = v & 1;
-    const FaBitResult r = word_fa_bit(a, b, c, em);
+    const FaBitResult r = word_fa_bit(a, b, c);
     const FaBits expect = fa_reference(a, b, c);
     EXPECT_EQ(r.sum, expect.sum) << "abc=" << v;
     EXPECT_EQ(r.carry, expect.carry) << "abc=" << v;
-    EXPECT_GT(r.nor_energy_pj, 0.0);
+    EXPECT_EQ(r.nor.input_on + r.nor.input_off, kFaNorInputs) << "abc=" << v;
+  }
+}
+
+// The closed-form counts are word_fa_bit's: the per-triple tables match
+// the schedule evaluated on each of the 8 triples, and fa_counts over a
+// word equals the per-bit sum.
+TEST(WordFaBit, TabulatedCountsMatchTheSchedule) {
+  for (unsigned v = 0; v < 8; ++v) {
+    const std::uint64_t a = (v >> 2) & 1, b = (v >> 1) & 1, c = v & 1;
+    const FaBitResult r = word_fa_bit(a, b, c);
+    const std::uint64_t ones = a + b + c;
+    EXPECT_EQ(r.nor.input_on, kFaInputsOn[ones]) << "abc=" << v;
+    EXPECT_EQ(r.nor.input_off, kFaNorInputs - kFaInputsOn[ones])
+        << "abc=" << v;
+    EXPECT_EQ(r.nor.switches, kFaSwitches[ones]) << "abc=" << v;
+    EXPECT_EQ(r.nor, fa_counts(a, b, c, 1)) << "abc=" << v;
+  }
+  util::Xoshiro256 rng(22);
+  for (int trial = 0; trial < 300; ++trial) {
+    const unsigned width = 1 + static_cast<unsigned>(rng.next_below(64));
+    const std::uint64_t a = rng.next(), b = rng.next() & rng.next(),
+                        c = rng.next() | rng.next();
+    device::EnergyCounts per_bit;
+    for (unsigned i = 0; i < width; ++i)
+      per_bit += word_fa_bit(util::bit(a, i), util::bit(b, i),
+                             util::bit(c, i)).nor;
+    ASSERT_EQ(fa_counts(a, b, c, width), per_bit) << "width=" << width;
   }
 }
 
 TEST(WordFaStage, MatchesCarrySaveSemantics) {
-  const auto& em = device::EnergyModel::paper_defaults();
   util::Xoshiro256 rng(21);
   for (int trial = 0; trial < 300; ++trial) {
     const unsigned width = 1 + static_cast<unsigned>(rng.next_below(48));
@@ -76,7 +102,7 @@ TEST(WordFaStage, MatchesCarrySaveSemantics) {
     const std::uint64_t a = rng.next() & mask;
     const std::uint64_t b = rng.next() & mask;
     const std::uint64_t c = rng.next() & mask;
-    const FaWordResult r = word_fa_stage(a, b, c, width, em);
+    const FaWordResult r = word_fa_stage(a, b, c, width);
     const util::CarrySave expect = util::csa3(a, b, c);
     EXPECT_EQ(r.sum, expect.sum & mask);
     EXPECT_EQ(r.carry, expect.carry);
@@ -86,9 +112,9 @@ TEST(WordFaStage, MatchesCarrySaveSemantics) {
 
 TEST(WordFaStage, EnergyScalesWithWidth) {
   const auto& em = device::EnergyModel::paper_defaults();
-  const FaWordResult narrow = word_fa_stage(0x5, 0x3, 0x6, 4, em);
-  const FaWordResult wide = word_fa_stage(0x5, 0x3, 0x6, 32, em);
-  EXPECT_GT(wide.nor_energy_pj, narrow.nor_energy_pj);
+  const FaWordResult narrow = word_fa_stage(0x5, 0x3, 0x6, 4);
+  const FaWordResult wide = word_fa_stage(0x5, 0x3, 0x6, 32);
+  EXPECT_GT(em.energy_pj(wide.nor), em.energy_pj(narrow.nor));
 }
 
 // Cell-level lane execution must reproduce the same truth table.

@@ -20,7 +20,7 @@ const device::EnergyModel& em() {
 // ------------------------------------------------------------------- ppg --
 
 TEST(Ppg, GeneratesOnePartialPerSetBit) {
-  const PpgResult r = word_ppg(0xAB, 0b1010, 8, 0, em());
+  const PpgResult r = word_ppg(0xAB, 0b1010, 8, 0);
   ASSERT_EQ(r.partials.size(), 2u);
   EXPECT_EQ(r.partials[0], 0xABull << 1);
   EXPECT_EQ(r.partials[1], 0xABull << 3);
@@ -31,21 +31,21 @@ TEST(Ppg, GeneratesOnePartialPerSetBit) {
 TEST(Ppg, CyclesArePopcountPlusOne) {
   // Section 3.3: shared invert + one copy per '1' bit; worst case N+1.
   for (std::uint64_t m2 : {0b1ull, 0b1111ull, 0xFFull, 0x55ull}) {
-    const PpgResult r = word_ppg(0x3C, m2, 8, 0, em());
+    const PpgResult r = word_ppg(0x3C, m2, 8, 0);
     const unsigned p = static_cast<unsigned>(util::popcount(m2));
     EXPECT_EQ(r.cycles, ppg_cycles(p)) << "m2=" << m2;
   }
-  EXPECT_EQ(word_ppg(0x3C, 0, 8, 0, em()).cycles, 0u);
-  EXPECT_EQ(word_ppg(0x3C, 0xFF, 8, 0, em()).cycles, 9u);  // N+1.
+  EXPECT_EQ(word_ppg(0x3C, 0, 8, 0).cycles, 0u);
+  EXPECT_EQ(word_ppg(0x3C, 0xFF, 8, 0).cycles, 9u);  // N+1.
 }
 
 TEST(Ppg, MaskingSkipsLowBits) {
-  const PpgResult r = word_ppg(0xFF, 0b00001111, 8, 2, em());
+  const PpgResult r = word_ppg(0xFF, 0b00001111, 8, 2);
   ASSERT_EQ(r.partials.size(), 2u);  // Bits 2 and 3 survive.
   EXPECT_EQ(r.partials[0], 0xFFull << 2);
   // Masked bits are not even read: energy shrinks.
-  const PpgResult unmasked = word_ppg(0xFF, 0b00001111, 8, 0, em());
-  EXPECT_LT(r.energy_ops_pj, unmasked.energy_ops_pj);
+  const PpgResult unmasked = word_ppg(0xFF, 0b00001111, 8, 0);
+  EXPECT_LT(em().energy_pj(r.energy), em().energy_pj(unmasked.energy));
 }
 
 // ---------------------------------------------------------- exact multiply --
@@ -121,7 +121,7 @@ TEST(Multiply, PopcountDrivesLatency) {
   const MultiplyOutcome dense = fast_multiply(0xFFFF, 0xFFFF, 16, {}, em());
   const MultiplyOutcome sparse = fast_multiply(0xFFFF, 0x8001, 16, {}, em());
   EXPECT_LT(sparse.cycles, dense.cycles);
-  EXPECT_LT(sparse.energy_ops_pj, dense.energy_ops_pj);
+  EXPECT_LT(em().energy_pj(sparse.energy), em().energy_pj(dense.energy));
 }
 
 // ------------------------------------------------------ approximate modes --

@@ -24,6 +24,7 @@
 #include "arith/vector_unit.hpp"
 #include "core/apim.hpp"
 #include "device/energy_model.hpp"
+#include "energy_counts_print.hpp"
 #include "reliability/campaign.hpp"
 #include "serve/executor.hpp"
 #include "util/bitops.hpp"
@@ -261,7 +262,7 @@ TEST(ParallelDeterminism, FastVectorAddBitExact) {
         arith::fast_vector_add(a, b, 32, em());
     EXPECT_EQ(got.sums, ref.sums) << "threads=" << threads;
     EXPECT_EQ(got.cycles, ref.cycles) << "threads=" << threads;
-    EXPECT_EQ(got.energy_ops_pj, ref.energy_ops_pj) << "threads=" << threads;
+    EXPECT_EQ(got.energy, ref.energy) << "threads=" << threads;
   }
 }
 
@@ -290,7 +291,7 @@ TEST(ParallelDeterminism, InmemoryVectorAddBitExact) {
         arith::inmemory_vector_add(a, b, 8, em());
     EXPECT_EQ(got.sums, ref.sums) << "threads=" << threads;
     EXPECT_EQ(got.cycles, ref.cycles) << "threads=" << threads;
-    EXPECT_EQ(got.energy_ops_pj, ref.energy_ops_pj) << "threads=" << threads;
+    EXPECT_EQ(got.energy, ref.energy) << "threads=" << threads;
   }
 }
 
@@ -408,13 +409,13 @@ TEST(DegenerateInputs, EmptyVectorAddsAreZeroed) {
       arith::fast_vector_add(none, none, 32, em());
   EXPECT_TRUE(fast.sums.empty());
   EXPECT_EQ(fast.cycles, 0u);
-  EXPECT_EQ(fast.energy_ops_pj, 0.0);
+  EXPECT_EQ(fast.energy, device::EnergyCounts{});
 
   const arith::VectorAddOutcome engine =
       arith::inmemory_vector_add(none, none, 32, em());
   EXPECT_TRUE(engine.sums.empty());
   EXPECT_EQ(engine.cycles, 0u);
-  EXPECT_EQ(engine.energy_ops_pj, 0.0);
+  EXPECT_EQ(engine.energy, device::EnergyCounts{});
 }
 
 // ------------------------------------- served executor lane makespan --

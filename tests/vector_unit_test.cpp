@@ -6,6 +6,7 @@
 
 #include "arith/latency_model.hpp"
 #include "arith/vector_unit.hpp"
+#include "energy_counts_print.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 
@@ -49,8 +50,8 @@ TEST(VectorAdd, LatencyIsIndependentOfLaneCount) {
 TEST(VectorAdd, EnergyScalesLinearlyWithLanes) {
   const auto [a1, b1] = random_vectors(4, 16, 133);
   const auto [a2, b2] = random_vectors(8, 16, 133);  // Superset stats-wise.
-  const double e1 = fast_vector_add(a1, b1, 16, em()).energy_ops_pj;
-  const double e2 = fast_vector_add(a2, b2, 16, em()).energy_ops_pj;
+  const double e1 = em().energy_pj(fast_vector_add(a1, b1, 16, em()).energy);
+  const double e2 = em().energy_pj(fast_vector_add(a2, b2, 16, em()).energy);
   EXPECT_NEAR(e2 / e1, 2.0, 0.2);  // Random data: ~2x within noise.
 }
 
@@ -61,7 +62,7 @@ TEST(VectorAdd, EngineMatchesFastModelExactly) {
     const VectorAddOutcome engine = inmemory_vector_add(a, b, 12, em());
     ASSERT_EQ(fast.sums, engine.sums) << "k=" << k;
     ASSERT_EQ(fast.cycles, engine.cycles);
-    ASSERT_NEAR(fast.energy_ops_pj, engine.energy_ops_pj, 1e-9);
+    ASSERT_EQ(fast.energy, engine.energy);
   }
 }
 
