@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <queue>
 #include <span>
@@ -160,19 +161,20 @@ class Engine {
     return batcher_.pending_requests() + sched_.pending_requests();
   }
 
-  /// Advance to the next event time and process everything due. Returns
-  /// false when no event remains (the system is drained).
-  bool step() {
+  /// Advance to next_event_time() and process everything due. Call only
+  /// while next_event_time() has a value.
+  void step() {
     const std::optional<util::Cycles> next = compute_next_timer();
     if (!next) {
-      // Belt and braces: a closed batch with a free stream has no timer.
-      if (sched_.has_work() && free_domain()) {
-        try_dispatch();
-        return true;
-      }
-      // Queued and blocked work can never be served: shed it so every
+      // No timer: a closed batch waits for a free stream, or the engine
+      // is stranded and sheds its queued and blocked work so every
       // request still finalizes (the conservation contract).
-      return stranded() && shed_stranded();
+      if (stranded()) {
+        shed_stranded();
+      } else {
+        try_dispatch();
+      }
+      return;
     }
     if (*next > now_) now_ = *next;
     complete_due();
@@ -183,12 +185,6 @@ class Engine {
     for (ClosedBatch& b : batcher_.close_due(now_))
       enqueue_closed(std::move(b));
     try_dispatch();
-    return true;
-  }
-
-  void run_to_completion() {
-    while (step()) {
-    }
   }
 
   /// Free the operands of every request finalized since the last call; a
@@ -203,16 +199,17 @@ class Engine {
     finished_.clear();
   }
 
-  /// Earliest virtual time at which step() would make progress, or nullopt
-  /// when the engine is drained (step() would return false). A pure peek:
-  /// it shares step()'s timer computation so the two cannot diverge.
+  /// Earliest virtual time at which step() makes progress, or nullopt
+  /// when the engine is drained. A pure peek: it shares step()'s timer
+  /// computation so the two cannot diverge. Without a timer, queued work
+  /// is due now when a stream is free to take it, and queued work or
+  /// blocked arrivals when the engine is stranded (step() sheds them;
+  /// scrub passes go with the tenants' batches).
   [[nodiscard]] std::optional<util::Cycles> next_event_time() const {
     if (const std::optional<util::Cycles> next = compute_next_timer())
       return std::max(*next, now_);
     if (sched_.has_work() && free_domain()) return now_;
-    // What step() would shed: tenant requests, queued or arriving.
-    if (stranded() && (sched_.pending_requests() > 0 || !arrivals_.empty()))
-      return now_;
+    if (stranded() && (sched_.has_work() || !arrivals_.empty())) return now_;
     return std::nullopt;
   }
 
@@ -638,10 +635,10 @@ class Engine {
     }
   }
 
-  /// The engine is stranded(): reject all queued batches and blocked
-  /// arrivals so it drains. Returns true when it finalized anything.
-  bool shed_stranded() {
-    bool any = false;
+  /// The engine is stranded(): drop every queued batch, scrub passes
+  /// included, and reject the tenants' requests and the blocked arrivals
+  /// so it drains.
+  void shed_stranded() {
     while (std::optional<DispatchPick> pick = sched_.next(now_)) {
       if (pick->batch.scrub_domain != kNotScrub) {
         monitor_.domain(pick->batch.scrub_domain).scrub_queued = false;
@@ -649,9 +646,7 @@ class Engine {
       }
       for (const std::uint64_t id : pick->batch.members) {
         PendingReq& p = at(id);
-        if (p.finalized()) continue;
-        finalize(p, RequestStatus::kRejected, now_);
-        any = true;
+        if (!p.finalized()) finalize(p, RequestStatus::kRejected, now_);
       }
     }
     while (!arrivals_.empty()) {
@@ -660,9 +655,7 @@ class Engine {
       PendingReq& p = at(id);
       metrics_.record_submitted(p.req.arrival);
       finalize(p, RequestStatus::kRejected, std::max(now_, p.req.arrival));
-      any = true;
     }
-    return any;
   }
 
   // -- Dispatch -------------------------------------------------------------
@@ -990,7 +983,7 @@ std::vector<Response> Server::run_trace(std::vector<Request> trace) {
   const std::uint64_t first = engine.next_id();
   for (Request& r : trace) engine.stage(std::move(r));
   trace = std::vector<Request>();  // Each request now lives in the engine.
-  engine.run_to_completion();
+  step_until(std::numeric_limits<util::Cycles>::max());
   engine.release_finished();
   std::vector<Response> responses;
   responses.reserve(engine.next_id() - first);

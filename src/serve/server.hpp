@@ -157,8 +157,8 @@ class Server {
   // engine only as far as it needs to read it, instead of calling
   // run_trace. Staging reads no engine state and a staged request waits
   // for its arrival cycle, so an engine may lag the coordinator's clock.
-  // Driving a single server this way reproduces run_trace bit-exactly —
-  // step_until uses the same event-selection code as run_to_completion.
+  // run_trace itself stages its trace and drains through step_until, so
+  // driving a single server this way reproduces it bit-exactly.
 
   /// Stage one open-loop request (arrival cycle set by the caller) without
   /// running the engine. Returns the request's dense id for response().
