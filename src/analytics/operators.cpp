@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <map>
+#include <stdexcept>
 
 #include "arith/compare_units.hpp"
 #include "util/bitops.hpp"
@@ -176,8 +177,13 @@ std::vector<AggRow> group_aggregate(Runner& runner,
                                     std::span<const std::uint64_t> values,
                                     unsigned key_width, unsigned val_width,
                                     const std::vector<bool>* mask) {
-  assert(keys.size() == values.size());
-  assert(mask == nullptr || mask->size() == keys.size());
+  // Checked in every build type: a short `values` or `mask` would be read
+  // out of range.
+  if (values.size() != keys.size() ||
+      (mask != nullptr && mask->size() != keys.size())) {
+    throw std::invalid_argument(
+        "group_aggregate: keys, values and mask differ in size");
+  }
   (void)key_width;
 
   // Controller-side hash grouping (std::map: deterministic key order).

@@ -79,7 +79,8 @@ struct AggRow {
 /// memory as reduction waves batched ACROSS groups (every round issues one
 /// same-shape wave covering all groups). Output rows sorted by key.
 /// Requires val_width + ceil(log2(max group size)) <= 32 so the running
-/// sums stay in request range (asserted).
+/// sums stay in request range (asserted). Throws std::invalid_argument
+/// when `values` or `mask` differs in size from `keys`.
 [[nodiscard]] std::vector<AggRow> group_aggregate(
     Runner& runner, std::span<const std::uint64_t> keys,
     std::span<const std::uint64_t> values, unsigned key_width,

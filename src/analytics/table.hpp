@@ -6,8 +6,8 @@
 // queries and their golden tests share.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,11 +29,11 @@ struct Table {
     return columns.empty() ? 0 : columns.front().values.size();
   }
 
+  /// Throws std::out_of_range when no column has this name.
   [[nodiscard]] const Column& col(std::string_view name) const {
     for (const Column& c : columns)
       if (c.name == name) return c;
-    assert(false && "unknown column");
-    return columns.front();
+    throw std::out_of_range("Table::col: no column has this name");
   }
 
   /// All columns same length, all values inside their declared width.

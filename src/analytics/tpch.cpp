@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
@@ -11,7 +12,9 @@ namespace apim::analytics {
 using serve::OpKind;
 
 TpchTables make_tables(const TpchConfig& cfg) {
-  assert(cfg.orders > 0 && cfg.orders < 65536);
+  // Checked in every build type: o_orderkey is a 16-bit column.
+  if (cfg.orders == 0 || cfg.orders >= 65536)
+    throw std::invalid_argument("make_tables: orders must be in [1, 65535]");
   util::Xoshiro256 rng(cfg.seed);
 
   // Each column is built in place and allocated once (tpch.hpp).

@@ -31,7 +31,7 @@
 namespace apim::analytics {
 
 struct TpchConfig {
-  std::size_t orders = 64;              ///< Order count (< 65536).
+  std::size_t orders = 64;              ///< Order count, 1..65535.
   std::size_t lines_per_order_max = 6;  ///< 0..max lineitem rows per order.
   std::uint64_t seed = 1;
 };
@@ -46,6 +46,7 @@ struct TpchTables {
 /// allocated once: order columns at `orders` rows, lineitem columns at
 /// `orders * (lines_per_order_max + 1) / 2 + 64`, half a row per order
 /// above the mean, which the benchmark's 16,384 orders never outgrow.
+/// Throws std::invalid_argument when `orders` is outside 1..65535.
 [[nodiscard]] TpchTables make_tables(const TpchConfig& cfg);
 
 struct Q6Params {

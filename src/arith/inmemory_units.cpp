@@ -391,6 +391,11 @@ InMemoryResult inmemory_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
   load_word(xbar, CellAddr{0, 1, 0}, n, b);
 
   const StatsDelta delta{engine};
+  const auto finish = [&](std::uint64_t product) {
+    InMemoryResult r = delta.finish(product);
+    r.partial_count = static_cast<unsigned>(p);
+    return r;
+  };
 
   // -- Stage 1: partial-product generation (Section 3.3). --
   // Bit-wise SA scan of the unmasked multiplier bits.
@@ -399,7 +404,7 @@ InMemoryResult inmemory_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
     if (engine.read_bit(CellAddr{0, 1, j})) set_bits.push_back(j);
   assert(static_cast<int>(set_bits.size()) == p);
 
-  if (p == 0) return delta.finish(0);  // Zero product: nothing to do.
+  if (p == 0) return finish(0);  // Zero product: nothing to do.
 
   // Shared inverted image of the multiplicand (scratch init overlaps the
   // SA scan).
@@ -437,7 +442,7 @@ InMemoryResult inmemory_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
   if (p == 1) {
     const std::uint64_t product =
         engine.peek_word(CellAddr{1, 0, 0}, product_width);
-    return delta.finish(product);
+    return finish(product);
   }
 
   // -- Stage 2: Wallace-tree reduction (skipped for two partials). --
@@ -468,7 +473,7 @@ InMemoryResult inmemory_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
   // The product of two n-bit numbers fits in 2n bits and the final-add
   // carries are exact even under relaxation, so value.carry_out is always
   // false here; multiplies report no carry by convention.
-  return delta.finish(value.value & low_mask(product_width));
+  return finish(value.value & low_mask(product_width));
 }
 
 }  // namespace apim::arith

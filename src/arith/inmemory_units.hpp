@@ -35,6 +35,9 @@ struct InMemoryResult {
   util::Cycles cycles = 0;
   device::EnergyCounts energy;
   bool carry_out = false;  ///< Adder carry out (false for multiplies).
+  /// Partial products a multiply generated: the popcount of its masked
+  /// multiplier, as fast_multiply's `partial_count` (0 for other units).
+  unsigned partial_count = 0;
 };
 
 /// Serial (ripple) MAGIC addition of two n-bit numbers (n <= 64): 12n+1

@@ -61,7 +61,7 @@ struct UnitOutcome {
   std::uint64_t value = 0;
   util::Cycles cycles = 0;
   device::EnergyCounts energy;
-  unsigned partial_products = 0;  ///< Nonzero only for word-model multiplies.
+  unsigned partial_products = 0;  ///< Nonzero only for multiplies.
 };
 
 UnitOutcome unit(const arith::MultiplyOutcome& r) {
@@ -76,7 +76,7 @@ UnitOutcome unit(const arith::CompareOutcome& r) {
   return {r.sum, r.cycles, r.energy, 0};
 }
 UnitOutcome unit(const arith::InMemoryResult& r) {
-  return {r.value, r.cycles, r.energy, 0};
+  return {r.value, r.cycles, r.energy, r.partial_count};
 }
 
 /// The adder relax setting scales with adder width: standalone word adds

@@ -26,6 +26,7 @@
 #include "core/apim.hpp"
 #include "serve/batcher.hpp"
 #include "serve/request.hpp"
+#include "util/inline_vec.hpp"
 
 namespace apim::serve {
 
@@ -33,8 +34,10 @@ namespace apim::serve {
 inline constexpr std::size_t kExecutorGrain = 64;
 
 struct BatchExecution {
-  /// Result values, one vector per member request, in member order.
-  std::vector<std::vector<std::uint64_t>> values;
+  /// Result values, one per member request, in member order; a member of
+  /// one or two ops keeps them inline and hands them to its Response
+  /// without a heap block.
+  std::vector<util::InlineVec<std::uint64_t>> values;
   util::Cycles makespan = 0;  ///< Dispatch-to-done latency of the batch.
   util::Cycles total_lane_cycles = 0;
   std::size_t lanes_used = 0;

@@ -13,9 +13,9 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "reliability/policy.hpp"
+#include "util/inline_vec.hpp"
 #include "util/units.hpp"
 
 namespace apim::serve {
@@ -53,14 +53,20 @@ enum class RequestStatus : std::uint8_t {
 
 /// The engine holds one Request and one Response per staged request and
 /// nothing else per request (serve/server.cpp), so each packs its narrow
-/// fields into its last word: 80 and 96 bytes.
+/// fields into its last word: 80 and 96 bytes. Each keeps a small payload
+/// inline (util::InlineVec, whose inline capacity follows from sizeof(T)):
+/// a Request one operand pair, a Response two values. So a one-op request
+/// owns no heap block from generation to destruction. A request of 2 or
+/// more ops still owns one block for its operands, which
+/// Server::release_finished() frees in bulk, and past two ops its
+/// response owns one for its values.
 struct Request {
   /// Tenant application name; keys the QoS table lookup that picks the
   /// relax level ("" or an unknown name falls back to exact).
   std::string app;
   /// Magnitude operand pairs; values above `width` bits are clamped by the
-  /// device exactly as in direct ApimDevice use.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> operands;
+  /// device exactly as in direct ApimDevice use. One pair is held inline.
+  util::InlineVec<std::pair<std::uint64_t, std::uint64_t>> operands;
   /// Simulated arrival time, set by whoever builds the request (a trace
   /// generator or a stepping loop).
   util::Cycles arrival = 0;
@@ -89,8 +95,9 @@ struct ServedQos {
 /// until it finalizes.
 struct Response {
   std::uint64_t id = 0;  ///< Server-assigned, dense in admission order.
-  /// One per operand pair; empty for every status but kOk.
-  std::vector<std::uint64_t> values;
+  /// One per operand pair; empty for every status but kOk. Two values
+  /// are held inline.
+  util::InlineVec<std::uint64_t> values;
   /// Of the served values; the default for every status but kOk.
   ServedQos qos{};
   util::Cycles arrival = 0;
@@ -118,5 +125,9 @@ struct Response {
     return completion >= arrival ? completion - arrival : 0;
   }
 };
+
+static_assert(sizeof(Request) == 80 && sizeof(Response) == 96,
+              "one Request and one Response per staged request: keep them "
+              "packed");
 
 }  // namespace apim::serve

@@ -188,7 +188,8 @@ class Engine {
   }
 
   /// Free the operands of every request finalized since the last call; a
-  /// finalized request never runs again. Bulk, at points its driver
+  /// finalized request never runs again. Only requests of 2 or more ops
+  /// hold a block (serve/request.hpp). Bulk, at points its driver
   /// picks, rather than one by one at finalize: the caller's later
   /// long-lived allocations (response values, response copies) would
   /// otherwise fill the scattered holes and fragment the heap for

@@ -150,6 +150,22 @@ TEST(TreeAdd, NineOperandLatencyMatchesPaperStructure) {
   EXPECT_EQ(r.cycles, 4 * 13 + serial_add_cycles(n + 4));
 }
 
+TEST(TreeAdd, DefaultLawCapsTheFinalWidth) {
+  // Past 9 operands the tree runs more stages than the sum has extra bits:
+  // 16 operands reduce in 6 stages, 27 in 7, yet their sums need only
+  // n + 4 and n + 5 bits. tree_add_cycles' default final width is capped
+  // there, as the engine's final add is.
+  util::Xoshiro256 rng(44);
+  const unsigned n = 16;
+  for (std::size_t count : {16u, 27u}) {
+    auto [values, widths, total] = random_operands(rng, count, n);
+    const InMemoryResult r =
+        inmemory_tree_add(values, widths, cap_for(count, n), em());
+    EXPECT_EQ(r.value, total) << "count=" << count;
+    EXPECT_EQ(r.cycles, tree_add_cycles(count, n)) << "count=" << count;
+  }
+}
+
 TEST(TreeAdd, ThreeOperandsMatchPaperTotal) {
   // Section 3.2: 3 operands cost 13 + (12N + 1) = 12N + 14 cycles.
   util::Xoshiro256 rng(37);
@@ -274,6 +290,26 @@ TEST(FastAdd, DispatchesSerialVsRelaxed) {
 TEST(LatencyModel, StandaloneAddFormulas) {
   EXPECT_EQ(standalone_add_cycles(32, 0), 385u);
   EXPECT_EQ(standalone_add_cycles(32, 32), 65u);
+  // Relaxing 2 of 32 bits would take 395 cycles: the serial adder runs.
+  EXPECT_EQ(standalone_add_cycles(32, 2), 385u);
+  EXPECT_EQ(standalone_add_cycles(32, 3), 384u);
+}
+
+TEST(LatencyModel, RelaxEngagesOnlyWhereItIsFaster) {
+  // The relaxed adder takes 13n - 11m + 1 cycles against the serial
+  // 12n + 1, so relaxing pays only for m > n / 11. At n = 22, m = 2 both
+  // take 265 cycles, and the tie keeps the exact adder.
+  EXPECT_EQ(profitable_add_relax(32, 2), 0u);
+  EXPECT_EQ(profitable_add_relax(32, 3), 3u);
+  EXPECT_EQ(final_add_cycles(22, 2), serial_add_cycles(22));
+  EXPECT_EQ(profitable_add_relax(22, 2), 0u);
+  EXPECT_EQ(profitable_add_relax(22, 3), 3u);
+  util::Xoshiro256 rng(45);
+  for (int t = 0; t < 64; ++t) {
+    const std::uint64_t a = rng.next() & util::low_mask(22);
+    const std::uint64_t b = rng.next() & util::low_mask(22);
+    ASSERT_EQ(fast_add(a, b, 22, 2, em()).sum, a + b) << a << " + " << b;
+  }
 }
 
 }  // namespace

@@ -9,14 +9,20 @@
 // and energy event counts exact), bitsliced-vs-word identity (event
 // counts included), and device-level protection
 // behavior (compare exact under relax; popcount triple-voted under
-// detect policies, which have no mod-3 residue for it).
+// detect policies, which have no mod-3 residue for it). Preconditions:
+// an unknown column, an order count outside the key width and mismatched
+// group_aggregate inputs throw in every build type.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "analytics/operators.hpp"
+#include "analytics/table.hpp"
+#include "analytics/tpch.hpp"
 #include "analytics_harness.hpp"
 #include "arith/compare_units.hpp"
 #include "arith/inmemory_units.hpp"
@@ -277,6 +283,45 @@ TEST(DeviceOps, PopcountExactUnderPolicies) {
     }
     ASSERT_EQ(dev.stats().popcounts, 40u);
   }
+}
+
+// -- Preconditions, checked in every build type -----------------------------
+
+TEST(AnalyticsPreconditions, UnknownColumnThrowsOutOfRange) {
+  apim::analytics::Table table;
+  table.columns.push_back({"l_quantity", 6, {1, 2}});
+  EXPECT_EQ(&table.col("l_quantity"), &table.columns.front());
+  EXPECT_THROW((void)table.col("l_price"), std::out_of_range);
+  table.columns.clear();
+  EXPECT_THROW((void)table.col("l_quantity"), std::out_of_range);
+}
+
+TEST(AnalyticsPreconditions, MakeTablesRejectsOrdersOutsideTheKeyWidth) {
+  apim::analytics::TpchConfig cfg;
+  cfg.orders = 0;
+  EXPECT_THROW((void)apim::analytics::make_tables(cfg),
+               std::invalid_argument);
+  cfg.orders = 65536;  // o_orderkey is 16 bits wide.
+  EXPECT_THROW((void)apim::analytics::make_tables(cfg),
+               std::invalid_argument);
+  cfg.orders = 1;
+  EXPECT_EQ(apim::analytics::make_tables(cfg).orders.rows(), 1u);
+}
+
+TEST(AnalyticsPreconditions, GroupAggregateRejectsMismatchedSizes) {
+  Runner runner(runner_config(apim::core::Backend::kFast));
+  const std::vector<std::uint64_t> keys = {1, 2, 1, 3};
+  const std::vector<std::uint64_t> values = {5, 6, 7, 8};
+  const std::vector<std::uint64_t> short_values = {5, 6, 7};
+  const std::vector<bool> short_mask = {true, false, true};
+  EXPECT_THROW((void)apim::analytics::group_aggregate(runner, keys,
+                                                      short_values, 4, 8),
+               std::invalid_argument);
+  EXPECT_THROW((void)apim::analytics::group_aggregate(runner, keys, values, 4,
+                                                      8, &short_mask),
+               std::invalid_argument);
+  EXPECT_EQ(apim::analytics::group_aggregate(runner, keys, values, 4, 8).size(),
+            3u);
 }
 
 }  // namespace

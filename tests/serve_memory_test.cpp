@@ -1,10 +1,10 @@
 // Memory tests of the serving engine's request records, lifecycle, batch
 // executor and load generator, and of the TPC-H table generator. A
-// counting global allocator tracks live and peak heap bytes and the number
-// of allocations, so a test can check what a drained Server still holds,
-// how much a run or a trace allocates, and how many blocks one dispatch
-// or one make_tables call allocates. Its own binary: the allocator
-// replaces operator new/delete for the whole executable.
+// counting global allocator tracks live and peak heap bytes, live blocks
+// and the number of allocations, so a test can check what a drained Server
+// still holds, how much a run or a trace allocates, and how many blocks
+// one dispatch or one make_tables call allocates. Its own binary: the
+// allocator replaces operator new/delete for the whole executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,6 +31,7 @@ constexpr std::size_t kHeader = alignof(std::max_align_t);
 std::atomic<std::size_t> g_live_bytes{0};
 std::atomic<std::size_t> g_peak_bytes{0};
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_live_blocks{0};
 
 }  // namespace
 
@@ -39,6 +40,7 @@ void* operator new(std::size_t size) {
   if (block == nullptr) throw std::bad_alloc();
   *static_cast<std::size_t*>(block) = size;
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_live_blocks.fetch_add(1, std::memory_order_relaxed);
   const std::size_t live =
       g_live_bytes.fetch_add(size, std::memory_order_relaxed) + size;
   std::size_t peak = g_peak_bytes.load(std::memory_order_relaxed);
@@ -52,6 +54,7 @@ void operator delete(void* p) noexcept {
   void* block = static_cast<char*>(p) - kHeader;
   g_live_bytes.fetch_sub(*static_cast<std::size_t*>(block),
                          std::memory_order_relaxed);
+  g_live_blocks.fetch_sub(1, std::memory_order_relaxed);
   std::free(block);
 }
 void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
@@ -185,15 +188,18 @@ LoadGenConfig one_op_trace_config() {
   return gen;
 }
 
-// One Request and one 16-byte pair is 96 bytes; a 120-byte Request makes
-// it 136.
-TEST_F(ServeMemory, OneOpTraceNeedsAtMost96BytesPerRequest) {
+// Each request keeps its one operand pair inside its 80 bytes, so the
+// trace array is the only allocation. A Request whose pair has its own
+// block needs one more allocation and 96 bytes per request.
+TEST_F(ServeMemory, OneOpTraceAllocatesOnlyTheTraceArray) {
   const LoadGenConfig gen = one_op_trace_config();
+  const std::size_t before = g_allocations.load();
   const std::size_t base = restart_peak();
   const std::vector<Request> trace = make_open_loop_trace(gen);
   const std::size_t peak = g_peak_bytes.load() - base;
   ASSERT_EQ(trace.size(), gen.requests);
-  EXPECT_LE(peak, 96 * gen.requests)
+  EXPECT_EQ(g_allocations.load() - before, 1u);
+  EXPECT_EQ(peak, sizeof(Request) * gen.requests)
       << peak / gen.requests << " bytes per request";
 }
 
@@ -221,32 +227,66 @@ TEST_F(ServeMemory, OneOpRunTraceNeedsAtMost264BytesPerRequest) {
   EXPECT_LE(per_request, 264.0) << "bytes per request above the input";
 }
 
-TEST_F(ServeMemory, ExecuteBatchAllocatesOnlyItsResults) {
-  // Three members of eight fault-free width-16 multiplies: one dispatch.
+// A whole one-op run, trace generation included, leaves only the returned
+// responses array: no request owned a block that outlives it. An engine
+// whose responses keep their values in heap blocks leaves one more block
+// per request, so the count would grow with the trace.
+TEST_F(ServeMemory, OneOpRunLeavesTheSameBlocksAtAnyTraceLength) {
+  {
+    // Warm-up run, as above.
+    Server warm(ServerConfig{});
+    (void)warm.run_trace({make_request(0, 1, 0)});
+  }
+  for (const std::size_t requests : {5000u, 20000u}) {
+    LoadGenConfig gen = one_op_trace_config();
+    gen.requests = requests;
+    const std::size_t before = g_live_blocks.load();
+    std::vector<Response> responses;
+    {
+      Server server(ServerConfig{});
+      responses = server.run_trace(make_open_loop_trace(gen));
+    }
+    ASSERT_EQ(responses.size(), requests);
+    for (const Response& r : responses) ASSERT_EQ(r.values.size(), 1u);
+    EXPECT_EQ(g_live_blocks.load() - before, 1u)
+        << "blocks left by a run of " << requests << " one-op requests";
+  }
+}
+
+/// Allocations of one fault-free dispatch of three members of `ops`
+/// width-16 multiplies each, after an identical warm-up dispatch.
+std::size_t execute_batch_allocations(std::size_t ops) {
   std::vector<std::vector<Operand>> operands;
-  for (std::size_t m = 0; m < 3; ++m)
-    operands.push_back(make_request(m, 8, 0).operands);
+  for (std::size_t m = 0; m < 3; ++m) {
+    const Request r = make_request(m, ops, 0);
+    operands.emplace_back(r.operands.begin(), r.operands.end());
+  }
   std::vector<std::span<const Operand>> members(operands.begin(),
                                                 operands.end());
   BatchKey key;
   key.width = 16;
   const core::ApimConfig base;
-  ASSERT_TRUE(base.reliability.faults.empty());
+  EXPECT_TRUE(base.reliability.faults.empty());
 
   const BatchExecution warm = execute_batch(members, key, 64, base);
-  ASSERT_EQ(warm.values.size(), 3u);
   const std::size_t before = g_allocations.load();
   const BatchExecution exec = execute_batch(members, key, 64, base);
   const std::size_t allocations = g_allocations.load() - before;
-  for (std::size_t m = 0; m < 3; ++m) {
-    ASSERT_EQ(exec.values[m].size(), 8u);
-    EXPECT_EQ(exec.values[m], warm.values[m]);
-  }
+  EXPECT_EQ(exec.values.size(), 3u);
+  EXPECT_EQ(exec.values, warm.values);
+  for (const auto& values : exec.values) EXPECT_EQ(values.size(), ops);
+  return allocations;
+}
 
-  // The outer values vector, one vector per member, and the per-lane cycle
-  // sums. An executor that flattens the operands and stages per-op values,
-  // per-op cycles and per-chunk stats before a thread-pool call makes 10.
-  EXPECT_LE(allocations, 5u);
+TEST_F(ServeMemory, ExecuteBatchAllocatesOnlyItsResults) {
+  // Eight ops per member: the outer values vector, one block per member's
+  // values, and the per-lane cycle sums. An executor that flattens the
+  // operands and stages per-op values, per-op cycles and per-chunk stats
+  // before a thread-pool call makes 10.
+  EXPECT_LE(execute_batch_allocations(8), 5u);
+  // One op per member: each member's value stays inline, so the outer
+  // values vector and the cycle sums are all. A block per member makes 5.
+  EXPECT_LE(execute_batch_allocations(1), 2u);
 }
 
 // The analytics-tpch benchmark's set-up is two make_tables calls at this
