@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "arith/word_models.hpp"
 #include "core/apim.hpp"
 #include "serve/executor.hpp"
+#include "serve/load_gen.hpp"
+#include "serve/qos_table.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 
@@ -51,6 +54,19 @@ void BM_FastMultiplyRelaxed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FastMultiplyRelaxed);
+
+// The multiply the offline QoS tuner runs (core::ApimDevice::values_only):
+// values only, 32 bits, relax 16.
+void BM_FastMultiplyValuesOnly(benchmark::State& state) {
+  util::Xoshiro256 rng(8);
+  for (auto _ : state) {
+    const std::uint64_t a = rng.next() & util::low_mask(32);
+    const std::uint64_t b = rng.next() & util::low_mask(32);
+    benchmark::DoNotOptimize(arith::fast_multiply<false>(
+        a, b, 32, arith::ApproxConfig::last_stage(16), em()));
+  }
+}
+BENCHMARK(BM_FastMultiplyValuesOnly);
 
 void BM_EngineMultiplyExact(benchmark::State& state) {
   const auto n = static_cast<unsigned>(state.range(0));
@@ -147,6 +163,34 @@ void BM_BitslicedAddSlice(benchmark::State& state) {
                           static_cast<std::int64_t>(ops.size()));
 }
 BENCHMARK(BM_BitslicedAddSlice);
+
+// The offline tuning step of the serve-kernel benchmark workload: Sobel
+// and FFT tuned at 1 024 elements, on the global pool (APIM_THREADS).
+void BM_BuildQosTable(benchmark::State& state) {
+  const std::vector<std::string> apps = {"Sobel", "FFT"};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(serve::build_qos_table(apps, 1024, 2017));
+}
+BENCHMARK(BM_BuildQosTable)->Unit(benchmark::kMillisecond);
+
+// An open-loop trace of the serve-kernel benchmark workload's request
+// shape (32 width-32 ops, a quarter of them adds), 8 001 requests; each
+// iteration also frees the trace it made.
+void BM_OpenLoopTrace(benchmark::State& state) {
+  serve::LoadGenConfig gen;
+  gen.requests = 8001;
+  gen.rate_per_kcycle = 10.0;
+  gen.apps = {"Sobel", "FFT"};
+  gen.min_ops = 32;
+  gen.max_ops = 32;
+  gen.width = 32;
+  gen.add_fraction = 0.25;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(serve::make_open_loop_trace(gen));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(gen.requests));
+}
+BENCHMARK(BM_OpenLoopTrace)->Unit(benchmark::kMillisecond);
 
 void BM_DeviceMac(benchmark::State& state) {
   core::ApimDevice dev;

@@ -30,15 +30,17 @@ int main() {
     core::ApimDevice exact_device;
     (void)app->run_apim(exact_device);
 
-    std::printf("%s tuner trajectory:", app->name().c_str());
+    // The tuner may evaluate several settings at once, so the trajectory
+    // is printed from its history, not from inside the evaluation.
     const core::AccuracyTuner tuner;
     const core::TunerResult tuned = tuner.tune(
         [&](unsigned m) {
-          const auto eval = apps::evaluate_relax(*app, golden, m);
-          std::printf(" m=%u(%s)", m, eval.acceptable ? "ok" : "x");
-          return eval.acceptable ? 0.0 : 1.0;
+          return apps::evaluate_relax(*app, golden, m).acceptable ? 0.0 : 1.0;
         },
         0.5);
+    std::printf("%s tuner trajectory:", app->name().c_str());
+    for (const core::TunerStep& step : tuned.history)
+      std::printf(" m=%u(%s)", step.relax_bits, step.acceptable ? "ok" : "x");
     std::puts("");
 
     core::ApimConfig cfg;

@@ -17,8 +17,11 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAPIM_SANITIZE=thread
 
-# The thread pool's users are apps::parallel_map and arith/vector_unit
-# (parallel_exec_test, vector_unit_test, apps_test, util_test). The
+# The thread pool's users are apps::parallel_map, arith/vector_unit and
+# core::AccuracyTuner's waves of relax candidates (parallel_exec_test,
+# vector_unit_test, apps_test, util_test, tuner_test; the Tuner suites,
+# AllAppsTest's tuner cases and parallel_exec_test's
+# ParallelDeterminism.QosTableDigestAtEveryThreadCount run waves). The
 # serving engine, its batch executor included, runs on its caller's
 # thread, so the serving, cluster and analytics suites below have no host
 # concurrency of their own; they stay in the gate so that a change which
@@ -34,13 +37,13 @@ cmake -B "$BUILD_DIR" -S . \
 # BitslicedDegenerate suites run serve::execute_batch across its 64-op
 # device boundaries.
 TARGETS=(parallel_exec_test bitsliced_equivalence_test vector_unit_test
-  util_test apps_test serve_test serve_fairness_test serve_health_test
-  cluster_test analytics_test)
+  util_test apps_test tuner_test serve_test serve_fairness_test
+  serve_health_test cluster_test analytics_test)
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 
 # halt_on_error makes the first race fail the test binary (and so ctest).
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R 'ThreadPool|ParallelDeterminism|ValuesOnlyParallelMap|DegenerateInputs|Batch|ExecutorBackends|BitslicedDegenerate|VectorAdd|VectorUnit|Serve|Cluster|Analytics'
+  -R 'ThreadPool|ParallelDeterminism|ValuesOnlyParallelMap|DegenerateInputs|Batch|ExecutorBackends|BitslicedDegenerate|VectorAdd|VectorUnit|Tuner|Serve|Cluster|Analytics'
 
 echo "TSan check passed (APIM_THREADS=$APIM_THREADS)."

@@ -38,16 +38,25 @@ void bit_reverse(std::vector<std::int64_t>& re, std::vector<std::int64_t>& im) {
   }
 }
 
-/// Q16 twiddle factors for angle index k of an n-point stage.
 struct Twiddle {
   std::int64_t re;
   std::int64_t im;
 };
-Twiddle twiddle_q16(std::size_t k, std::size_t n) {
-  const double angle =
-      -2.0 * std::numbers::pi * static_cast<double>(k) / static_cast<double>(n);
-  return {static_cast<std::int64_t>(std::llround(std::cos(angle) * 65536.0)),
-          static_cast<std::int64_t>(std::llround(std::sin(angle) * 65536.0))};
+
+/// Q16 twiddles of an n-point transform's last stage, angle index
+/// k = 0..n/2-1. The len-point stage's twiddle j is entry j * (n / len):
+/// scaling k and n by the same power of two leaves the angle's double,
+/// and so the twiddle, unchanged.
+std::vector<Twiddle> twiddles_q16(std::size_t n) {
+  std::vector<Twiddle> table(n / 2);
+  for (std::size_t k = 0; k < n / 2; ++k) {
+    const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
+                         static_cast<double>(n);
+    table[k] = {
+        static_cast<std::int64_t>(std::llround(std::cos(angle) * 65536.0)),
+        static_cast<std::int64_t>(std::llround(std::sin(angle) * 65536.0))};
+  }
+  return table;
 }
 
 std::size_t floor_pow2(std::size_t v) {
@@ -78,10 +87,11 @@ std::vector<double> FftApp::run_golden() const {
   std::vector<std::int64_t> im = signal_im_;
   const std::size_t n = re.size();
   bit_reverse(re, im);
+  const std::vector<Twiddle> twiddles = twiddles_q16(n);
   for (std::size_t len = 2; len <= n; len <<= 1) {
     for (std::size_t base = 0; base < n; base += len) {
       for (std::size_t j = 0; j < len / 2; ++j) {
-        const Twiddle w = twiddle_q16(j, len);
+        const Twiddle w = twiddles[j * (n / len)];
         const std::size_t ai = base + j;
         const std::size_t bi = base + j + len / 2;
         const std::int64_t t_re = golden_qmul(w.re, re[bi], 16) -
@@ -111,10 +121,11 @@ std::vector<double> FftApp::run_apim(core::ApimDevice& device) const {
   std::vector<std::int64_t> im = signal_im_;
   const std::size_t n = re.size();
   bit_reverse(re, im);
+  const std::vector<Twiddle> twiddles = twiddles_q16(n);
   for (std::size_t len = 2; len <= n; len <<= 1) {
     for (std::size_t base = 0; base < n; base += len) {
       for (std::size_t j = 0; j < len / 2; ++j) {
-        const Twiddle w = twiddle_q16(j, len);
+        const Twiddle w = twiddles[j * (n / len)];
         const std::size_t ai = base + j;
         const std::size_t bi = base + j + len / 2;
         // One device op per statement, in a fixed order (see

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 #include <vector>
 
 #include "arith/latency_model.hpp"
@@ -16,7 +17,7 @@ using util::popcount;
 template <bool kCost>
 MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
                               ApproxConfig cfg, const device::EnergyModel&) {
-  assert(n >= 1 && n <= 32);
+  check_multiply_width(n, "fast_multiply");
   a &= low_mask(n);
   b &= low_mask(n);
   const unsigned first_bit = std::min(cfg.mask_bits, n);
@@ -47,14 +48,17 @@ MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
   std::uint64_t y = a << std::countr_zero(effective_m2 & (effective_m2 - 1));
   if (p >= 3) {
     // Stage 2: Wallace-tree 3:2 reduction across the two processing blocks.
-    TreeAddend partials[32];
+    std::uint64_t partials[32];
+    unsigned widths[32];
+    unsigned char blocks[32];
     std::size_t count = 0;
     for (std::uint64_t bits = effective_m2; bits != 0; bits &= bits - 1) {
       const auto j = static_cast<unsigned>(std::countr_zero(bits));
-      partials[count++] = TreeAddend{a << j, n + j, /*block=*/1};
+      partials[count] = a << j;
+      widths[count++] = n + j;
     }
-    const TreeReduceResult tree =
-        word_tree_reduce_in_place<kCost>(std::span(partials, count), 2 * n);
+    const TreeReduceResult tree = word_tree_reduce_in_place<kCost>(
+        partials, widths, blocks, count, 2 * n);
     if constexpr (kCost) {
       out.cycles += tree.cycles;
       out.energy += tree.energy;
@@ -90,25 +94,40 @@ template <bool kCost>
 AddOutcome fast_tree_add(std::span<const std::uint64_t> values,
                          std::span<const unsigned> widths, unsigned width_cap,
                          const device::EnergyModel&) {
-  assert(values.size() == widths.size());
-  assert(!values.empty());
+  if (values.empty() || values.size() != widths.size()) {
+    throw std::invalid_argument(
+        "fast_tree_add: needs one width per value and at least one value");
+  }
   if (values.size() == 1) return AddOutcome{values[0], 0, {}};
 
-  // Popcount-sized trees reduce in a stack buffer; longer ones (large dot
-  // products) take one heap buffer.
+  // Popcount-sized trees reduce in stack arrays; longer ones (large dot
+  // products) take heap arrays.
   constexpr std::size_t kInlineAddends = 64;
-  TreeAddend inline_buf[kInlineAddends];
-  std::vector<TreeAddend> heap_buf;
-  if (values.size() > kInlineAddends) heap_buf.resize(values.size());
-  const std::span<TreeAddend> live =
-      heap_buf.empty() ? std::span<TreeAddend>(inline_buf, values.size())
-                       : std::span<TreeAddend>(heap_buf);
-  for (std::size_t i = 0; i < values.size(); ++i) {
+  const std::size_t count = values.size();
+  std::uint64_t inline_values[kInlineAddends];
+  unsigned inline_widths[kInlineAddends];
+  unsigned char inline_blocks[kInlineAddends];
+  std::vector<std::uint64_t> heap_values;
+  std::vector<unsigned> heap_widths;
+  std::vector<unsigned char> heap_blocks;
+  std::uint64_t* value = inline_values;
+  unsigned* width = inline_widths;
+  unsigned char* block = inline_blocks;
+  if (count > kInlineAddends) {
+    heap_values.resize(count);
+    heap_widths.resize(count);
+    heap_blocks.resize(count);
+    value = heap_values.data();
+    width = heap_widths.data();
+    block = heap_blocks.data();
+  }
+  for (std::size_t i = 0; i < count; ++i) {
     assert(widths[i] >= 1 && widths[i] <= width_cap);
-    live[i] = TreeAddend{values[i], widths[i], /*block=*/1};
+    value[i] = values[i];
+    width[i] = widths[i];
   }
   const TreeReduceResult tree =
-      word_tree_reduce_in_place<kCost>(live, width_cap);
+      word_tree_reduce_in_place<kCost>(value, width, block, count, width_cap);
   AddOutcome out;
   if constexpr (kCost) {
     out.cycles = tree.cycles;

@@ -26,9 +26,10 @@ struct MultiplyOutcome {
   unsigned tree_stages = 0;    ///< 3:2 reduction stages executed.
 };
 
-/// Multiply two n-bit magnitudes (n <= 32) through the three-stage APIM
-/// pipeline: SA-driven partial-product generation, Wallace-tree 3:2
-/// reduction, final product generation with optional relaxation.
+/// Multiply two n-bit magnitudes (1 <= n <= 32) through the three-stage
+/// APIM pipeline: SA-driven partial-product generation, Wallace-tree 3:2
+/// reduction, final product generation with optional relaxation. Throws
+/// std::invalid_argument, in every build type, for n outside 1..32.
 template <bool kCost = true>
 [[nodiscard]] MultiplyOutcome fast_multiply(std::uint64_t a, std::uint64_t b,
                                             unsigned n, ApproxConfig cfg,
@@ -59,7 +60,9 @@ template <bool kCost = true>
 /// Multi-operand addition: Wallace-tree 3:2 reduction followed by one
 /// serial add of the two survivors — the word-level twin of
 /// inmemory_tree_add. `width_cap` bounds the running sum (pass
-/// n + ceil(log2(M)) for M n-bit operands).
+/// n + ceil(log2(M)) for M n-bit operands). Throws std::invalid_argument,
+/// in every build type, when `values` is empty or `widths` differs from it
+/// in size.
 template <bool kCost = true>
 [[nodiscard]] AddOutcome fast_tree_add(std::span<const std::uint64_t> values,
                                        std::span<const unsigned> widths,

@@ -353,7 +353,7 @@ InMemoryResult inmemory_multiply(std::uint64_t a, std::uint64_t b, unsigned n,
                                  ApproxConfig cfg,
                                  const device::EnergyModel& em,
                                  magic::Tracer* tracer) {
-  assert(n >= 1 && n <= 32);
+  check_multiply_width(n, "inmemory_multiply");
   a &= low_mask(n);
   b &= low_mask(n);
   const unsigned product_width = 2 * n;

@@ -78,7 +78,8 @@ struct CsaOutcome {
     magic::Tracer* tracer = nullptr);
 
 /// Full NxN in-memory multiplication through the three-stage pipeline with
-/// the given approximation configuration. n <= 32.
+/// the given approximation configuration. Throws std::invalid_argument, in
+/// every build type, for n outside 1..32.
 [[nodiscard]] InMemoryResult inmemory_multiply(
     std::uint64_t a, std::uint64_t b, unsigned n, ApproxConfig cfg,
     const device::EnergyModel& em, magic::Tracer* tracer = nullptr);

@@ -41,8 +41,8 @@ FaWordResult word_fa_stage(std::uint64_t a, std::uint64_t b, std::uint64_t c,
   return out;
 }
 
-// The tree reductions below run the values-only stage and tally the
-// groups' events themselves.
+// word_tree_reduce below runs the values-only stage and tallies the
+// groups' events itself.
 template FaWordResult word_fa_stage<true>(std::uint64_t, std::uint64_t,
                                           std::uint64_t, unsigned);
 
@@ -151,58 +151,6 @@ TreeReduceResult word_tree_reduce(std::span<const std::uint64_t> values,
   return out;
 }
 
-template <bool kCost>
-TreeReduceResult word_tree_reduce_in_place(std::span<TreeAddend> addends,
-                                           unsigned width_cap) {
-  assert(!addends.empty());
-  assert(width_cap >= 1 && width_cap <= 64);
-  TreeReduceResult out;
-  TreeTally tally;
-  std::size_t live = addends.size();
-  unsigned target = 2;  // First stage toggles away from the inputs.
-  while (live > 2) {
-    if constexpr (kCost) out.cycles += 13;  // 1 init + 12 NOR batches.
-    // Group g reads entries 3g..3g+2 and writes its sum and carry to 2g and
-    // 2g+1, which it has already read (g = 0) or which are spent (g > 0);
-    // pass-throughs follow the outputs, as in plan_tree_reduction.
-    std::size_t next = 0;
-    std::size_t i = 0;
-    for (; i + 3 <= live; i += 3) {
-      const TreeAddend in0 = addends[i], in1 = addends[i + 1],
-                       in2 = addends[i + 2];
-      const unsigned w =
-          std::min(std::max({in0.width, in1.width, in2.width}) + 1, width_cap);
-      const auto hops = [&](const TreeAddend& t) {
-        return static_cast<std::uint64_t>(
-            std::abs(static_cast<long long>(t.block) -
-                     static_cast<long long>(target)));
-      };
-      const FaWordResult fa =
-          reduce_group<kCost>(in0.value, in1.value, in2.value, w,
-                              hops(in0) + hops(in1) + hops(in2), tally);
-      addends[next++] = TreeAddend{fa.sum, w, target};
-      addends[next++] = TreeAddend{fa.carry, w, target};
-    }
-    for (; i < live; ++i) addends[next++] = addends[i];
-    live = next;
-    ++out.stages;
-    target = target == 2 ? 1 : 2;
-  }
-  if constexpr (kCost) out.energy = tally.counts();
-  out.x = addends[0].value;
-  out.x_width = addends[0].width;
-  if (live == 2) {
-    out.y = addends[1].value;
-    out.y_width = addends[1].width;
-  }
-  return out;
-}
-
-template TreeReduceResult word_tree_reduce_in_place<true>(
-    std::span<TreeAddend>, unsigned);
-template TreeReduceResult word_tree_reduce_in_place<false>(
-    std::span<TreeAddend>, unsigned);
-
 device::EnergyCounts ppg_counts(std::uint64_t m1, std::uint64_t effective_m2,
                                 unsigned n, unsigned first_bit) noexcept {
   device::EnergyCounts e;
@@ -228,7 +176,7 @@ device::EnergyCounts ppg_counts(std::uint64_t m1, std::uint64_t effective_m2,
 
 PpgResult word_ppg(std::uint64_t m1, std::uint64_t m2, unsigned n,
                    unsigned mask_bits) {
-  assert(n >= 1 && n <= 32);
+  check_multiply_width(n, "word_ppg");
   m1 &= low_mask(n);
   m2 &= low_mask(n);
   const unsigned first_bit = std::min(mask_bits, n);

@@ -36,10 +36,13 @@
 // WordModelDigest tests pin.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arith/fa_schedule.hpp"
@@ -191,23 +194,104 @@ struct TreeReduceResult {
 [[nodiscard]] TreeReduceResult word_tree_reduce(
     std::span<const std::uint64_t> values, const TreePlan& plan);
 
-/// One live addend of word_tree_reduce_in_place.
-struct TreeAddend {
-  std::uint64_t value = 0;
-  unsigned width = 0;
-  unsigned block = 1;  ///< 1 (block_a) or 2 (block_b).
-};
-
 /// Allocation-free twin of word_tree_reduce(values, plan_tree_reduction(
 /// widths, width_cap, 1, 2)): the same grouping, width growth, block
-/// toggling and per-group event counts, evaluated in place. On entry
-/// `addends` holds the initial operands (block 1); on return its first one
-/// or two entries are the survivors, also copied into the result.
+/// toggling and events, evaluated in place on the caller's arrays of
+/// `count` addends. On entry `value[i]` and `width[i]` hold operand i; on
+/// return their first one or two entries are the survivors, also copied
+/// into the result. `block` is scratch for each addend's processing block
+/// (1 or 2), which only the priced tree reads or writes.
+///
+/// A group of width w takes its inputs masked to w bits and outputs
+/// a ^ b ^ c and maj(a, b, c) << 1, the words word_fa_stage's 12 NOR steps
+/// compute. Its events are linear in its lanes w, in w times its inputs'
+/// distances to the target block and in the popcounts of a | b | c,
+/// maj(a, b, c) and a & b & c (fa_triples), so the priced tree sums those
+/// five over its groups and counts the tree once. Defined here so that the
+/// units built on it (fast_multiply, fast_tree_add) inline it.
 template <bool kCost = true>
-[[nodiscard]] TreeReduceResult word_tree_reduce_in_place(
-    std::span<TreeAddend> addends, unsigned width_cap);
+[[nodiscard]] inline TreeReduceResult word_tree_reduce_in_place(
+    std::uint64_t* value, unsigned* width, unsigned char* block,
+    std::size_t count, unsigned width_cap) {
+  assert(count >= 1);
+  assert(width_cap >= 1 && width_cap <= 64);
+  // The priced tree's totals over its groups: lanes, lanes times input
+  // block distances, and the three popcounts that class the bit triples.
+  std::uint64_t lanes = 0, hop_lanes = 0, any = 0, two = 0, three = 0;
+  if constexpr (kCost) std::fill_n(block, count, 1);  // Inputs: block 1.
+  TreeReduceResult out;
+  std::size_t live = count;
+  unsigned char target = 2;  // First stage toggles away from the inputs.
+  while (live > 2) {
+    // Group g reads entries 3g..3g+2 and writes its sum and carry to 2g and
+    // 2g+1, which it has already read (g = 0) or which are spent (g > 0);
+    // pass-throughs follow the outputs, as in plan_tree_reduction.
+    std::size_t next = 0;
+    std::size_t i = 0;
+    for (; i + 3 <= live; i += 3, next += 2) {
+      const unsigned w = std::min(
+          std::max({width[i], width[i + 1], width[i + 2]}) + 1, width_cap);
+      const std::uint64_t mask = util::low_mask(w);
+      const std::uint64_t a = value[i] & mask;
+      const std::uint64_t b = value[i + 1] & mask;
+      const std::uint64_t c = value[i + 2] & mask;
+      const std::uint64_t maj = (a & b) | (c & (a | b));
+      if constexpr (kCost) {
+        lanes += w;
+        hop_lanes += w * static_cast<std::uint64_t>((block[i] != target) +
+                                                    (block[i + 1] != target) +
+                                                    (block[i + 2] != target));
+        any += static_cast<std::uint64_t>(util::popcount(a | b | c));
+        two += static_cast<std::uint64_t>(util::popcount(maj));
+        three += static_cast<std::uint64_t>(util::popcount(a & b & c));
+        block[next] = block[next + 1] = target;
+      }
+      value[next] = a ^ b ^ c;
+      value[next + 1] = maj << 1;  // Interconnect alignment into bit i+1.
+      width[next] = width[next + 1] = w;
+    }
+    for (; i < live; ++i, ++next) {
+      value[next] = value[i];
+      width[next] = width[i];
+      if constexpr (kCost) block[next] = block[i];
+    }
+    live = next;
+    ++out.stages;
+    target = target == 2 ? 1 : 2;
+  }
+  if constexpr (kCost) {
+    out.cycles = 13 * util::Cycles{out.stages};  // 1 init + 12 NOR batches.
+    out.energy =
+        fa_counts(FaTriples{lanes - any, any - two, two - three, three});
+    // Each group initializes its 12 x w scratch/output cells, reads each
+    // input 4 times across its block distance, and writes its carry one
+    // column left through the barrel shifter (the blocked memory's "free
+    // shift").
+    out.energy.init = 12 * lanes;
+    out.energy.interconnect_bits = 4 * hop_lanes + lanes;
+  }
+  out.x = value[0];
+  out.x_width = width[0];
+  if (live == 2) {
+    out.y = value[1];
+    out.y_width = width[1];
+  }
+  return out;
+}
 
 // -- Partial-product generation ----------------------------------------------
+
+/// Throws std::invalid_argument, in every build type, unless 1 <= n <= 32:
+/// a multiplier takes one partial product per multiplier bit into arrays
+/// of 32 and keeps its 2n-bit product in one word. `unit` names the caller
+/// in the message.
+inline void check_multiply_width(unsigned n, const char* unit) {
+  if (n < 1 || n > 32) {
+    throw std::invalid_argument(std::string(unit) +
+                                ": n must be in 1..32, got " +
+                                std::to_string(n));
+  }
+}
 
 /// Sense-amp driven partial-product generation (paper Section 3.3):
 /// read the multiplier bit-wise; for every '1' bit j, copy-shift the
@@ -220,7 +304,8 @@ struct PpgResult {
   device::EnergyCounts energy;
 };
 /// `mask_bits` low multiplier bits are skipped entirely (first-stage
-/// approximation): not read, not copied.
+/// approximation): not read, not copied. Throws std::invalid_argument for
+/// n outside 1..32 (check_multiply_width).
 [[nodiscard]] PpgResult word_ppg(std::uint64_t m1, std::uint64_t m2,
                                  unsigned n, unsigned mask_bits);
 

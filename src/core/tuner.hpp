@@ -6,6 +6,14 @@
 // ensuring the acceptable quality of service." The tuned value is computed
 // offline per application and applied at runtime when the application is
 // detected (Section 4.3).
+//
+// The tuner tries candidates side by side: each wave evaluates as many
+// of them, in schedule order, as util::ThreadPool::global() has
+// executors, and then walks the wave in order up to the first acceptable
+// one. What a wave evaluated past that candidate is dropped, so the
+// result, history included, is the serial walk's at every thread count,
+// and a pool of one runs the serial walk itself. The price is at most a
+// wave's width minus one evaluations that a serial walk would not run.
 #pragma once
 
 #include <functional>
@@ -35,6 +43,16 @@ class AccuracyTuner {
   /// `evaluate(m)` must run the application at relax setting `m` and return
   /// its quality-loss metric (lower is better, e.g. average relative error,
   /// or a PSNR deficit). `threshold` is the largest acceptable loss.
+  ///
+  /// `evaluate` must be pure and thread-safe: a wave calls it for several
+  /// settings at once, from pool threads, and for settings past the one
+  /// the tuner accepts. apps::evaluate_relax is: it runs a const
+  /// Application on a values-only device of its own. Work that
+  /// `evaluate` itself hands to the pool (apps::parallel_map) then runs
+  /// inline on its thread. An exception from `evaluate` propagates if the
+  /// serial walk would have reached its setting.
+  ///
+  /// Called from inside a pool chunk, a wave runs serially.
   [[nodiscard]] TunerResult tune(
       const std::function<double(unsigned)>& evaluate, double threshold) const;
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
@@ -46,11 +47,12 @@ std::vector<Request> make_open_loop_trace(const LoadGenConfig& cfg) {
         (cfg.max_ops > cfg.min_ops
              ? rng.next_below(cfg.max_ops - cfg.min_ops + 1)
              : 0);
-    r.operands.resize(ops);
-    for (auto& [first, second] : r.operands) {
-      second = rng.next() & operand_mask;  // Drawn first (load_gen.hpp).
-      first = rng.next() & operand_mask;
-    }
+    r.operands.assign_generated(ops, [&] {
+      // `second` is drawn first (load_gen.hpp).
+      const std::uint64_t second = rng.next() & operand_mask;
+      const std::uint64_t first = rng.next() & operand_mask;
+      return std::pair{first, second};
+    });
   }
   return trace;
 }

@@ -93,6 +93,19 @@ class InlineVec {
     size_ = static_cast<std::uint32_t>(n);
   }
 
+  /// Replaces the elements with `n` new ones, the i-th constructed from
+  /// the i-th call of `make()`, in order: each is written once, with no
+  /// value-initialization before it (a generator filling a large block
+  /// would otherwise write it twice).
+  template <class Make>
+  void assign_generated(std::size_t n, Make make) {
+    size_ = 0;  // Trivially destructible: nothing to destroy.
+    if (n > capacity_) grow_to(n, 0);
+    T* out = data();
+    for (std::size_t i = 0; i < n; ++i) std::construct_at(out + i, make());
+    size_ = static_cast<std::uint32_t>(n);
+  }
+
   template <std::forward_iterator It>
   void assign(It first, It last) {
     const auto n = static_cast<std::size_t>(std::distance(first, last));

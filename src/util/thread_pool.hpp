@@ -1,8 +1,8 @@
 // Fixed-size host thread pool for the embarrassingly-parallel hot paths of
-// the simulator: per-element application kernels (apps::parallel_map) and
-// the row-parallel vector adds (arith/vector_unit.hpp). The serving
-// runtime does not use it; its batch executor runs serially
-// (serve/executor.hpp).
+// the simulator: per-element application kernels (apps::parallel_map),
+// the row-parallel vector adds (arith/vector_unit.hpp) and the tuner's
+// waves of relax settings (core/tuner.hpp). The serving runtime does not
+// use it; its batch executor runs serially (serve/executor.hpp).
 //
 // APIM's modeled concurrency (tiles/lanes running MAGIC schedules at once)
 // is independent of host concurrency: the pool only changes how fast the

@@ -3,6 +3,7 @@
 // 13-per-stage tree).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -118,13 +119,23 @@ unsigned cap_for(std::size_t count, unsigned n) {
 
 TEST(TreeAdd, WordModelSumsManyOperands) {
   util::Xoshiro256 rng(34);
-  for (std::size_t count : {2u, 3u, 5u, 9u, 16u, 27u}) {
+  // 100 operands take fast_tree_add's heap arrays.
+  for (std::size_t count : {2u, 3u, 5u, 9u, 16u, 27u, 100u}) {
     const unsigned n = 16;
     auto [values, widths, total] = random_operands(rng, count, n);
     const AddOutcome r =
         fast_tree_add(values, widths, cap_for(count, n), em());
     EXPECT_EQ(r.sum, total) << "count=" << count;
   }
+}
+
+TEST(TreeAdd, WordModelRejectsEmptyOrMismatchedOperands) {
+  const std::vector<std::uint64_t> values = {1, 2, 3};
+  const std::vector<unsigned> widths = {2, 2};
+  EXPECT_THROW((void)fast_tree_add(values, widths, 8, em()),
+               std::invalid_argument);
+  EXPECT_THROW((void)fast_tree_add<false>({}, {}, 8, em()),
+               std::invalid_argument);
 }
 
 TEST(TreeAdd, EngineSumsManyOperands) {

@@ -121,6 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The allocation-free tree the fast units run is the planned tree,
 // evaluated in place: same survivors, widths, stages, cycles and counts.
+// Its values-only instantiation leaves the same survivors at zero cost.
 TEST(TreeReduceInPlace, EqualsPlannedReduction) {
   util::Xoshiro256 rng(3500);
   for (int trial = 0; trial < 200; ++trial) {
@@ -128,15 +129,17 @@ TEST(TreeReduceInPlace, EqualsPlannedReduction) {
     const unsigned cap = 8 + static_cast<unsigned>(rng.next_below(57));
     std::vector<std::uint64_t> values(count);
     std::vector<unsigned> widths(count);
-    std::vector<TreeAddend> addends(count);
     for (std::size_t i = 0; i < count; ++i) {
       widths[i] = 1 + static_cast<unsigned>(rng.next_below(cap));
       values[i] = rng.next() & util::low_mask(widths[i]);
-      addends[i] = TreeAddend{values[i], widths[i], 1};
     }
     const TreePlan plan = plan_tree_reduction(widths, cap, 1, 2);
     const TreeReduceResult planned = word_tree_reduce(values, plan);
-    const TreeReduceResult in_place = word_tree_reduce_in_place(addends, cap);
+    std::vector<std::uint64_t> value = values;
+    std::vector<unsigned> width = widths;
+    std::vector<unsigned char> block(count);
+    const TreeReduceResult in_place = word_tree_reduce_in_place(
+        value.data(), width.data(), block.data(), count, cap);
     ASSERT_EQ(in_place.x, planned.x) << "M=" << count;
     ASSERT_EQ(in_place.y, planned.y) << "M=" << count;
     ASSERT_EQ(in_place.x_width, planned.x_width) << "M=" << count;
@@ -144,6 +147,18 @@ TEST(TreeReduceInPlace, EqualsPlannedReduction) {
     ASSERT_EQ(in_place.stages, planned.stages) << "M=" << count;
     ASSERT_EQ(in_place.cycles, planned.cycles) << "M=" << count;
     ASSERT_EQ(in_place.energy, planned.energy) << "M=" << count;
+
+    value = values;
+    width = widths;
+    const TreeReduceResult values_only = word_tree_reduce_in_place<false>(
+        value.data(), width.data(), nullptr, count, cap);
+    ASSERT_EQ(values_only.x, planned.x) << "M=" << count;
+    ASSERT_EQ(values_only.y, planned.y) << "M=" << count;
+    ASSERT_EQ(values_only.x_width, planned.x_width) << "M=" << count;
+    ASSERT_EQ(values_only.y_width, planned.y_width) << "M=" << count;
+    ASSERT_EQ(values_only.stages, planned.stages) << "M=" << count;
+    ASSERT_EQ(values_only.cycles, 0u) << "M=" << count;
+    ASSERT_EQ(values_only.energy, device::EnergyCounts{}) << "M=" << count;
   }
 }
 

@@ -119,6 +119,37 @@ TEST(InlineVec, AssignGrowsAndReplaces) {
   EXPECT_EQ(p, ops);
 }
 
+// The load generator's fill: element i comes from the i-th call, each call
+// made once, in place and then on the heap; a shorter fill keeps the block.
+TEST(InlineVec, AssignGeneratedConstructsEachElementInOrder) {
+  std::uint64_t calls = 0;
+  const auto next_pair = [&calls] {
+    ++calls;
+    return Pair{2 * calls, 2 * calls + 1};
+  };
+  Pairs p = {{7, 7}};
+  p.assign_generated(1, next_pair);
+  EXPECT_TRUE(is_inline(p));
+  EXPECT_EQ(p, (std::vector<Pair>{{2, 3}}));
+
+  calls = 0;
+  p.assign_generated(32, next_pair);
+  EXPECT_FALSE(is_inline(p));
+  ASSERT_EQ(p.size(), 32u);
+  EXPECT_EQ(calls, 32u);
+  for (std::uint64_t i = 0; i < 32; ++i)
+    EXPECT_EQ(p[i], (Pair{2 * i + 2, 2 * i + 3})) << "element " << i;
+
+  const Pair* block = p.data();
+  calls = 0;
+  p.assign_generated(3, next_pair);
+  EXPECT_EQ(p.data(), block);
+  EXPECT_EQ(p, (std::vector<Pair>{{2, 3}, {4, 5}, {6, 7}}));
+  p.assign_generated(0, next_pair);
+  EXPECT_TRUE(p.empty());
+  EXPECT_EQ(calls, 3u);
+}
+
 TEST(InlineVec, ReserveKeepsTheElements) {
   Words w = {4, 5};
   w.reserve(16);

@@ -3,6 +3,8 @@
 // popcount-dependence the paper highlights.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "arith/fast_units.hpp"
 #include "arith/inmemory_units.hpp"
 #include "arith/latency_model.hpp"
@@ -227,6 +229,32 @@ TEST(Multiply, ExpectedCyclesIsReasonable) {
   // Random 32x32: ~16 partials -> PPG 17 + tree 13*6 + final 13*64 = 927.
   EXPECT_GT(expected, 800.0);
   EXPECT_LT(expected, 1100.0);
+}
+
+// A multiplier takes one partial product per multiplier bit into buffers
+// of 32: a width outside 1..32 is refused in every build type. At 40
+// bits, fast_multiply overran its stack buffer instead.
+TEST(Multiply, RejectsWidthsOutsideOneTo32) {
+  const std::uint64_t ones = util::low_mask(40);
+  for (const unsigned n : {0u, 33u, 40u, 64u}) {
+    EXPECT_THROW((void)fast_multiply(ones, ones, n, ApproxConfig::exact(),
+                                     em()),
+                 std::invalid_argument)
+        << "n=" << n;
+    EXPECT_THROW((void)fast_multiply<false>(ones, ones, n,
+                                            ApproxConfig::exact(), em()),
+                 std::invalid_argument)
+        << "n=" << n;
+    EXPECT_THROW((void)word_ppg(ones, ones, n, 0), std::invalid_argument)
+        << "n=" << n;
+    EXPECT_THROW((void)inmemory_multiply(ones, ones, n, ApproxConfig::exact(),
+                                         em()),
+                 std::invalid_argument)
+        << "n=" << n;
+  }
+  EXPECT_EQ(fast_multiply(ones, ones, 32, ApproxConfig::exact(), em()).product,
+            util::low_mask(32) * util::low_mask(32));
+  EXPECT_EQ(fast_multiply(1, 1, 1, ApproxConfig::exact(), em()).product, 1u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <iterator>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -24,9 +25,11 @@
 #include "arith/vector_unit.hpp"
 #include "core/apim.hpp"
 #include "device/energy_model.hpp"
+#include "digest.hpp"
 #include "energy_counts_print.hpp"
 #include "reliability/campaign.hpp"
 #include "serve/executor.hpp"
+#include "serve/qos_table.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -343,6 +346,38 @@ TEST(ValuesOnlyParallelMap, ClonesKeepTheMode) {
     core::ApimDevice device = core::ApimDevice::values_only(cfg);
     EXPECT_EQ(app->run_apim(device), ref_out) << "threads=" << threads;
     EXPECT_EQ(device.stats(), core::ExecStats{}) << "threads=" << threads;
+  }
+}
+
+// serve::build_qos_table tunes each app with AccuracyTuner, which tries
+// as many relax settings at once as the pool has threads. The tuned table
+// of all seven apps must give FullModelPin.QosTableDigestIsPinned's
+// digests (values_only_test.cpp, hashed the same way) at every thread
+// count.
+TEST(ParallelDeterminism, QosTableDigestAtEveryThreadCount) {
+  const ThreadCountGuard guard;
+  const std::vector<std::string> apps = {"Sobel",   "Robert", "FFT",
+                                         "DwtHaar1D", "Sharpen", "QuasiR",
+                                         "GEMM"};
+  constexpr std::size_t kSizes[] = {256, 1024};
+  constexpr std::uint64_t kPinned[] = {7199362229566649371ull,
+                                       13467531146929533883ull};
+  for (const std::size_t threads : kThreadSweep) {
+    util::set_thread_count(threads);
+    for (std::size_t s = 0; s < std::size(kSizes); ++s) {
+      const serve::QosTable table =
+          serve::build_qos_table(apps, kSizes[s], /*seed=*/2017);
+      digest::Fnv1a h;
+      for (const std::string& name : apps) {
+        const serve::QosTableEntry& e = table.entries().at(name);
+        h.mix(name);
+        h.mix(e.relax_bits);
+        h.mix(e.expected_loss);
+        h.mix(e.met_qos);
+      }
+      EXPECT_EQ(h.value(), kPinned[s])
+          << "threads=" << threads << " elements=" << kSizes[s];
+    }
   }
 }
 

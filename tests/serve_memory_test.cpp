@@ -203,6 +203,27 @@ TEST_F(ServeMemory, OneOpTraceAllocatesOnlyTheTraceArray) {
       << peak / gen.requests << " bytes per request";
 }
 
+// A request of 32 ops owns one operand block, sized once and filled in
+// place, so a trace of serve-kernel's shape makes one allocation per
+// request beside the trace array, at any length.
+TEST_F(ServeMemory, WideTraceAllocatesOneBlockPerRequest) {
+  for (const std::size_t requests : {1000u, 4000u}) {
+    LoadGenConfig gen;
+    gen.requests = requests;
+    gen.rate_per_kcycle = 10.0;
+    gen.apps = {"Sobel", "FFT"};
+    gen.min_ops = 32;
+    gen.max_ops = 32;
+    gen.width = 32;
+    gen.add_fraction = 0.25;
+    const std::size_t before = g_allocations.load();
+    const std::vector<Request> trace = make_open_loop_trace(gen);
+    ASSERT_EQ(trace.size(), requests);
+    EXPECT_EQ(g_allocations.load() - before, requests + 1)
+        << "allocations for " << requests << " 32-op requests";
+  }
+}
+
 // The same trace through run_trace, bytes at the run's peak on top of its
 // input. The engine's record per request (a Request and a Response), the
 // responses it returns and its arrival heap and finished list set it: an

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/tuner.hpp"
+#include "util/thread_pool.hpp"
 
 namespace apim::core {
 namespace {
@@ -81,6 +82,40 @@ TEST(Tuner, HistoryRecordsAcceptability) {
   ASSERT_EQ(r.history.size(), 2u);
   EXPECT_FALSE(r.history[0].acceptable);
   EXPECT_TRUE(r.history[1].acceptable);
+}
+
+// A wave of 4 evaluates 32, 28, 24 and 20 at once, but the walk stops at
+// the first acceptable setting: the result and its history are the serial
+// walk's, and a setting past it that throws is never reached.
+TEST(Tuner, WavesKeepNothingPastTheFirstAcceptable) {
+  struct RestoreThreads {
+    ~RestoreThreads() { util::set_thread_count(0); }
+  } restore;
+  const AccuracyTuner tuner;
+  for (const std::size_t threads : {1u, 4u}) {
+    util::set_thread_count(threads);
+    const TunerResult r = tuner.tune(
+        [](unsigned m) {
+          if (m < 28) throw std::runtime_error("past the accepted setting");
+          return m > 28 ? 0.5 : 0.05;
+        },
+        0.10);
+    EXPECT_TRUE(r.met_qos) << threads << " threads";
+    EXPECT_EQ(r.relax_bits, 28u) << threads << " threads";
+    EXPECT_EQ(r.error, 0.05) << threads << " threads";
+    std::vector<unsigned> visited;
+    for (const TunerStep& s : r.history) visited.push_back(s.relax_bits);
+    EXPECT_EQ(visited, (std::vector<unsigned>{32, 28})) << threads
+                                                        << " threads";
+    // A setting the walk does reach still throws.
+    EXPECT_THROW((void)tuner.tune(
+                     [](unsigned m) -> double {
+                       if (m == 28) throw std::runtime_error("reached");
+                       return 1.0;
+                     },
+                     0.10),
+                 std::runtime_error);
+  }
 }
 
 }  // namespace
