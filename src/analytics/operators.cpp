@@ -19,47 +19,46 @@ namespace {
 
 using OpVec = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
-/// Width a reduction round issues at: covers the largest operand, floored
-/// to the request minimum. Every round's sums must stay in request range.
+/// Width a SUM round issues at: covers the largest operand, floored to the
+/// request minimum. Checked in every build type: a wider operand would be
+/// clamped to the word width, and the sum with it.
 unsigned round_width(const OpVec& ops) {
   unsigned w = 4;
   for (const auto& [a, b] : ops)
     w = std::max({w, bit_width(a), bit_width(b)});
-  assert(w <= 32 && "reduction operand exceeds the request width range");
+  if (w > 32)
+    throw std::invalid_argument("tree_sum: a partial sum exceeds 32 bits");
   return w;
 }
 
-/// Reduce each group's operand list to its sum. Rounds are batched
-/// ACROSS groups: one kVectorAdd wave covers every group's pairs, so the
-/// batcher sees wide same-shape waves instead of per-group trickles.
-/// `force_exact` pins the adds to relax 0 even when the analytic tenant
+/// Reduce each group's list to one value in pairwise rounds, batched
+/// ACROSS groups: one `op` wave at `width(ops)` covers every group's
+/// pairs, so the batcher sees wide same-shape waves instead of per-group
+/// trickles. Each pair leaves `pick(a, b, result)`; an odd last value
+/// passes to the next round, and an empty group reduces to 0.
+/// `force_exact` pins the wave to relax 0 even when the analytic tenant
 /// runs relaxed — required for COUNT reductions, which are cardinalities.
-std::vector<std::uint64_t> grouped_tree_sum(
+template <class Width, class Pick>
+std::vector<std::uint64_t> grouped_reduce(
     Runner& runner, std::vector<std::vector<std::uint64_t>> groups,
-    bool force_exact = false) {
-  auto pending = [&] {
-    for (const auto& g : groups)
-      if (g.size() > 1) return true;
-    return false;
-  };
-  while (pending()) {
+    OpKind op, Width width, Pick pick, bool force_exact = false) {
+  for (;;) {
     OpVec ops;
     for (const auto& g : groups)
       for (std::size_t k = 0; k + 1 < g.size(); k += 2)
         ops.emplace_back(g[k], g[k + 1]);
-    const unsigned width = round_width(ops);
-    const std::vector<std::uint64_t> sums =
-        runner.run_wave(OpKind::kVectorAdd, width, ops, force_exact);
+    if (ops.empty()) break;
+    const std::vector<std::uint64_t> results =
+        runner.run_wave(op, width(ops), ops, force_exact);
     std::size_t next = 0;
     for (auto& g : groups) {
       std::vector<std::uint64_t> survivors;
       survivors.reserve(g.size() / 2 + 1);
       for (std::size_t k = 0; k + 1 < g.size(); k += 2)
-        survivors.push_back(sums[next++]);
+        survivors.push_back(pick(g[k], g[k + 1], results[next++]));
       if (g.size() % 2 != 0) survivors.push_back(g.back());
       g = std::move(survivors);
     }
-    assert(next == sums.size());
   }
   std::vector<std::uint64_t> out;
   out.reserve(groups.size());
@@ -67,42 +66,29 @@ std::vector<std::uint64_t> grouped_tree_sum(
   return out;
 }
 
-/// Reduce each group's list to its min or max via compare tournament
-/// rounds, batched across groups. Ties keep the earlier operand.
+/// SUM of each group through kVectorAdd rounds sized to their operands.
+std::vector<std::uint64_t> grouped_tree_sum(
+    Runner& runner, std::vector<std::vector<std::uint64_t>> groups,
+    bool force_exact = false) {
+  return grouped_reduce(
+      runner, std::move(groups), OpKind::kVectorAdd, round_width,
+      [](std::uint64_t, std::uint64_t, std::uint64_t sum) { return sum; },
+      force_exact);
+}
+
+/// MIN or MAX of each group through kCompare tournament rounds at
+/// `width`. Ties keep the earlier operand.
 std::vector<std::uint64_t> grouped_tournament(
     Runner& runner, std::vector<std::vector<std::uint64_t>> groups,
     unsigned width, bool take_min) {
-  auto pending = [&] {
-    for (const auto& g : groups)
-      if (g.size() > 1) return true;
-    return false;
-  };
-  while (pending()) {
-    OpVec ops;
-    for (const auto& g : groups)
-      for (std::size_t k = 0; k + 1 < g.size(); k += 2)
-        ops.emplace_back(g[k], g[k + 1]);
-    const std::vector<std::uint64_t> codes =
-        runner.run_wave(OpKind::kCompare, width, ops);
-    std::size_t next = 0;
-    for (auto& g : groups) {
-      std::vector<std::uint64_t> survivors;
-      survivors.reserve(g.size() / 2 + 1);
-      for (std::size_t k = 0; k + 1 < g.size(); k += 2) {
-        const std::uint64_t code = codes[next++];
+  return grouped_reduce(
+      runner, std::move(groups), OpKind::kCompare,
+      [width](const OpVec&) { return width; },
+      [take_min](std::uint64_t a, std::uint64_t b, std::uint64_t code) {
         const bool first_wins =
             take_min ? code != arith::kCmpGt : code != arith::kCmpLt;
-        survivors.push_back(first_wins ? g[k] : g[k + 1]);
-      }
-      if (g.size() % 2 != 0) survivors.push_back(g.back());
-      g = std::move(survivors);
-    }
-    assert(next == codes.size());
-  }
-  std::vector<std::uint64_t> out;
-  out.reserve(groups.size());
-  for (const auto& g : groups) out.push_back(g.empty() ? 0 : g.front());
-  return out;
+        return first_wins ? a : b;
+      });
 }
 
 /// Pack a membership bit-vector into 32-bit words (LSB-first), the shape
@@ -175,7 +161,7 @@ std::uint64_t mask_count(Runner& runner, const std::vector<bool>& mask) {
 std::vector<AggRow> group_aggregate(Runner& runner,
                                     std::span<const std::uint64_t> keys,
                                     std::span<const std::uint64_t> values,
-                                    unsigned key_width, unsigned val_width,
+                                    unsigned val_width,
                                     const std::vector<bool>* mask) {
   // Checked in every build type: a short `values` or `mask` would be read
   // out of range.
@@ -184,7 +170,6 @@ std::vector<AggRow> group_aggregate(Runner& runner,
     throw std::invalid_argument(
         "group_aggregate: keys, values and mask differ in size");
   }
-  (void)key_width;
 
   // Controller-side hash grouping (std::map: deterministic key order).
   std::map<std::uint64_t, std::vector<std::uint32_t>> groups;

@@ -79,12 +79,13 @@ struct AggRow {
 /// memory as reduction waves batched ACROSS groups (every round issues one
 /// same-shape wave covering all groups). Output rows sorted by key.
 /// Requires val_width + ceil(log2(max group size)) <= 32 so the running
-/// sums stay in request range (asserted). Throws std::invalid_argument
-/// when `values` or `mask` differs in size from `keys`.
+/// sums stay in request range. Throws std::invalid_argument, in every
+/// build type, when a running sum exceeds 32 bits or when `values` or
+/// `mask` differs in size from `keys`.
 [[nodiscard]] std::vector<AggRow> group_aggregate(
     Runner& runner, std::span<const std::uint64_t> keys,
-    std::span<const std::uint64_t> values, unsigned key_width,
-    unsigned val_width, const std::vector<bool>* mask = nullptr);
+    std::span<const std::uint64_t> values, unsigned val_width,
+    const std::vector<bool>* mask = nullptr);
 
 struct JoinPair {
   std::uint32_t left = 0;   ///< Row index in the left (probe) table.
@@ -116,7 +117,8 @@ struct SortResult {
 /// Exact pairwise-reduction SUM of `values` through kVectorAdd waves; each
 /// round re-derives the width from the surviving operands' magnitudes.
 /// Exposed for operators composed outside group_aggregate (e.g. Q6's
-/// revenue over per-row products). Sum must fit in 32 bits (asserted).
+/// revenue over per-row products). Throws std::invalid_argument, in every
+/// build type, when a running sum exceeds 32 bits.
 [[nodiscard]] std::uint64_t tree_sum(Runner& runner,
                                      std::vector<std::uint64_t> values);
 

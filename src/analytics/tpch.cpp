@@ -104,8 +104,8 @@ std::vector<AggRow> q1_pricing_summary(Runner& runner, const TpchTables& t,
   const SelectResult filt =
       select(runner, quantity.values, quantity.width,
              Predicate{CmpOp::kLe, p.quantity_le});
-  return group_aggregate(runner, shipmode.values, price.values,
-                         shipmode.width, price.width, &filt.mask);
+  return group_aggregate(runner, shipmode.values, price.values, price.width,
+                         &filt.mask);
 }
 
 Q3Result q3_shipping_priority(Runner& runner, const TpchTables& t,
@@ -143,8 +143,7 @@ Q3Result q3_shipping_priority(Runner& runner, const TpchTables& t,
     custkeys.push_back(o_custkey.values[build_rows[jp.right]]);
     prices.push_back(l_price.values[jp.left]);
   }
-  out.by_cust = group_aggregate(runner, custkeys, prices, o_custkey.width,
-                                l_price.width);
+  out.by_cust = group_aggregate(runner, custkeys, prices, l_price.width);
 
   // Sorted per-customer revenue: width derived from the largest sum so the
   // compare wave covers every operand.

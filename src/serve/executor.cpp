@@ -1,7 +1,7 @@
 #include "serve/executor.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "util/bitops.hpp"
 
@@ -35,7 +35,10 @@ BatchExecution execute_batch(
     std::span<const std::span<const std::pair<std::uint64_t, std::uint64_t>>>
         members,
     const BatchKey& key, std::size_t lanes, const core::ApimConfig& base) {
-  assert(lanes >= 1);
+  // Checked in every build type: a multiply spreads its ops over the lanes
+  // by op index modulo the lane count.
+  if (lanes == 0)
+    throw std::invalid_argument("execute_batch: lanes must be >= 1");
   BatchExecution out;
   out.values.resize(members.size());
 

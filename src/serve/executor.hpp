@@ -48,7 +48,8 @@ struct BatchExecution {
 /// Execute `members` (each a span of operand pairs) as one dispatch of
 /// shape `key` on a stream with `lanes` lanes. `base` supplies everything
 /// the shape does not override: energy model, backend, fault table and
-/// retry budget.
+/// retry budget. Throws std::invalid_argument, in every build type, when
+/// `lanes` is 0.
 [[nodiscard]] BatchExecution execute_batch(
     std::span<const std::span<const std::pair<std::uint64_t, std::uint64_t>>>
         members,

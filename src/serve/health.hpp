@@ -19,6 +19,13 @@
 // the DRR scheduler as the low-weight system tenant `kScrubTenant` —
 // repairs stuck bits by spare-row remap and earns re-admission.
 //
+// The HealthMonitor holds the layer's own state: one Domain record per
+// stream (state machine, counters, flags, re-test timer, device config),
+// the sorted fault schedule and its cursor, and the preventive-scrub slot
+// and its round-robin cursor. The engine asks it what is due and tells it
+// what happened; every reaction (trace events, metrics, aborts,
+// relocation) stays in the engine's one transition() helper.
+//
 // Everything here is a plain value type driven from the single-threaded
 // virtual-time engine, so health decisions are bit-identical for every
 // host thread count (the repo-wide determinism contract).
@@ -26,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/config.hpp"
@@ -154,11 +162,24 @@ ScrubReport scrub_domain(reliability::LaneFaultTable& faults, bool dead,
 [[nodiscard]] reliability::LaneFaultTable whole_domain_failure(
     std::size_t lanes, std::size_t domains);
 
-/// One fault domain's record: the state machine's fields and everything
-/// else the engine keeps per stream, in one place.
-struct Domain {
+/// What a domain reports (MetricsSnapshot::domains): its state and the
+/// counters the monitor keeps as it feeds the state machine.
+struct DomainReport {
   DomainState state = DomainState::kHealthy;
   bool dead = false;  ///< Whole-domain failure: never scrubs clean.
+  std::uint64_t dispatches = 0;   ///< Batches executed on this domain.
+  std::uint64_t detections = 0;   ///< Residue/vote mismatches observed.
+  std::uint64_t escalations = 0;  ///< Exhausted retry ladders observed.
+  std::uint64_t scrubs = 0;       ///< March-test passes (incl. re-tests).
+  std::uint64_t stuck_found = 0;  ///< Stuck bits seen by those passes.
+  std::uint64_t repaired_bits = 0;
+  std::uint64_t quarantines = 0;   ///< Edges into kQuarantined.
+  std::uint64_t readmissions = 0;  ///< Edges out of it.
+};
+
+/// One fault domain's record: its report and everything else the engine
+/// keeps per stream, in one place.
+struct Domain : DomainReport {
   bool busy = false;  ///< A batch or scrub pass holds the stream.
   bool scrub_queued = false;  ///< A scrub pass is queued or in flight.
   unsigned repair_attempts = 0;
@@ -176,31 +197,36 @@ struct Domain {
   }
 };
 
-/// The fault domains of one server, one record each, and the state
-/// machine over them. Owned and driven by the engine, which keeps it in
-/// every mode: with the health layer off nothing feeds the machine, so
-/// every domain stays kHealthy. All methods are deterministic functions of
-/// the call sequence.
+/// The fault domains of one server, one record each, the state machine
+/// over them and the layer's timers. Owned and driven by the engine, which
+/// keeps it in every mode: with the health layer off nothing feeds the
+/// machine, so every domain stays kHealthy, no re-test or scrub slot is
+/// ever due and only the fault schedule fires. All methods are
+/// deterministic functions of the call sequence.
 class HealthMonitor {
  public:
-  HealthMonitor() = default;
-  /// `domains` records, each dispatching with `device`.
+  /// `domains` records of `lanes` lanes each, dispatching with `device`.
   HealthMonitor(std::size_t domains, const HealthConfig& cfg,
-                const core::ApimConfig& device = {});
+                const core::ApimConfig& device = {}, std::size_t lanes = 1);
 
-  [[nodiscard]] std::size_t domains() const noexcept { return doms_.size(); }
   [[nodiscard]] Domain& domain(std::size_t d) { return doms_[d]; }
   [[nodiscard]] const Domain& domain(std::size_t d) const { return doms_[d]; }
-  [[nodiscard]] DomainState state(std::size_t d) const {
-    return doms_[d].state;
-  }
-  [[nodiscard]] bool serving(std::size_t d) const {
-    return doms_[d].serving();
-  }
   [[nodiscard]] std::size_t serving_count() const noexcept;
+  /// Nothing can ever serve again: no domain serves or awaits a re-test.
+  [[nodiscard]] bool stranded() const noexcept;
+  /// Every domain's report, in domain order.
+  [[nodiscard]] std::vector<DomainReport> reports() const {
+    return {doms_.begin(), doms_.end()};
+  }
 
-  [[nodiscard]] bool dead(std::size_t d) const { return doms_[d].dead; }
-  void mark_dead(std::size_t d) { doms_[d].dead = true; }
+  /// Whole-domain failure: d is dead (never scrubs clean) and quarantined.
+  void kill(std::size_t d) {
+    doms_[d].dead = true;
+    quarantine(d);
+  }
+
+  /// One march-test pass over d's fault table, repairing in place.
+  ScrubReport march(std::size_t d);
 
   /// Feed one completed dispatch's reliability counters. Escalations (or
   /// the detection threshold) quarantine; detections alone may suspect.
@@ -214,19 +240,55 @@ class HealthMonitor {
   /// a quarantined domain.
   bool on_scrub(std::size_t d, const ScrubReport& r);
 
-  /// Quarantined and out of repair attempts: the engine stops scheduling
-  /// re-tests (the domain is retired for this serve).
+  /// Quarantined and out of repair attempts: no further re-test is
+  /// scheduled (the domain is retired for this serve).
   [[nodiscard]] bool gave_up(std::size_t d) const {
     return doms_[d].state == DomainState::kQuarantined &&
            doms_[d].repair_attempts >= cfg_.max_repair_attempts;
   }
-  [[nodiscard]] unsigned repair_attempts(std::size_t d) const {
-    return doms_[d].repair_attempts;
+
+  // -- Timers ---------------------------------------------------------------
+
+  /// Earliest of the next scheduled fault (at `now` once due) and, with
+  /// the layer on, the armed re-tests; nullopt when none is pending.
+  [[nodiscard]] std::optional<util::Cycles> next_timer(util::Cycles now) const;
+
+  /// Install the next scheduled fault due by `now` on its domain's fault
+  /// table and return it; nullptr when none is due. Events fire in `at`
+  /// order, ties in schedule order. A kill installs whole_domain_failure.
+  const DomainFaultEvent* apply_next_fault(util::Cycles now);
+
+  /// Arm d's next off-line re-test `repair_interval` after `now`, unless
+  /// it serves or the monitor gave up on it.
+  void schedule_retest(std::size_t d, util::Cycles now);
+
+  /// Whether d's re-test is due by `now`; a due re-test is disarmed.
+  bool take_retest(std::size_t d, util::Cycles now);
+
+  /// The next preventive-scrub slot; nullopt when scrubbing is off (the
+  /// layer off or scrub_interval 0) or every serving domain has a pass
+  /// queued.
+  [[nodiscard]] std::optional<util::Cycles> scrub_slot() const;
+
+  /// Scrubbing is on and its slot has come by `now`.
+  [[nodiscard]] bool scrub_due(util::Cycles now) const noexcept {
+    return cfg_.enabled && cfg_.scrub_interval > 0 && now >= next_scrub_at_;
   }
 
+  /// Take the slot due by `now`: the slot moves past `now` (missed slots
+  /// are dropped, not replayed: replaying them would livelock a saturated
+  /// server) and the next serving domain without a pass, round-robin, is
+  /// marked queued and returned. nullopt when no slot is due or every
+  /// serving domain has a pass queued.
+  std::optional<std::size_t> take_scrub_slot(util::Cycles now);
+
  private:
-  HealthConfig cfg_{};
+  HealthConfig cfg_;  ///< Its fault_schedule sorted by `at`.
+  std::size_t lanes_;
   std::vector<Domain> doms_;
+  std::size_t next_fault_ = 0;
+  util::Cycles next_scrub_at_;
+  std::size_t scrub_cursor_ = 0;
 };
 
 }  // namespace apim::serve::health

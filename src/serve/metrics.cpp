@@ -75,58 +75,19 @@ void Metrics::record_tenant_dispatch(const std::string& app,
       std::max(counts.max_starvation_cycles, queued_for);
 }
 
-void Metrics::configure_domains(std::size_t domains) {
-  snap_.domains.assign(domains, MetricsSnapshot::DomainSnapshot{});
-  snap_.capacity_timeline.assign(1,
-                                 MetricsSnapshot::CapacityPoint{0, domains});
-  snap_.min_serving_domains = domains;
+void Metrics::record_capacity(util::Cycles at, std::size_t serving) {
+  std::vector<MetricsSnapshot::CapacityPoint>& t = snap_.capacity_timeline;
+  if (t.empty() || serving < snap_.min_serving_domains)
+    snap_.min_serving_domains = serving;
+  if (t.empty() || t.back().serving_domains != serving)
+    t.push_back(MetricsSnapshot::CapacityPoint{at, serving});
 }
 
-void Metrics::record_domain_dispatch(std::size_t domain,
-                                     std::uint64_t detections,
-                                     std::uint64_t escalations) {
-  if (domain >= snap_.domains.size()) return;
-  MetricsSnapshot::DomainSnapshot& d = snap_.domains[domain];
-  ++d.dispatches;
-  d.detections += detections;
-  d.escalations += escalations;
-}
-
-void Metrics::record_domain_state(std::size_t domain,
-                                  health::DomainState state, bool dead,
-                                  util::Cycles at, std::size_t serving) {
-  if (domain >= snap_.domains.size()) return;
-  MetricsSnapshot::DomainSnapshot& d = snap_.domains[domain];
-  const health::DomainState prev = d.state;
-  if (state == health::DomainState::kQuarantined &&
-      prev != health::DomainState::kQuarantined) {
-    ++d.quarantines;
-  }
-  if (prev == health::DomainState::kQuarantined &&
-      state != health::DomainState::kQuarantined) {
-    ++d.readmissions;
-  }
-  d.state = state;
-  d.dead = dead;
-  if (snap_.capacity_timeline.empty() ||
-      snap_.capacity_timeline.back().serving_domains != serving) {
-    snap_.capacity_timeline.push_back(
-        MetricsSnapshot::CapacityPoint{at, serving});
-  }
-  snap_.min_serving_domains = std::min(snap_.min_serving_domains, serving);
-}
-
-void Metrics::record_scrub(std::size_t domain,
-                           const health::ScrubReport& report) {
+void Metrics::record_scrub(const health::ScrubReport& report) {
   ++snap_.scrub_passes;
   snap_.scrub_cycles += report.cycles;
   snap_.scrub_energy_pj += report.energy_pj;
   snap_.scrub_repaired_bits += report.repaired;
-  if (domain >= snap_.domains.size()) return;
-  MetricsSnapshot::DomainSnapshot& d = snap_.domains[domain];
-  ++d.scrubs;
-  d.stuck_found += report.stuck_found;
-  d.repaired_bits += report.repaired;
 }
 
 void Metrics::record_relocation(std::size_t requests, std::size_t ops) {

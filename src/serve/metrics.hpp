@@ -59,19 +59,9 @@ struct MetricsSnapshot {
   double jain_fairness = 1.0;
 
   // -- Online health (all zero/empty unless ServerConfig::health.enabled) ---
-  /// Per-fault-domain health view, indexed by domain (= stream) id.
-  struct DomainSnapshot {
-    health::DomainState state = health::DomainState::kHealthy;
-    bool dead = false;
-    std::uint64_t dispatches = 0;   ///< Batches executed on this domain.
-    std::uint64_t detections = 0;   ///< Residue/vote mismatches observed.
-    std::uint64_t escalations = 0;  ///< Exhausted retry ladders observed.
-    std::uint64_t scrubs = 0;       ///< March-test passes (incl. re-tests).
-    std::uint64_t stuck_found = 0;  ///< Stuck bits seen by those passes.
-    std::uint64_t repaired_bits = 0;
-    std::uint64_t quarantines = 0;
-    std::uint64_t readmissions = 0;
-  };
+  /// Per-fault-domain health view, indexed by domain (= stream) id: each
+  /// domain's own report, read from the HealthMonitor at snapshot time.
+  using DomainSnapshot = health::DomainReport;
   std::vector<DomainSnapshot> domains;
   std::uint64_t scrub_passes = 0;
   util::Cycles scrub_cycles = 0;  ///< Stream-cycles spent scrubbing.
@@ -143,17 +133,11 @@ class Metrics {
                               std::uint64_t deficit_carried);
 
   // -- Online health recorders (serve/health.hpp; engine-driven) -----------
-  /// Size the per-domain table and seed the capacity timeline at
-  /// (0, domains). Called once by the engine when the health layer is on.
-  void configure_domains(std::size_t domains);
-  void record_domain_dispatch(std::size_t domain, std::uint64_t detections,
-                              std::uint64_t escalations);
-  /// Domain state after a monitor transition; appends a capacity point
-  /// when the serving-domain count changed and counts
-  /// quarantine/readmission edges.
-  void record_domain_state(std::size_t domain, health::DomainState state,
-                           bool dead, util::Cycles at, std::size_t serving);
-  void record_scrub(std::size_t domain, const health::ScrubReport& report);
+  /// Serving-domain count after a health change: appends a capacity point
+  /// when it changed. The engine seeds it at (0, streams) when the health
+  /// layer is on. Per-domain counts live in each domain's record.
+  void record_capacity(util::Cycles at, std::size_t serving);
+  void record_scrub(const health::ScrubReport& report);
   /// One relocated batch: `requests` members re-queued carrying `ops`.
   void record_relocation(std::size_t requests, std::size_t ops);
   void record_relocation_reject();

@@ -231,12 +231,12 @@ struct TestTable {
   // Grouped aggregation, unmasked and masked.
   std::string diff = diff_agg_rows(
       analytics::group_aggregate(runner, left.keys, left.values,
-                                 left.key_width, left.val_width),
+                                 left.val_width),
       ref_group_aggregate(left.keys, left.values), "group_aggregate");
   if (!diff.empty()) return diff;
   diff = diff_agg_rows(
       analytics::group_aggregate(runner, left.keys, left.values,
-                                 left.key_width, left.val_width, &last_mask),
+                                 left.val_width, &last_mask),
       ref_group_aggregate(left.keys, left.values, &last_mask),
       "group_aggregate(masked)");
   if (!diff.empty()) return diff;

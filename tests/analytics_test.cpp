@@ -10,8 +10,9 @@
 // counts included), and device-level protection
 // behavior (compare exact under relax; popcount triple-voted under
 // detect policies, which have no mod-3 residue for it). Preconditions:
-// an unknown column, an order count outside the key width and mismatched
-// group_aggregate inputs throw in every build type.
+// an unknown column, an order count outside the key width, mismatched
+// group_aggregate inputs and a running sum past 32 bits throw in every
+// build type.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -315,13 +316,23 @@ TEST(AnalyticsPreconditions, GroupAggregateRejectsMismatchedSizes) {
   const std::vector<std::uint64_t> short_values = {5, 6, 7};
   const std::vector<bool> short_mask = {true, false, true};
   EXPECT_THROW((void)apim::analytics::group_aggregate(runner, keys,
-                                                      short_values, 4, 8),
+                                                      short_values, 8),
                std::invalid_argument);
-  EXPECT_THROW((void)apim::analytics::group_aggregate(runner, keys, values, 4,
-                                                      8, &short_mask),
+  EXPECT_THROW((void)apim::analytics::group_aggregate(runner, keys, values, 8,
+                                                      &short_mask),
                std::invalid_argument);
-  EXPECT_EQ(apim::analytics::group_aggregate(runner, keys, values, 4, 8).size(),
+  EXPECT_EQ(apim::analytics::group_aggregate(runner, keys, values, 8).size(),
             3u);
+}
+
+TEST(AnalyticsPreconditions, TreeSumRejectsARunningSumPast32Bits) {
+  // The second round adds 2^32 + 1: a Release build clamped the 33-bit
+  // operand to the word width and returned 2^32 instead of 2^32 + 1.
+  Runner runner(runner_config(apim::core::Backend::kFast));
+  const std::uint64_t top = 0xffffffffu;
+  EXPECT_THROW((void)apim::analytics::tree_sum(runner, {top, 1, 1}),
+               std::invalid_argument);
+  EXPECT_EQ(apim::analytics::tree_sum(runner, {top - 2, 1, 1}), top);
 }
 
 }  // namespace

@@ -41,16 +41,16 @@ TEST(ServeHealthMonitor, DetectionsSuspectAndCleanScrubRecovers) {
   health::HealthMonitor mon(2, cfg);
 
   mon.on_dispatch(0, 3, 0);
-  EXPECT_EQ(mon.state(0), health::DomainState::kHealthy);
+  EXPECT_EQ(mon.domain(0).state, health::DomainState::kHealthy);
   mon.on_dispatch(0, 1, 0);  // Crosses the suspect threshold.
-  EXPECT_EQ(mon.state(0), health::DomainState::kSuspect);
-  EXPECT_TRUE(mon.serving(0));
-  EXPECT_EQ(mon.state(1), health::DomainState::kHealthy);
+  EXPECT_EQ(mon.domain(0).state, health::DomainState::kSuspect);
+  EXPECT_TRUE(mon.domain(0).serving());
+  EXPECT_EQ(mon.domain(1).state, health::DomainState::kHealthy);
 
   health::ScrubReport clean;
   clean.clean = true;
   EXPECT_FALSE(mon.on_scrub(0, clean));  // Not a readmission.
-  EXPECT_EQ(mon.state(0), health::DomainState::kHealthy);
+  EXPECT_EQ(mon.domain(0).state, health::DomainState::kHealthy);
 }
 
 TEST(ServeHealthMonitor, EscalationQuarantinesImmediately) {
@@ -58,8 +58,8 @@ TEST(ServeHealthMonitor, EscalationQuarantinesImmediately) {
   cfg.enabled = true;
   health::HealthMonitor mon(3, cfg);
   mon.on_dispatch(2, 0, 1);
-  EXPECT_EQ(mon.state(2), health::DomainState::kQuarantined);
-  EXPECT_FALSE(mon.serving(2));
+  EXPECT_EQ(mon.domain(2).state, health::DomainState::kQuarantined);
+  EXPECT_FALSE(mon.domain(2).serving());
   EXPECT_EQ(mon.serving_count(), 2u);
 }
 
@@ -70,9 +70,9 @@ TEST(ServeHealthMonitor, DetectionFloodQuarantines) {
   cfg.quarantine_detections = 10;
   health::HealthMonitor mon(1, cfg);
   mon.on_dispatch(0, 6, 0);
-  EXPECT_EQ(mon.state(0), health::DomainState::kSuspect);
+  EXPECT_EQ(mon.domain(0).state, health::DomainState::kSuspect);
   mon.on_dispatch(0, 4, 0);  // Accumulates to the quarantine threshold.
-  EXPECT_EQ(mon.state(0), health::DomainState::kQuarantined);
+  EXPECT_EQ(mon.domain(0).state, health::DomainState::kQuarantined);
 }
 
 TEST(ServeHealthMonitor, ReadmissionNeedsCleanStreak) {
@@ -89,12 +89,12 @@ TEST(ServeHealthMonitor, ReadmissionNeedsCleanStreak) {
   clean.clean = true;
 
   EXPECT_FALSE(mon.on_scrub(0, clean));  // Streak 1 of 2.
-  EXPECT_EQ(mon.state(0), health::DomainState::kQuarantined);
+  EXPECT_EQ(mon.domain(0).state, health::DomainState::kQuarantined);
   EXPECT_FALSE(mon.on_scrub(0, dirty));  // Streak resets.
   EXPECT_FALSE(mon.on_scrub(0, clean));
   EXPECT_TRUE(mon.on_scrub(0, clean));  // Streak 2 of 2: readmitted.
-  EXPECT_EQ(mon.state(0), health::DomainState::kHealthy);
-  EXPECT_EQ(mon.repair_attempts(0), 0u);
+  EXPECT_EQ(mon.domain(0).state, health::DomainState::kHealthy);
+  EXPECT_EQ(mon.domain(0).repair_attempts, 0u);
 }
 
 TEST(ServeHealthMonitor, GivesUpAfterMaxRepairAttempts) {
@@ -102,14 +102,140 @@ TEST(ServeHealthMonitor, GivesUpAfterMaxRepairAttempts) {
   cfg.enabled = true;
   cfg.max_repair_attempts = 2;
   health::HealthMonitor mon(1, cfg);
-  mon.mark_dead(0);
-  mon.quarantine(0);
+  mon.kill(0);
   health::ScrubReport dirty;  // A dead domain never scrubs clean.
   EXPECT_FALSE(mon.gave_up(0));
   EXPECT_FALSE(mon.on_scrub(0, dirty));
   EXPECT_FALSE(mon.gave_up(0));
   EXPECT_FALSE(mon.on_scrub(0, dirty));
   EXPECT_TRUE(mon.gave_up(0));
+}
+
+TEST(ServeHealthMonitor, RetestsStopOnceRepairAttemptsAreSpent) {
+  health::HealthConfig cfg;
+  cfg.enabled = true;
+  cfg.repair_interval = 50;
+  cfg.max_repair_attempts = 2;
+  health::HealthMonitor mon(1, cfg);
+  mon.schedule_retest(0, 10);  // A serving domain gets no re-test.
+  EXPECT_EQ(mon.next_timer(10), std::nullopt);
+
+  mon.quarantine(0);
+  health::ScrubReport dirty;
+  util::Cycles now = 10;
+  for (unsigned attempt = 0; attempt < cfg.max_repair_attempts; ++attempt) {
+    mon.schedule_retest(0, now);
+    ASSERT_EQ(mon.next_timer(now), now + cfg.repair_interval);
+    EXPECT_FALSE(mon.take_retest(0, now + cfg.repair_interval - 1));
+    now += cfg.repair_interval;
+    EXPECT_TRUE(mon.take_retest(0, now));
+    EXPECT_FALSE(mon.take_retest(0, now));  // Disarmed once taken.
+    mon.on_scrub(0, dirty);
+  }
+  EXPECT_TRUE(mon.gave_up(0));
+  mon.schedule_retest(0, now);
+  EXPECT_EQ(mon.next_timer(now), std::nullopt);
+  EXPECT_EQ(mon.domain(0).repair_at, 0u);
+}
+
+TEST(ServeHealthMonitor, CountsEachQuarantineAndReadmissionEdgeOnce) {
+  health::HealthConfig cfg;
+  cfg.enabled = true;
+  health::HealthMonitor mon(2, cfg);
+  mon.on_dispatch(0, 3, 1);  // Edge into quarantine.
+  mon.on_dispatch(0, 2, 1);  // Already quarantined: no edge.
+  mon.quarantine(0);
+  const health::Domain& d = mon.domain(0);
+  EXPECT_EQ(d.quarantines, 1u);
+  EXPECT_EQ(d.dispatches, 2u);
+  EXPECT_EQ(d.detections, 5u);
+  EXPECT_EQ(d.escalations, 2u);
+
+  health::ScrubReport clean;
+  clean.clean = true;
+  clean.stuck_found = 2;
+  clean.repaired = 2;
+  EXPECT_TRUE(mon.on_scrub(0, clean));  // Edge out of quarantine.
+  EXPECT_FALSE(mon.on_scrub(0, clean));
+  EXPECT_EQ(d.readmissions, 1u);
+  EXPECT_EQ(d.scrubs, 2u);
+  EXPECT_EQ(d.stuck_found, 4u);
+  EXPECT_EQ(d.repaired_bits, 4u);
+
+  health::ScrubReport dirty;
+  EXPECT_FALSE(mon.on_scrub(0, dirty));  // A dirty pass quarantines again.
+  EXPECT_EQ(d.quarantines, 2u);
+  EXPECT_EQ(d.readmissions, 1u);
+
+  // The report is the record's own counters.
+  const std::vector<health::DomainReport> reports = mon.reports();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].quarantines, 2u);
+  EXPECT_EQ(reports[0].state, health::DomainState::kQuarantined);
+  EXPECT_EQ(reports[1].dispatches, 0u);
+}
+
+TEST(ServeHealthMonitor, MissedScrubSlotsAreDropped) {
+  health::HealthConfig cfg;
+  cfg.enabled = true;
+  cfg.scrub_interval = 100;
+  health::HealthMonitor mon(4, cfg);
+  EXPECT_EQ(mon.scrub_slot(), 100u);
+  EXPECT_EQ(mon.take_scrub_slot(1000), 0u);
+  EXPECT_TRUE(mon.domain(0).scrub_queued);
+  // The slots missed between 100 and 1000 are not replayed.
+  EXPECT_EQ(mon.take_scrub_slot(1000), std::nullopt);
+  EXPECT_EQ(mon.scrub_slot(), 1100u);
+  EXPECT_EQ(mon.take_scrub_slot(1100), 1u);
+
+  // No slot comes while every serving domain has a pass queued.
+  mon.quarantine(3);
+  EXPECT_EQ(mon.take_scrub_slot(1200), 2u);
+  EXPECT_EQ(mon.scrub_slot(), std::nullopt);
+  EXPECT_EQ(mon.take_scrub_slot(1300), std::nullopt);
+  mon.domain(0).scrub_queued = false;
+  EXPECT_EQ(mon.take_scrub_slot(1400), 0u);
+
+  cfg.enabled = false;
+  const health::HealthMonitor off(4, cfg);
+  EXPECT_EQ(off.scrub_slot(), std::nullopt);
+  EXPECT_FALSE(off.scrub_due(1000));
+}
+
+TEST(ServeHealthMonitor, FaultScheduleFiresInTimeOrderTiesInScheduleOrder) {
+  health::HealthConfig cfg;  // The schedule fires with the layer off too.
+  const auto event = [](util::Cycles at, std::size_t domain,
+                        health::DomainFaultEvent::Kind kind) {
+    health::DomainFaultEvent e;
+    e.at = at;
+    e.domain = domain;
+    e.kind = kind;
+    return e;
+  };
+  using Kind = health::DomainFaultEvent::Kind;
+  health::DomainFaultEvent decay = event(100, 1, Kind::kSetFaults);
+  decay.faults = reliability::LaneFaultTable(2, 3);
+  decay.faults.add_mul_stuck(0, 0, 3, true);
+  cfg.fault_schedule = {event(300, 0, Kind::kClear), decay,
+                        event(100, 2, Kind::kKill),
+                        event(200, 3, Kind::kKill)};
+  health::HealthMonitor mon(4, cfg, core::ApimConfig{}, 2);
+  EXPECT_EQ(mon.next_timer(0), 100u);
+  EXPECT_EQ(mon.next_timer(150), 150u);  // A due fault counts at `now`.
+  EXPECT_EQ(mon.apply_next_fault(99), nullptr);
+
+  std::vector<std::size_t> fired;
+  while (const health::DomainFaultEvent* e = mon.apply_next_fault(1000))
+    fired.push_back(e->domain);
+  EXPECT_EQ(fired, (std::vector<std::size_t>{1, 2, 3, 0}));
+  EXPECT_EQ(mon.next_timer(1000), std::nullopt);
+
+  EXPECT_EQ(mon.domain(1).device.reliability.faults.stuck_count(), 1u);
+  EXPECT_EQ(mon.domain(2).device.reliability.faults.stuck_count(),
+            health::whole_domain_failure(2, 3).stuck_count());
+  EXPECT_TRUE(mon.domain(0).device.reliability.faults.empty());
+  // The monitor installs faults; only the engine's reaction quarantines.
+  EXPECT_EQ(mon.serving_count(), 4u);
 }
 
 // -- Scrub / repair model ----------------------------------------------------

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -623,6 +624,20 @@ TEST(ServeConfig, RejectsZeroSizesInEveryBuildType) {
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_EQ(responses[0].values, (std::vector<std::uint64_t>{42, 72}));
   EXPECT_EQ(responses[1].values, (std::vector<std::uint64_t>{3}));
+}
+
+TEST(ServeExecution, ExecuteBatchRejectsZeroLanesInEveryBuildType) {
+  // Server refuses zero lanes, but execute_batch is public: a Release
+  // build divided by the lane count on the first multiply.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> ops = {{6, 7}};
+  const std::span<const std::pair<std::uint64_t, std::uint64_t>> member(ops);
+  EXPECT_THROW((void)serve::execute_batch(std::span(&member, 1), BatchKey{},
+                                          0, core::ApimConfig{}),
+               std::invalid_argument);
+  const serve::BatchExecution one = serve::execute_batch(
+      std::span(&member, 1), BatchKey{}, 1, core::ApimConfig{});
+  ASSERT_EQ(one.values.size(), 1u);
+  EXPECT_EQ(one.values[0][0], 42u);
 }
 
 // -- Request lifecycle --------------------------------------------------------
