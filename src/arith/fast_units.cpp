@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstddef>
+#include <new>
 #include <stdexcept>
 #include <vector>
 
@@ -101,25 +103,22 @@ AddOutcome fast_tree_add(std::span<const std::uint64_t> values,
   if (values.size() == 1) return AddOutcome{values[0], 0, {}};
 
   // Popcount-sized trees reduce in stack arrays; longer ones (large dot
-  // products) take heap arrays.
+  // products) carve the three arrays from one heap block, widest first so
+  // each stays aligned.
   constexpr std::size_t kInlineAddends = 64;
   const std::size_t count = values.size();
   std::uint64_t inline_values[kInlineAddends];
   unsigned inline_widths[kInlineAddends];
   unsigned char inline_blocks[kInlineAddends];
-  std::vector<std::uint64_t> heap_values;
-  std::vector<unsigned> heap_widths;
-  std::vector<unsigned char> heap_blocks;
+  std::vector<std::byte> heap;
   std::uint64_t* value = inline_values;
   unsigned* width = inline_widths;
   unsigned char* block = inline_blocks;
   if (count > kInlineAddends) {
-    heap_values.resize(count);
-    heap_widths.resize(count);
-    heap_blocks.resize(count);
-    value = heap_values.data();
-    width = heap_widths.data();
-    block = heap_blocks.data();
+    heap.resize(count * (sizeof(std::uint64_t) + sizeof(unsigned) + 1));
+    value = new (heap.data()) std::uint64_t[count];
+    width = new (value + count) unsigned[count];
+    block = new (width + count) unsigned char[count];
   }
   for (std::size_t i = 0; i < count; ++i) {
     assert(widths[i] >= 1 && widths[i] <= width_cap);

@@ -66,7 +66,7 @@ std::size_t HealthMonitor::serving_count() const noexcept {
 
 bool HealthMonitor::stranded() const noexcept {
   for (const Domain& d : doms_)
-    if (d.serving() || d.repair_at != 0) return false;
+    if (d.serving() || d.repair_at) return false;
   return true;
 }
 
@@ -140,7 +140,7 @@ std::optional<util::Cycles> HealthMonitor::next_timer(util::Cycles now) const {
     next = std::max(cfg_.fault_schedule[next_fault_].at, now);
   if (!cfg_.enabled) return next;
   for (const Domain& dom : doms_)
-    if (dom.repair_at != 0 && (!next || dom.repair_at < *next))
+    if (dom.repair_at && (!next || *dom.repair_at < *next))
       next = dom.repair_at;
   return next;
 }
@@ -173,8 +173,8 @@ void HealthMonitor::schedule_retest(std::size_t d, util::Cycles now) {
 
 bool HealthMonitor::take_retest(std::size_t d, util::Cycles now) {
   Domain& dom = doms_[d];
-  if (dom.repair_at == 0 || dom.repair_at > now) return false;
-  dom.repair_at = 0;
+  if (!dom.repair_at || *dom.repair_at > now) return false;
+  dom.repair_at.reset();
   return true;
 }
 

@@ -185,7 +185,7 @@ struct Domain : DomainReport {
   unsigned repair_attempts = 0;
   unsigned clean_streak = 0;
   std::uint64_t detections_since_scrub = 0;
-  util::Cycles repair_at = 0;  ///< Next off-line re-test; 0 = none.
+  std::optional<util::Cycles> repair_at;  ///< Next off-line re-test.
   /// What the domain's dispatches run with: the server's base config
   /// carrying the domain's own fault table, which the fault schedule and
   /// scrub repairs update in place (domains decay independently).

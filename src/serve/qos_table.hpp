@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,12 @@ struct QosTableEntry {
 
 class QosTable {
  public:
+  /// Throws std::invalid_argument, in every build type, for relax_bits
+  /// above 64: the widest product an op makes, and the most a Response
+  /// records (serve/request.hpp).
   void set(const std::string& app, QosTableEntry entry) {
+    if (entry.relax_bits > 64)
+      throw std::invalid_argument("QosTable: relax_bits must be <= 64");
     entries_[app] = entry;
   }
 

@@ -53,7 +53,7 @@ enum class RequestStatus : std::uint8_t {
 
 /// The engine holds one Request and one Response per staged request and
 /// nothing else per request (serve/server.cpp), so each packs its narrow
-/// fields into its last word: 80 and 96 bytes. Each keeps a small payload
+/// fields into its last word: 80 and 88 bytes. Each keeps a small payload
 /// inline (util::InlineVec, whose inline capacity follows from sizeof(T)):
 /// a Request one operand pair, a Response two values. So a one-op request
 /// owns no heap block from generation to destruction. A request of 2 or
@@ -105,16 +105,18 @@ struct Response {
   util::Cycles completion = 0;  ///< When results were available.
   /// This request's share of the batch energy (proportional to op count).
   double energy_pj = 0.0;
-  /// Requests coalesced into the dispatching batch (1 = unbatched).
-  std::uint32_t batch_requests = 0;
+  /// Requests coalesced into the dispatching batch (1 = unbatched). The
+  /// Server caps batch_op_budget(), and so a batch's requests, at 65 535.
+  std::uint16_t batch_requests = 0;
   /// Times the health layer re-queued this request off a failing fault
   /// domain (whole-domain failure mid-flight, or a batch whose results
   /// could not be verified); 0 without the health layer. The energy and
-  /// latency above cover every attempt.
-  std::uint32_t relocations = 0;
+  /// latency above cover every attempt. At most health.max_relocations,
+  /// which the Server caps at 65 535.
+  std::uint16_t relocations = 0;
   /// Relax level the ops actually ran at (0 after an escalation, and for
-  /// every status but kOk).
-  unsigned relax_bits = 0;
+  /// every status but kOk); QosTable::set caps it at 64.
+  std::uint8_t relax_bits = 0;
   RequestStatus status = RequestStatus::kPending;
   /// True when a QoS miss forced an exact re-execution; the latency above
   /// then covers both passes. False for every status but kOk.
@@ -126,7 +128,7 @@ struct Response {
   }
 };
 
-static_assert(sizeof(Request) == 80 && sizeof(Response) == 96,
+static_assert(sizeof(Request) == 80 && sizeof(Response) == 88,
               "one Request and one Response per staged request: keep them "
               "packed");
 

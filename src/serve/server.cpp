@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <span>
@@ -79,9 +79,10 @@ SchedulerConfig scheduler_config(const ServerConfig& cfg) {
 
 /// Checked in every build type: execute_batch refuses zero
 /// lanes_per_stream, with no stream or no queue slot requests would stay
-/// pending forever (the conservation contract), and a fault event for a
+/// pending forever (the conservation contract), a fault event for a
 /// domain the server does not have would be dropped, so a chaos run would
-/// inject fewer faults than configured.
+/// inject fewer faults than configured, and a batch's request count or a
+/// request's relocations past 65 535 would not fit its Response field.
 ServerConfig validated(ServerConfig cfg) {
   if (cfg.streams == 0)
     throw std::invalid_argument("Server: streams must be >= 1");
@@ -89,6 +90,16 @@ ServerConfig validated(ServerConfig cfg) {
     throw std::invalid_argument("Server: lanes_per_stream must be >= 1");
   if (cfg.queue_capacity == 0)
     throw std::invalid_argument("Server: queue_capacity must be >= 1");
+  // A batch holds at most batch_op_budget() requests: each has an op.
+  if (cfg.batch_op_budget() >
+      std::numeric_limits<decltype(Response::batch_requests)>::max()) {
+    throw std::invalid_argument("Server: batch_op_budget() must be <= 65535");
+  }
+  if (cfg.health.max_relocations >
+      std::numeric_limits<decltype(Response::relocations)>::max()) {
+    throw std::invalid_argument(
+        "Server: health.max_relocations must be <= 65535");
+  }
   for (const health::DomainFaultEvent& e : cfg.health.fault_schedule) {
     if (e.domain >= cfg.streams) {
       throw std::invalid_argument(
@@ -111,6 +122,63 @@ struct PendingReq {
   [[nodiscard]] bool finalized() const noexcept {
     return resp.status != RequestStatus::kPending;
   }
+};
+
+static_assert(sizeof(PendingReq) == 168,
+              "one Request and one Response per staged request and nothing "
+              "else");
+
+/// Every staged request, indexed by id, in fixed chunks of kChunkRecords
+/// records. A record is built in place when it is staged, never moves (a
+/// PendingReq& stays valid while later requests stage) and is destroyed
+/// with the table, so staging n requests allocates ceil(n / kChunkRecords)
+/// chunks and the doublings of the chunk list, and nothing per request.
+class RequestTable {
+ public:
+  /// A chunk of 512 records is 84 KiB: few chunks for a long trace, and
+  /// little held by a server that stages a few requests.
+  static constexpr std::size_t kChunkRecords = 512;
+
+  RequestTable() = default;
+  RequestTable(const RequestTable&) = delete;
+  RequestTable& operator=(const RequestTable&) = delete;
+  ~RequestTable() {
+    for (std::uint64_t id = 0; id < size_; ++id) std::destroy_at(slot(id));
+  }
+
+  [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
+  [[nodiscard]] PendingReq& operator[](std::uint64_t id) { return *slot(id); }
+  [[nodiscard]] const PendingReq& operator[](std::uint64_t id) const {
+    return *slot(id);
+  }
+
+  /// Build the next record in place; its id is the old size().
+  PendingReq& emplace_back() {
+    if (size_ == chunks_.size() * kChunkRecords)
+      chunks_.push_back(std::make_unique<Chunk>());
+    PendingReq& p = *std::construct_at(slot(size_));
+    ++size_;
+    return p;
+  }
+
+ private:
+  /// Room for kChunkRecords records. The union keeps Chunk's constructor
+  /// and destructor from touching them; the table builds and destroys
+  /// each one.
+  struct Chunk {
+    Chunk() {}
+    ~Chunk() {}
+    union {
+      PendingReq records[kChunkRecords];
+    };
+  };
+
+  [[nodiscard]] PendingReq* slot(std::uint64_t id) const {
+    return &chunks_[id / kChunkRecords]->records[id % kChunkRecords];
+  }
+
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::uint64_t size_ = 0;
 };
 
 /// The engine: the deterministic virtual-time scheduler shared by both
@@ -437,7 +505,8 @@ struct Server::Impl {
         finalize(p, RequestStatus::kRejected, now_);
         continue;
       }
-      p.resp.relax_bits = table_.relax_for(p.req.app);
+      p.resp.relax_bits =
+          static_cast<std::uint8_t>(table_.relax_for(p.req.app));
       if (trace_ != nullptr) {
         trace::Event e = tev(trace::EventKind::kAdmit);
         e.req = static_cast<std::int64_t>(p.resp.id);
@@ -694,7 +763,7 @@ struct Server::Impl {
       if (!relocate) p.resp.values = std::move(exec.values[m]);
       p.resp.dispatch = now_;
       p.resp.completion = completion;
-      p.resp.batch_requests = static_cast<std::uint32_t>(live.size());
+      p.resp.batch_requests = static_cast<std::uint16_t>(live.size());
       // += so an escalated rerun's energy adds to the first pass.
       p.resp.energy_pj +=
           energy_per_op * static_cast<double>(p.req.operands.size());
@@ -847,9 +916,8 @@ struct Server::Impl {
   /// constructed, so untraced runs are bit-identical to pre-trace builds).
   trace::EventLog* const trace_ = cfg_.trace;
 
-  /// Every staged request, indexed by id. A deque: growth never moves a
-  /// PendingReq, so staging does not relocate the records before it.
-  std::deque<PendingReq> reqs_;
+  /// Every staged request, indexed by id.
+  RequestTable reqs_;
   /// (arrival, id) min-heap: earliest arrival first, id tie-break.
   std::priority_queue<std::pair<util::Cycles, std::uint64_t>,
                       std::vector<std::pair<util::Cycles, std::uint64_t>>,

@@ -25,11 +25,13 @@
 //  * stage_request/step_until — event-by-event stepping for coordinators
 //    (the cluster, analytics waves).
 // The engine holds one record per staged request, its Request and its
-// Response and nothing else (80 + 96 = 176 bytes): the Response also
+// Response and nothing else (80 + 88 = 168 bytes): the Response also
 // carries the request's relax level, escalation and whether it has
-// finalized (serve/request.hpp). A finalized request's operands are freed
-// in bulk by release_finished(), and its Response is kept until the
-// driver collects it.
+// finalized (serve/request.hpp). Records live in fixed chunks of 512,
+// each built in place when staged; none moves, and all are freed with
+// the Server. A finalized request's operands are freed in bulk by
+// release_finished(), and its Response is kept until the driver collects
+// it.
 #pragma once
 
 #include <cstddef>
@@ -133,8 +135,10 @@ struct ServerConfig {
 class Server {
  public:
   /// Throws std::invalid_argument, in every build type, when streams,
-  /// lanes_per_stream or queue_capacity is zero, or when a
-  /// `health.fault_schedule` event names a domain >= streams.
+  /// lanes_per_stream or queue_capacity is zero, when batch_op_budget()
+  /// or `health.max_relocations` is above 65 535 (a Response records
+  /// each in 16 bits), or when a `health.fault_schedule` event names a
+  /// domain >= streams.
   explicit Server(ServerConfig config, QosTable table = {});
   ~Server();
 

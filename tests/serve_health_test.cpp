@@ -135,7 +135,7 @@ TEST(ServeHealthMonitor, RetestsStopOnceRepairAttemptsAreSpent) {
   EXPECT_TRUE(mon.gave_up(0));
   mon.schedule_retest(0, now);
   EXPECT_EQ(mon.next_timer(now), std::nullopt);
-  EXPECT_EQ(mon.domain(0).repair_at, 0u);
+  EXPECT_EQ(mon.domain(0).repair_at, std::nullopt);
 }
 
 TEST(ServeHealthMonitor, CountsEachQuarantineAndReadmissionEdgeOnce) {
@@ -879,6 +879,40 @@ TEST(ServeChaos, QueuedScrubOfALostDomainIsDropped) {
   EXPECT_FALSE(scrub_dispatched_after(log, scrub->at, scrub->domain));
   EXPECT_EQ(out.snap.serving_domains(), s.server.streams - 1);
   EXPECT_EQ(count_corruption(out).corrupted, 0u);
+}
+
+/// A re-test due at cycle 0 runs: with repair_interval 0, a domain killed
+/// at cycle 0 is re-tested at once, one pass per step, until its repair
+/// attempts are spent, while the other domain serves every request.
+TEST(ServeChaos, DomainKilledAtCycleZeroIsRetestedAtCycleZero) {
+  EventLog log;
+  serve::ServerConfig cfg;
+  cfg.streams = 2;
+  cfg.lanes_per_stream = 4;
+  cfg.trace = &log;
+  cfg.health.enabled = true;
+  cfg.health.repair_interval = 0;
+  cfg.health.fault_schedule = {
+      fault_event(0, 0, health::DomainFaultEvent::Kind::kKill)};
+  serve::Server server(cfg);
+  const std::vector<serve::Response> responses =
+      server.run_trace(stranded_scrub_trace());
+  for (const serve::Response& r : responses)
+    EXPECT_EQ(r.status, serve::RequestStatus::kOk);
+  EXPECT_EQ(analysis::verify_trace(log), "");
+
+  std::size_t retests = 0;
+  for (const Event& e : log.events()) {
+    if (e.kind != EventKind::kScrub || e.domain != 0) continue;
+    EXPECT_TRUE(e.offline);
+    EXPECT_EQ(e.at, 0u);
+    ++retests;
+  }
+  const serve::MetricsSnapshot snap = server.snapshot();
+  EXPECT_EQ(retests, cfg.health.max_repair_attempts);
+  EXPECT_EQ(snap.domains[0].scrubs, cfg.health.max_repair_attempts);
+  EXPECT_EQ(snap.domains[0].state, health::DomainState::kQuarantined);
+  EXPECT_EQ(snap.serving_domains(), 1u);
 }
 
 }  // namespace

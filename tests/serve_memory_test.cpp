@@ -1,10 +1,11 @@
 // Memory tests of the serving engine's request records, lifecycle, batch
-// executor and load generator, and of the TPC-H table generator. A
-// counting global allocator tracks live and peak heap bytes, live blocks
-// and the number of allocations, so a test can check what a drained Server
-// still holds, how much a run or a trace allocates, and how many blocks
-// one dispatch or one make_tables call allocates. Its own binary: the
-// allocator replaces operator new/delete for the whole executable.
+// executor and load generator, of the TPC-H table generator and of the
+// wide tree adder. A counting global allocator tracks live and peak heap
+// bytes, live blocks and the number of allocations, so a test can check
+// what a drained Server still holds, how much a run or a trace allocates,
+// and how many blocks one dispatch or one make_tables call allocates. Its
+// own binary: the allocator replaces operator new/delete for the whole
+// executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "analytics/tpch.hpp"
+#include "arith/fast_units.hpp"
 #include "serve/executor.hpp"
 #include "serve/load_gen.hpp"
 #include "serve/server.hpp"
@@ -169,10 +171,45 @@ TEST_F(ServeMemory, RunTracePeaksBelowItsInputOperands) {
 // The engine holds one Request and one Response per staged request, so
 // their padding is paid once per request. Each packs its narrow fields
 // into its last word; a Request that also carries a QoS spec takes 120,
-// and a Response with a full QoS evaluation and word-sized counters 112.
+// a Response with a full QoS evaluation and word-sized counters 112, and
+// one with 32-bit counters and relax level 96.
 TEST(ServeLayout, RequestAndResponsePackTheirNarrowFields) {
   EXPECT_LE(sizeof(Request), 80u);
-  EXPECT_LE(sizeof(Response), 96u);
+  EXPECT_LE(sizeof(Response), 88u);
+}
+
+// The engine builds each record in place in a chunk of 512, so staging
+// allocates the chunks, the chunk list and the arrival heap, and nothing
+// per request. A std::deque of 176-byte records allocates a node every
+// two requests: 518 and 2 022 allocations here.
+TEST_F(ServeMemory, StagingAllocatesChunksNotRecords) {
+  for (const std::size_t requests : {1000u, 4000u}) {
+    std::vector<Request> trace;
+    trace.reserve(requests);
+    for (std::size_t i = 0; i < requests; ++i)
+      trace.push_back(make_request(i, 1, i));
+    Server server(ServerConfig{});
+    const std::size_t before = g_allocations.load();
+    for (Request& r : trace) server.stage_request(std::move(r));
+    const std::size_t allocations = g_allocations.load() - before;
+    const std::size_t chunks = (requests + 511) / 512;
+    EXPECT_LE(allocations, chunks + 32)
+        << "allocations to stage " << requests << " one-op requests";
+  }
+}
+
+// A staged record never moves, so a response read by address (the
+// engine's own PendingReq& while later requests stage) stays valid.
+TEST_F(ServeMemory, StagedRecordsNeverMove) {
+  Server server(ServerConfig{});
+  const std::uint64_t first = server.stage_request(make_request(0, 1, 0));
+  const Response* record = &server.response(first);
+  for (std::size_t i = 1; i <= 10000; ++i)
+    server.stage_request(make_request(i, 1, i));
+  EXPECT_EQ(&server.response(first), record);
+  drain(server);
+  EXPECT_EQ(&server.response(first), record);
+  EXPECT_EQ(record->status, RequestStatus::kOk);
 }
 
 /// A one-op trace like the serve-engine benchmark's (16 tenants, width 8):
@@ -228,7 +265,8 @@ TEST_F(ServeMemory, WideTraceAllocatesOneBlockPerRequest) {
 // input. The engine's record per request (a Request and a Response), the
 // responses it returns and its arrival heap and finished list set it: an
 // engine whose record also keeps its relax level and two flags beside a
-// 112-byte Response needs about 285 bytes per request, this one about 245.
+// 112-byte Response needs about 285 bytes per request, one with a 96-byte
+// Response in a std::deque about 253, this one about 233.
 TEST_F(ServeMemory, OneOpRunTraceNeedsAtMost264BytesPerRequest) {
   const LoadGenConfig gen = one_op_trace_config();
   {
@@ -330,6 +368,24 @@ TEST(AnalyticsMemory, MakeTablesAllocatesEachColumnOnce) {
           << c.values.size() << " rows";
     }
   }
+}
+
+// Past 64 operands fast_tree_add carves its values, widths and blocks
+// arrays from one heap block; three vectors make 3 allocations.
+TEST(ArithMemory, WideTreeAddAllocatesOneBlock) {
+  constexpr std::size_t kOperands = 100;
+  std::vector<std::uint64_t> values(kOperands);
+  const std::vector<unsigned> widths(kOperands, 16);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < kOperands; ++i) {
+    values[i] = (i * 40503u) & 0xFFFFu;
+    total += values[i];
+  }
+  const std::size_t before = g_allocations.load();
+  const arith::AddOutcome r =
+      arith::fast_tree_add(values, widths, 23, device::EnergyModel{});
+  EXPECT_EQ(g_allocations.load() - before, 1u);
+  EXPECT_EQ(r.sum, total);
 }
 
 }  // namespace

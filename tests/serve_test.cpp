@@ -626,6 +626,39 @@ TEST(ServeConfig, RejectsZeroSizesInEveryBuildType) {
   EXPECT_EQ(responses[1].values, (std::vector<std::uint64_t>{3}));
 }
 
+TEST(ServeConfig, RejectsWhatAResponseCannotRecord) {
+  // A Response keeps its batch's request count and its relocations in 16
+  // bits and its relax level in 8 (request.hpp), so each is capped where
+  // it enters rather than wrapped where it is stored.
+  ServerConfig wide;
+  wide.max_batch_ops = 65536;
+  EXPECT_THROW(Server{wide}, std::invalid_argument);
+  wide.max_batch_ops = 0;  // The budget falls back to the lanes.
+  wide.lanes_per_stream = 65536;
+  EXPECT_THROW(Server{wide}, std::invalid_argument);
+  ServerConfig relocating;
+  relocating.health.max_relocations = 65536;
+  EXPECT_THROW(Server{relocating}, std::invalid_argument);
+  QosTable table;
+  EXPECT_THROW(table.set("tenant", QosTableEntry{65, 0.0, true, false}),
+               std::invalid_argument);
+  EXPECT_TRUE(table.entries().empty());
+
+  // The widest values that fit are served (kept at relax 64: a QoS miss
+  // would rerun the request exact).
+  table.set("tenant", QosTableEntry{64, 0.0, true, false});
+  ServerConfig widest;
+  widest.max_batch_ops = 65535;
+  widest.health.max_relocations = 65535;
+  widest.escalate_on_miss = false;
+  Server server(widest, table);
+  const std::vector<Response> responses = server.run_trace(
+      {make_request("tenant", OpKind::kMultiply, 16, {{6, 7}})});
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].relax_bits, 64u);
+  EXPECT_EQ(responses[0].batch_requests, 1u);
+}
+
 TEST(ServeExecution, ExecuteBatchRejectsZeroLanesInEveryBuildType) {
   // Server refuses zero lanes, but execute_batch is public: a Release
   // build divided by the lane count on the first multiply.

@@ -117,7 +117,7 @@ inline void mix(Fnv1a& h, const serve::Response& r) {
   h.mix(std::uint64_t{r.batch_requests});
   h.mix(r.energy_pj);
   h.mix(std::uint64_t{r.relocations});
-  h.mix(r.relax_bits);
+  h.mix(unsigned{r.relax_bits});
   h.mix(std::uint64_t{static_cast<std::uint8_t>(r.status)});
   h.mix(r.escalated);
 }
